@@ -9,9 +9,8 @@ RMSE evaluation harness.
 
 from .complementary import CfState, cf_update
 from .dlkf import (FilterState, NoiseConfig, accel_update, adaptive_factor,
-                   adaptive_ra, apply_correction, mag_update, time_update)
-from .fasteuler import (FastEulerConfig, MeasuredAngles, accel_roll_pitch,
-                        fast_euler, mag_yaw)
+                   apply_correction, mag_update, time_update)
+from .fasteuler import FastEulerConfig, accel_roll_pitch, mag_yaw
 from .geometry import (EulerAngles, Quaternion, euler_to_quat, quat_multiply,
                        quat_to_dcm, quat_to_euler, rotvec_to_quat, wrap_pi,
                        wrap_yaw)
@@ -27,12 +26,11 @@ __version__ = "0.1.0"
 __all__ = [
     "AccelModel", "AlignmentError", "AttitudeEstimate", "CfState",
     "EulerAngles", "FastEulerConfig", "FilterState", "GyroModel", "MagModel",
-    "MeasuredAngles", "NoiseConfig", "PipelineConfig", "PropagatorState",
-    "Quaternion", "RunResult", "Segment", "SensorRecord", "TrajectorySpec",
-    "accel_roll_pitch", "accel_update", "adaptive_factor", "adaptive_ra",
-    "align_series", "apply_correction", "cf_update", "euler_to_quat",
-    "evaluate", "fast_euler", "improvement", "initial_alignment", "mag_update",
-    "mag_yaw", "propagate", "quat_multiply", "quat_to_dcm", "quat_to_euler",
-    "rmse", "rotvec_to_quat", "run_pipeline", "simulate", "time_update",
-    "wrap_pi", "wrap_yaw",
+    "NoiseConfig", "PipelineConfig", "PropagatorState", "Quaternion",
+    "RunResult", "Segment", "SensorRecord", "TrajectorySpec",
+    "accel_roll_pitch", "accel_update", "adaptive_factor", "align_series",
+    "apply_correction", "cf_update", "euler_to_quat", "evaluate",
+    "improvement", "initial_alignment", "mag_update", "mag_yaw", "propagate",
+    "quat_multiply", "quat_to_dcm", "quat_to_euler", "rmse", "rotvec_to_quat",
+    "run_pipeline", "simulate", "time_update", "wrap_pi", "wrap_yaw",
 ]

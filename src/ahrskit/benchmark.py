@@ -84,8 +84,15 @@ def dynamic_trajectory() -> TrajectorySpec:
     return TrajectorySpec(segments)
 
 
+def _accel_window(traj: TrajectorySpec) -> Tuple[float, float]:
+    """(start, end) time of the first segment with linear acceleration."""
+    k = next(i for i, seg in enumerate(traj.segments) if any(seg.accel))
+    start = sum(seg.duration for seg in traj.segments[:k])
+    return start, start + traj.segments[k].duration
+
+
 # time window of the forward-acceleration segment above
-ACCEL_SEGMENT = (42.0, 52.0)
+ACCEL_SEGMENT = _accel_window(dynamic_trajectory())
 
 BENCHMARK_GYRO_BIAS = (0.01, -0.008, 0.006)  # rad/s
 

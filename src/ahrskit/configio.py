@@ -15,14 +15,12 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .dlkf import NoiseConfig
+from .dlkf import _DEG2RAD_SQ, NoiseConfig
 from .fasteuler import FastEulerConfig
 from .geometry import EulerAngles
 from .pipeline import PipelineConfig
 from .simulate import (AccelModel, GyroModel, MagModel, Segment,
                        TrajectorySpec)
-
-_DEG2RAD_SQ = (math.pi / 180.0) ** 2
 
 
 def parse_kv_lines(text: str, source: str = "<config>") -> List[Tuple[str, str]]:

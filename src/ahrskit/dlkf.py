@@ -172,11 +172,6 @@ def adaptive_factor(accel, cfg: NoiseConfig) -> float:
     return min(max(gamma2, 1.0), cfg.gamma2_max)
 
 
-def adaptive_ra(accel, cfg: NoiseConfig) -> np.ndarray:
-    """Roll/pitch measurement noise scaled by the sensed linear acceleration."""
-    return adaptive_factor(accel, cfg) * cfg.Ra_nominal
-
-
 def accel_update(fs: FilterState, z1, Ra) -> FilterState:
     """First measurement layer: roll/pitch error observation.
 
@@ -234,5 +229,5 @@ def apply_correction(prop: PropagatorState,
                             wrap_yaw(e.yaw + fs.x[2]))
     q = euler_to_quat(corrected)
     bias = prop.bias + fs.x[3:6]
-    return (PropagatorState(q, bias, prop.t),
+    return (PropagatorState(q, bias),
             FilterState(np.zeros(N_STATES), fs.P))

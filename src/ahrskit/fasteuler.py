@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Tuple
+from typing import Optional, Tuple
 
 from .geometry import wrap_yaw
 
@@ -29,14 +29,6 @@ class FastEulerConfig:
             raise ValueError(f"gravity must be positive, got {self.gravity}")
         if self.accel_gate <= 0.0:
             raise ValueError(f"accel_gate must be positive, got {self.accel_gate}")
-
-
-class MeasuredAngles(NamedTuple):
-    """Per-epoch angle measurements; None marks a skipped sensor."""
-
-    roll: Optional[float]
-    pitch: Optional[float]
-    yaw: Optional[float]
 
 
 def accel_roll_pitch(accel, cfg: FastEulerConfig) -> Optional[Tuple[float, float]]:
@@ -62,9 +54,9 @@ def mag_yaw(mag, roll: float, pitch: float) -> Optional[float]:
 
     The field is used direction-only (normalized first), so any unit works.
     Roll/pitch should come from the same epoch: the accelerometer angles
-    when available, otherwise the current attitude estimate. Returns None
-    for a zero field vector. Headings are magnetic-north referenced; no
-    declination correction is applied.
+    while the accelerometer is fully trusted, otherwise the current
+    attitude estimate. Returns None for a zero field vector. Headings are
+    magnetic-north referenced; no declination correction is applied.
     """
     mx, my, mz = float(mag[0]), float(mag[1]), float(mag[2])
     norm = math.sqrt(mx * mx + my * my + mz * mz)
@@ -79,19 +71,3 @@ def mag_yaw(mag, roll: float, pitch: float) -> Optional[float]:
     hx = mx * cp + my * sp * sr + mz * sp * cr
     hy = my * cr - mz * sr
     return wrap_yaw(math.atan2(-hy, hx))
-
-
-def fast_euler(accel, mag, cfg: FastEulerConfig,
-               fallback_roll_pitch: Optional[Tuple[float, float]] = None) -> MeasuredAngles:
-    """Full measurement pass: roll/pitch from accel, then yaw from mag.
-
-    When the accelerometer is gated, `fallback_roll_pitch` (typically the
-    current filter estimate) keeps the heading measurement alive;
-    without a fallback the yaw is skipped as well.
-    """
-    rp = accel_roll_pitch(accel, cfg)
-    tilt = rp if rp is not None else fallback_roll_pitch
-    yaw = mag_yaw(mag, tilt[0], tilt[1]) if tilt is not None else None
-    if rp is None:
-        return MeasuredAngles(None, None, yaw)
-    return MeasuredAngles(rp[0], rp[1], yaw)

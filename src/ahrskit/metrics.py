@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-TWO_PI = 2.0 * np.pi
+from .geometry import TWO_PI
 
 
 @dataclass

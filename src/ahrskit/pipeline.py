@@ -1,10 +1,13 @@
 """End-to-end fusion loop: alignment, per-sample estimation, emission.
 
-Per IMU sample the loop dead-reckons the attitude from the gyro,
-converts accel/mag into measured angles, runs the filter time update and
-whichever measurement layers have valid data this epoch, then feeds the
-corrections back. A gated accelerometer or an off-epoch magnetometer
-simply skips its layer; the covariance flows on to the next consumer.
+One driver serves every algorithm: it owns the clock, the mag-epoch
+schedule and the per-sample error context. Each algorithm is a factory
+in `_STEPS` returning `step(rec, dt, mag_due) -> AttitudeEstimate`, a
+closure over its own estimator state. The dlkf step dead-reckons the
+attitude from the gyro, converts accel/mag into measured angles, runs
+the filter time update and whichever measurement layers have valid data
+this epoch, then feeds the corrections back. A gated accelerometer or an
+off-epoch magnetometer simply skips its layer; the covariance flows on.
 """
 
 from __future__ import annotations
@@ -22,9 +25,6 @@ from .geometry import (EulerAngles, Quaternion, euler_to_quat, quat_to_dcm,
                        quat_to_euler, wrap_pi)
 from .propagation import PropagatorState, propagate
 from .simulate import SensorRecord
-
-ALGORITHMS = ("dlkf", "cf", "gyro-only")
-
 
 class AlignmentError(ValueError):
     """Raised when the initial-alignment window is unusable."""
@@ -44,9 +44,9 @@ class PipelineConfig:
     align_duration_s: float = 2.0
 
     def __post_init__(self):
-        if self.algorithm not in ALGORITHMS:
+        if self.algorithm not in _STEPS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}, "
-                             f"expected one of {ALGORITHMS}")
+                             f"expected one of {tuple(_STEPS)}")
         if self.imu_rate_hz <= 0.0 or self.mag_rate_hz <= 0.0:
             raise ValueError("sensor rates must be positive")
         if self.mag_rate_hz > self.imu_rate_hz:
@@ -106,123 +106,103 @@ def run_pipeline(records: Sequence[SensorRecord], cfg: PipelineConfig,
     if not records:
         raise ValueError("no records to process")
 
-    t0 = records[0].t
-    align_end = t0 + cfg.align_duration_s
-    n_align = 0
+    n_align = 1  # without alignment the first sample only sets the clock
+    q0, bias_seed = Quaternion.identity(), np.zeros(3)
     if cfg.align_duration_s > 0.0:
+        align_end = records[0].t + cfg.align_duration_s
+        n_align = 0
         while n_align < len(records) and records[n_align].t <= align_end:
             n_align += 1
         if n_align == 0:
             raise AlignmentError("alignment window contains no samples")
         q0, bias_seed = initial_alignment(records[:n_align], cfg.fast_euler)
-        t_prev = records[n_align - 1].t
-    else:
-        q0, bias_seed = Quaternion.identity(), np.zeros(3)
-        # no alignment: first sample only sets the clock
-        t_prev = t0
-        n_align = 1
+    t_prev = records[n_align - 1].t
     rest = records[n_align:]
     if not rest:
         raise ValueError("no records left after the alignment window")
 
-    if cfg.algorithm == "dlkf":
-        return _run_dlkf(rest, cfg, q0, bias_seed, t_prev, n_align, on_epoch)
-    if cfg.algorithm == "cf":
-        return _run_cf(rest, cfg, q0, t_prev, n_align)
-    return _run_gyro_only(rest, q0, t_prev, n_align)
-
-
-def _advance(next_due: float, t: float, period: float) -> float:
-    while next_due <= t:
-        next_due += period
-    return next_due
-
-
-def _check_dt(t: float, t_prev: float, index: int) -> float:
-    dt = t - t_prev
-    if dt <= 0.0:
-        raise ValueError(f"timestamps not strictly increasing at sample {index} "
-                         f"(t={t} after {t_prev})")
-    return dt
-
-
-def _run_dlkf(records, cfg, q0, bias_seed, t_prev, offset, on_epoch):
-    prop = PropagatorState(q0, np.asarray(bias_seed, dtype=float), t_prev)
-    fs = FilterState.initial()
+    step = _STEPS[cfg.algorithm](cfg, q0, bias_seed, on_epoch)
     mag_period = 1.0 / cfg.mag_rate_hz
-    next_mag = records[0].t
+    next_mag = rest[0].t
     estimates = []
-    for i, rec in enumerate(records):
-        dt = _check_dt(rec.t, t_prev, offset + i)
-        try:
-            prop = propagate(prop, rec.gyro, dt)
-            est = quat_to_euler(prop.q)
+    try:
+        for i, rec in enumerate(rest, n_align):
+            dt = rec.t - t_prev
+            if dt <= 0.0:
+                raise ValueError(f"timestamps not strictly increasing "
+                                 f"(previous t={t_prev})")
+            mag_due = rec.t >= next_mag
+            while next_mag <= rec.t:
+                next_mag += mag_period
+            estimates.append(step(rec, dt, mag_due))
+            t_prev = rec.t
+    except ValueError as exc:
+        raise ValueError(f"sample {i} (t={rec.t}): {exc}") from exc
+    return estimates
 
-            rp = accel_roll_pitch(rec.accel, cfg.fast_euler)
-            gamma2 = adaptive_factor(rec.accel, cfg.noise)
-            yaw_meas = None
-            if rec.t >= next_mag:
-                # tilt-compensate with the accel angles only while the
-                # accel is fully trusted; a gated or de-weighted sample
-                # would leak its linear-acceleration error into heading
-                tilt = rp if (rp is not None and gamma2 <= 1.0) else (est.roll, est.pitch)
-                yaw_meas = mag_yaw(rec.mag, tilt[0], tilt[1])
-                next_mag = _advance(next_mag, rec.t, mag_period)
 
-            fs = time_update(fs, quat_to_dcm(prop.q), dt, cfg.noise)
-            if rp is not None:
-                z1 = (wrap_pi(rp[0] - est.roll), wrap_pi(rp[1] - est.pitch))
-                fs = accel_update(fs, z1, gamma2 * cfg.noise.Ra_nominal)
-            if yaw_meas is not None:
-                fs = mag_update(fs, yaw_meas - est.yaw, cfg.noise.Rm)
-            prop, fs = apply_correction(prop, fs)
-        except ValueError as exc:
-            raise ValueError(f"sample {offset + i} (t={rec.t}): {exc}") from exc
-        estimates.append(AttitudeEstimate(rec.t, quat_to_euler(prop.q), prop.q,
-                                          prop.bias))
+def _dlkf_step(cfg, q0, bias_seed, on_epoch):
+    prop = PropagatorState(q0, np.asarray(bias_seed, dtype=float))
+    fs = FilterState.initial()
+
+    def step(rec, dt, mag_due):
+        nonlocal prop, fs
+        prop = propagate(prop, rec.gyro, dt)
+        est = quat_to_euler(prop.q)
+
+        rp = accel_roll_pitch(rec.accel, cfg.fast_euler)
+        gamma2 = adaptive_factor(rec.accel, cfg.noise)
+        yaw_meas = None
+        if mag_due:
+            # tilt-compensate with the accel angles only while the
+            # accel is fully trusted; a gated or de-weighted sample
+            # would leak its linear-acceleration error into heading
+            tilt = rp if (rp is not None and gamma2 <= 1.0) else (est.roll, est.pitch)
+            yaw_meas = mag_yaw(rec.mag, tilt[0], tilt[1])
+
+        fs = time_update(fs, quat_to_dcm(prop.q), dt, cfg.noise)
+        if rp is not None:
+            z1 = (wrap_pi(rp[0] - est.roll), wrap_pi(rp[1] - est.pitch))
+            fs = accel_update(fs, z1, gamma2 * cfg.noise.Ra_nominal)
+        if yaw_meas is not None:
+            fs = mag_update(fs, yaw_meas - est.yaw, cfg.noise.Rm)
+        prop, fs = apply_correction(prop, fs)
+        out = AttitudeEstimate(rec.t, quat_to_euler(prop.q), prop.q, prop.bias)
         if on_epoch is not None:
             on_epoch(rec.t, fs)
-        t_prev = rec.t
-    return estimates
+        return out
+
+    return step
 
 
 _NO_MAG = np.zeros(3)
 
 
-def _run_cf(records, cfg, q0, t_prev, offset):
+def _cf_step(cfg, q0, bias_seed, on_epoch):
     state = CfState.initial(q0, cfg.cf_kp, cfg.cf_ki)
-    mag_period = 1.0 / cfg.mag_rate_hz
-    next_mag = records[0].t
-    estimates = []
-    for i, rec in enumerate(records):
-        dt = _check_dt(rec.t, t_prev, offset + i)
-        mag = _NO_MAG
-        if rec.t >= next_mag:
-            mag = rec.mag
-            next_mag = _advance(next_mag, rec.t, mag_period)
-        try:
-            state = cf_update(state, rec.gyro, rec.accel, mag, dt)
-        except ValueError as exc:
-            raise ValueError(f"sample {offset + i} (t={rec.t}): {exc}") from exc
+
+    def step(rec, dt, mag_due):
+        nonlocal state
+        state = cf_update(state, rec.gyro, rec.accel,
+                          rec.mag if mag_due else _NO_MAG, dt)
         # the PI integral converges to minus the gyro bias
-        estimates.append(AttitudeEstimate(rec.t, quat_to_euler(state.q), state.q,
-                                          -state.integral_fb))
-        t_prev = rec.t
-    return estimates
+        return AttitudeEstimate(rec.t, quat_to_euler(state.q), state.q,
+                                -state.integral_fb)
+
+    return step
 
 
-def _run_gyro_only(records, q0, t_prev, offset):
+def _gyro_only_step(cfg, q0, bias_seed, on_epoch):
     # pure dead reckoning: no bias compensation, establishes the drift
     # the filters must remove
-    prop = PropagatorState(q0, np.zeros(3), t_prev)
-    estimates = []
-    for i, rec in enumerate(records):
-        dt = _check_dt(rec.t, t_prev, offset + i)
-        try:
-            prop = propagate(prop, rec.gyro, dt)
-        except ValueError as exc:
-            raise ValueError(f"sample {offset + i} (t={rec.t}): {exc}") from exc
-        estimates.append(AttitudeEstimate(rec.t, quat_to_euler(prop.q), prop.q,
-                                          prop.bias))
-        t_prev = rec.t
-    return estimates
+    prop = PropagatorState(q0, np.zeros(3))
+
+    def step(rec, dt, mag_due):
+        nonlocal prop
+        prop = propagate(prop, rec.gyro, dt)
+        return AttitudeEstimate(rec.t, quat_to_euler(prop.q), prop.q, prop.bias)
+
+    return step
+
+
+_STEPS = {"dlkf": _dlkf_step, "cf": _cf_step, "gyro-only": _gyro_only_step}

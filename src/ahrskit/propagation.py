@@ -17,17 +17,16 @@ from .geometry import Quaternion, quat_multiply, rotvec_to_quat
 
 
 class PropagatorState(NamedTuple):
-    """Attitude, accumulated gyro bias (rad/s) and timestamp (s)."""
+    """Attitude and accumulated gyro bias (rad/s)."""
 
     q: Quaternion
     bias: np.ndarray
-    t: float
 
     @classmethod
     def initial(cls, q: Quaternion = Quaternion.identity(),
-                bias=None, t: float = 0.0) -> "PropagatorState":
+                bias=None) -> "PropagatorState":
         b = np.zeros(3) if bias is None else np.asarray(bias, dtype=float)
-        return cls(q, b, t)
+        return cls(q, b)
 
 
 def propagate(state: PropagatorState, gyro, dt: float) -> PropagatorState:
@@ -44,4 +43,4 @@ def propagate(state: PropagatorState, gyro, dt: float) -> PropagatorState:
     bx, by, bz = state.bias
     step = ((gx - bx) * dt, (gy - by) * dt, (gz - bz) * dt)
     q = quat_multiply(state.q, rotvec_to_quat(step))
-    return PropagatorState(q, state.bias, state.t + dt)
+    return PropagatorState(q, state.bias)

@@ -5,7 +5,7 @@ import pytest
 
 from ahrskit.benchmark import static_records
 from ahrskit.dlkf import (FilterState, NoiseConfig, accel_update,
-                          adaptive_factor, adaptive_ra, apply_correction,
+                          adaptive_factor, apply_correction,
                           mag_update, time_update, transition_matrix)
 from ahrskit.fasteuler import FastEulerConfig, accel_roll_pitch, mag_yaw
 from ahrskit.geometry import (Quaternion, euler_to_quat, EulerAngles,
@@ -76,12 +76,12 @@ class TestTimeUpdate:
 class TestAdaptiveRa:
     def test_hover_returns_nominal(self):
         cfg = NoiseConfig(Ra_nominal=np.diag([0.5, 5.0]), gravity=9.81)
-        out = adaptive_ra((0.0, 0.0, -9.81), cfg)
+        out = adaptive_factor((0.0, 0.0, -9.81), cfg) * cfg.Ra_nominal
         np.testing.assert_allclose(out, np.diag([0.5, 5.0]), rtol=1e-12)
 
     def test_two_ms2_offset_with_weight_five(self):
         cfg = NoiseConfig(Ra_nominal=np.diag([0.5, 5.0]), lambda_a=5.0, gravity=9.81)
-        out = adaptive_ra((0.0, 0.0, -11.81), cfg)
+        out = adaptive_factor((0.0, 0.0, -11.81), cfg) * cfg.Ra_nominal
         np.testing.assert_allclose(out, np.diag([5.0, 50.0]), rtol=1e-12)
 
     def test_monotone_in_norm_offset(self):
@@ -182,14 +182,14 @@ class TestSequentialEquivalence:
 
 class TestApplyCorrection:
     def test_zero_state_is_noop(self):
-        prop = PropagatorState(Quaternion.identity(), np.zeros(3), 1.0)
+        prop = PropagatorState(Quaternion.identity(), np.zeros(3))
         fs = FilterState(np.zeros(6), np.eye(6))
         out_prop, out_fs = apply_correction(prop, fs)
         assert out_prop is prop
         assert out_fs is fs
 
     def test_small_roll_correction(self):
-        prop = PropagatorState(Quaternion.identity(), np.zeros(3), 0.0)
+        prop = PropagatorState(Quaternion.identity(), np.zeros(3))
         fs = FilterState(np.array([0.01, 0.0, 0.0, 0.0, 0.0, 0.0]), np.eye(6))
         out_prop, out_fs = apply_correction(prop, fs)
         e = quat_to_euler(out_prop.q)
@@ -205,7 +205,7 @@ class TestApplyCorrection:
             e0 = EulerAngles(rng.uniform(-1.0, 1.0), rng.uniform(-0.9, 0.9),
                              rng.uniform(0.5, 5.5))
             delta = rng.normal(scale=0.02, size=3)
-            prop = PropagatorState(euler_to_quat(e0), np.zeros(3), 0.0)
+            prop = PropagatorState(euler_to_quat(e0), np.zeros(3))
             fs = FilterState(np.r_[delta, np.zeros(3)], np.eye(6))
             out_prop, _ = apply_correction(prop, fs)
             e1 = quat_to_euler(out_prop.q)
@@ -214,7 +214,7 @@ class TestApplyCorrection:
             assert wrap_pi(e1.yaw - e0.yaw) == pytest.approx(delta[2], abs=1e-9)
 
     def test_bias_feedback_accumulates(self):
-        prop = PropagatorState(Quaternion.identity(), np.array([0.001, 0.0, 0.0]), 0.0)
+        prop = PropagatorState(Quaternion.identity(), np.array([0.001, 0.0, 0.0]))
         fs = FilterState(np.array([0.0, 0.0, 0.0, 1e-3, 0.0, 0.0]), np.eye(6))
         out_prop, _ = apply_correction(prop, fs)
         assert out_prop.bias[0] == pytest.approx(0.002, rel=1e-12)

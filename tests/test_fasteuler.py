@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ahrskit.fasteuler import (FastEulerConfig, accel_roll_pitch, fast_euler,
-                               mag_yaw)
+from ahrskit.fasteuler import FastEulerConfig, accel_roll_pitch, mag_yaw
 from ahrskit.geometry import EulerAngles, euler_to_quat, quat_to_dcm, wrap_yaw
 
 CFG = FastEulerConfig(gravity=9.81, accel_gate=0.5)
@@ -132,21 +131,20 @@ class TestMagYaw:
 
 
 class TestFastEuler:
-    def test_full_pass_level(self):
-        out = fast_euler((0.0, 0.0, -9.81), (0.5, 0.0, 0.866), CFG)
-        assert out.roll == pytest.approx(0.0, abs=1e-12)
-        assert out.pitch == pytest.approx(0.0, abs=1e-12)
-        assert out.yaw == pytest.approx(0.0, abs=1e-12)
+    """Accel roll/pitch feeding mag tilt compensation, as the dlkf step
+    chains them."""
 
-    def test_gated_accel_without_fallback_skips_yaw(self):
-        out = fast_euler((3.0, 0.0, -3.0), (0.5, 0.0, 0.866), CFG)
-        assert out == (None, None, None)
+    def test_full_pass_level(self):
+        rp = accel_roll_pitch((0.0, 0.0, -9.81), CFG)
+        assert rp == (0.0, 0.0)
+        yaw = mag_yaw((0.5, 0.0, 0.866), rp[0], rp[1])
+        assert yaw == pytest.approx(0.0, abs=1e-12)
 
     def test_gated_accel_with_fallback_keeps_yaw(self):
-        out = fast_euler((3.0, 0.0, -3.0), (0.5, 0.0, 0.866), CFG,
-                         fallback_roll_pitch=(0.0, 0.0))
-        assert out.roll is None and out.pitch is None
-        assert out.yaw == pytest.approx(0.0, abs=1e-12)
+        assert accel_roll_pitch((3.0, 0.0, -3.0), CFG) is None
+        # the estimate's tilt stands in for the gated accelerometer
+        yaw = mag_yaw((0.5, 0.0, 0.866), 0.0, 0.0)
+        assert yaw == pytest.approx(0.0, abs=1e-12)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ahrskit.geometry import Quaternion, quat_to_euler
+from ahrskit.geometry import quat_to_euler
 from ahrskit.propagation import PropagatorState, propagate
 
 
@@ -11,7 +11,6 @@ def test_zero_rate_zero_bias_is_identity():
     state = PropagatorState.initial()
     out = propagate(state, (0.0, 0.0, 0.0), 0.004)
     assert out.q == state.q
-    assert out.t == pytest.approx(0.004)
 
 
 def test_single_step_quarter_yaw():
@@ -65,9 +64,3 @@ def test_rejects_non_positive_dt(dt):
 def test_rejects_non_finite_gyro():
     with pytest.raises(ValueError):
         propagate(PropagatorState.initial(), (math.nan, 0.0, 0.0), 0.01)
-
-
-def test_timestamps_accumulate():
-    state = PropagatorState(Quaternion.identity(), np.zeros(3), 5.0)
-    out = propagate(state, (0.0, 0.0, 0.0), 0.5)
-    assert out.t == pytest.approx(5.5)
