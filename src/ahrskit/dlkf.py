@@ -20,18 +20,18 @@ from typing import NamedTuple, Tuple
 
 import numpy as np
 
-from .geometry import EulerAngles, euler_to_quat, quat_to_euler, wrap_pi, wrap_yaw
+from .geometry import EulerAngles, euler_to_quat, wrap_pi, wrap_yaw
 from .propagation import PropagatorState
 
 N_STATES = 6
 
 _DEG2RAD_SQ = (math.pi / 180.0) ** 2
 
-# Accelerometer measurement matrix selects the roll/pitch error states;
-# the magnetometer layer observes the yaw error state (index 2).
-H_ACCEL = np.array([[1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-                    [0.0, 1.0, 0.0, 0.0, 0.0, 0.0]])
+# The accelerometer layer observes the roll/pitch error states (0, 1);
+# the magnetometer layer observes the yaw error state.
 YAW_STATE = 2
+
+_IDENTITY = np.eye(N_STATES)  # never written: mag_update works on a copy
 
 
 class FilterState(NamedTuple):
@@ -106,58 +106,67 @@ class NoiseConfig:
 
 
 def _symmetrize(P: np.ndarray) -> np.ndarray:
-    return 0.5 * (P + P.T)
+    """Symmetrize a covariance this module just computed, in place."""
+    P += P.T.copy()  # an explicit copy is cheaper than NumPy's overlap check
+    P *= 0.5
+    return P
 
 
-def _euler_rate_matrix(cbn: np.ndarray) -> np.ndarray:
-    """Body-rate to Euler-rate map E(roll, pitch) read off the DCM.
-
-    The attitude-error states are Euler-angle errors (that is what the
-    measurements observe), so a residual body-frame gyro bias drives
-    them through E, not through the full body-to-navigation rotation:
-    E is independent of yaw, which keeps the bias feedback loop stable
-    at any heading. Singular at pitch +-90 deg; the pitch cosine is
-    floored at 1e-6 (error-state operation stays far from gimbal lock).
-    """
-    sin_pitch = -cbn[2, 0]
-    cos_pitch = math.hypot(cbn[2, 1], cbn[2, 2])
-    if cos_pitch < 1e-6:
-        cos_pitch = 1e-6
-    sin_roll = cbn[2, 1] / cos_pitch
-    cos_roll = cbn[2, 2] / cos_pitch
-    tan_pitch = sin_pitch / cos_pitch
-    return np.array([
-        [1.0, sin_roll * tan_pitch, cos_roll * tan_pitch],
-        [0.0, cos_roll, -sin_roll],
-        [0.0, sin_roll / cos_pitch, cos_roll / cos_pitch],
-    ])
+def _all_finite(*arrays) -> bool:
+    # A sum of squares is finite only if every entry is, so one cheap
+    # product per array settles the common case; the exact test runs
+    # only when that sum is not finite (a bad entry, or an overflow).
+    if math.isfinite(sum(np.vdot(a, a) for a in arrays)):
+        return True
+    return all(np.isfinite(a).all() for a in arrays)
 
 
 def transition_matrix(cbn: np.ndarray, dt: float, tau_g: float) -> np.ndarray:
-    """First-order discretization of the error dynamics.
+    """First-order discretization of the error dynamics, built in one call.
 
     Attitude errors integrate the residual body-frame bias mapped to
     Euler-angle rates; the bias states decay with the Markov time
-    constant.
+    constant. The attitude-error states are Euler-angle errors (that is
+    what the measurements observe), so the bias drives them through the
+    body-rate to Euler-rate map E(roll, pitch), read off the bottom row
+    of the DCM, not through the full body-to-navigation rotation: E is
+    independent of yaw, which keeps the bias feedback loop stable at
+    any heading. E is singular at pitch +-90 deg; the pitch cosine is
+    floored at 1e-6 (error-state operation stays far from gimbal lock).
+
+        [ I   -E dt            ]
+        [ 0   (1 - dt/tau_g) I ]
     """
-    trans = np.eye(N_STATES)
-    trans[0:3, 3:6] = -_euler_rate_matrix(cbn) * dt
-    trans[3:6, 3:6] *= 1.0 - dt / tau_g
-    return trans
+    c20, c21, c22 = cbn[2].tolist()
+    sin_pitch = -c20
+    cos_pitch = math.hypot(c21, c22)
+    if cos_pitch < 1e-6:
+        cos_pitch = 1e-6
+    sin_roll = c21 / cos_pitch
+    cos_roll = c22 / cos_pitch
+    tan_pitch = sin_pitch / cos_pitch
+    decay = 1.0 - dt / tau_g
+    return np.array((
+        1.0, 0.0, 0.0, -dt, -sin_roll * tan_pitch * dt, -cos_roll * tan_pitch * dt,
+        0.0, 1.0, 0.0, 0.0, -cos_roll * dt, sin_roll * dt,
+        0.0, 0.0, 1.0, 0.0, -sin_roll / cos_pitch * dt, -cos_roll / cos_pitch * dt,
+        0.0, 0.0, 0.0, decay, 0.0, 0.0,
+        0.0, 0.0, 0.0, 0.0, decay, 0.0,
+        0.0, 0.0, 0.0, 0.0, 0.0, decay,
+    ), dtype=float).reshape(N_STATES, N_STATES)
 
 
 def time_update(fs: FilterState, cbn: np.ndarray, dt: float,
                 cfg: NoiseConfig) -> FilterState:
     """Propagate state and covariance one step."""
-    if dt <= 0.0:
+    if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    if not (np.isfinite(fs.x).all() and np.isfinite(fs.P).all()
-            and np.isfinite(cbn).all()):
+    if not _all_finite(fs.x, fs.P, cbn):
         raise ValueError("time_update inputs must be finite")
     trans = transition_matrix(cbn, dt, cfg.tau_g)
-    x = trans @ fs.x
-    P = trans @ fs.P @ trans.T + cfg.Q
-    return FilterState(x, _symmetrize(P))
+    P = trans @ fs.P @ trans.T
+    P += cfg.Q
+    return FilterState(trans @ fs.x, _symmetrize(P))
 
 
 def adaptive_factor(accel, cfg: NoiseConfig) -> float:
@@ -172,23 +181,46 @@ def adaptive_factor(accel, cfg: NoiseConfig) -> float:
     return min(max(gamma2, 1.0), cfg.gamma2_max)
 
 
+def _require_pd_2x2(a: float, b: float, c: float) -> None:
+    # The Cholesky recurrence on the lower triangle [[a, .], [b, c]],
+    # with LAPACK's operations (b scaled by 1/sqrt(a)), so it fails
+    # exactly where potrf does; unlike potrf it also fails on NaN.
+    if a > 0.0:
+        l10 = b * (1.0 / math.sqrt(a))
+        if c - l10 * l10 > 0.0:
+            return
+    raise ValueError("Ra must be positive definite")
+
+
 def accel_update(fs: FilterState, z1, Ra) -> FilterState:
     """First measurement layer: roll/pitch error observation.
 
     z1 is the 2-vector (measured - estimated) of roll and pitch, rad.
-    Uses the Joseph-form covariance update for numerical robustness.
+    With H selecting the roll/pitch states, HP is the first two rows P2
+    of P and S = P[:2, :2] + Ra, so the gain K = P H^T S^-1 comes from
+    the closed-form inverse of the 2x2 S. The covariance uses the Joseph
+    form for numerical robustness, expanded for this H as
+    P - K P2 - (K P2)^T + K S K^T.
     """
     Ra = np.asarray(Ra, dtype=float)
-    try:
-        np.linalg.cholesky(Ra)
-    except np.linalg.LinAlgError:
-        raise ValueError("Ra must be positive definite") from None
-    innov_cov = fs.P[:2, :2] + Ra
-    gain = np.linalg.solve(innov_cov.T, fs.P[:, :2].T).T  # P H^T S^-1
-    innov = np.array([float(z1[0]), float(z1[1])]) - fs.x[:2]
-    x = fs.x + gain @ innov
-    ikh = np.eye(N_STATES) - gain @ H_ACCEL
-    P = ikh @ fs.P @ ikh.T + gain @ Ra @ gain.T
+    if Ra.shape != (2, 2):
+        raise ValueError(f"Ra must be a 2x2 matrix, got shape {Ra.shape}")
+    (r00, r01), (r10, r11) = Ra.tolist()
+    _require_pd_2x2(r00, r10, r11)
+    x, P = fs
+    (p00, p01), (p10, p11) = P[:2, :2].tolist()
+    s00, s01, s10, s11 = p00 + r00, p01 + r01, p10 + r10, p11 + r11
+    det = s00 * s11 - s01 * s10
+    if det == 0.0:
+        raise ValueError("innovation covariance is singular")
+    inv_det = 1.0 / det
+    gain = P[:, :2] @ np.array(((s11 * inv_det, -s01 * inv_det),
+                                (-s10 * inv_det, s00 * inv_det)), dtype=float)
+    x = x + gain @ (float(z1[0]) - x[0], float(z1[1]) - x[1])
+    kp2 = gain @ P[:2]
+    P = P - kp2
+    P -= kp2.T
+    P += gain @ np.array(((s00, s01), (s10, s11)), dtype=float) @ gain.T
     return FilterState(x, _symmetrize(P))
 
 
@@ -205,28 +237,30 @@ def mag_update(fs: FilterState, z2: float, Rm: float) -> FilterState:
     gain = fs.P[:, YAW_STATE] / s
     innov = wrap_pi(float(z2) - fs.x[YAW_STATE])
     x = fs.x + gain * innov
-    ikh = np.eye(N_STATES)
+    ikh = _IDENTITY.copy()
     ikh[:, YAW_STATE] -= gain
     P = ikh @ fs.P @ ikh.T + np.outer(gain, gain) * Rm
     return FilterState(x, _symmetrize(P))
 
 
-def apply_correction(prop: PropagatorState,
-                     fs: FilterState) -> Tuple[PropagatorState, FilterState]:
+def apply_correction(prop: PropagatorState, fs: FilterState,
+                     est: EulerAngles) -> Tuple[PropagatorState, FilterState]:
     """Feed the estimated errors back and reset the error state.
 
-    The attitude-error estimate is added to the Euler angles of the
-    current attitude (the measurements are Euler-angle differences, so
-    this is the consistent feedback); the bias estimate folds into the
-    persistent accumulator that propagate() subtracts. The covariance is
-    kept: only the state expectation moves to zero.
+    `est` must be the Euler angles of `prop.q`; the caller already has
+    them, since its measurement innovations are taken against them. The
+    attitude-error estimate is added to those angles (the measurements
+    are Euler-angle differences, so this is the consistent feedback);
+    the bias estimate folds into the persistent accumulator that
+    propagate() subtracts. The covariance is kept: only the state
+    expectation moves to zero.
     """
-    if not np.any(fs.x):
+    dx = fs.x.tolist()
+    if not any(dx):
         return prop, fs
-    e = quat_to_euler(prop.q)
-    corrected = EulerAngles(wrap_pi(e.roll + fs.x[0]),
-                            e.pitch + fs.x[1],
-                            wrap_yaw(e.yaw + fs.x[2]))
+    corrected = EulerAngles(wrap_pi(est.roll + dx[0]),
+                            est.pitch + dx[1],
+                            wrap_yaw(est.yaw + dx[2]))
     q = euler_to_quat(corrected)
     bias = prop.bias + fs.x[3:6]
     return (PropagatorState(q, bias),

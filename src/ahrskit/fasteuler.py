@@ -36,7 +36,8 @@ def accel_roll_pitch(accel, cfg: FastEulerConfig) -> Optional[Tuple[float, float
 
     Returns None when the sample is the zero vector or the norm gate
     ``| ||f|| - g | <= accel_gate`` fails, i.e. when linear acceleration
-    makes the gravity direction unreliable.
+    makes the gravity direction unreliable. A non-finite sample fails
+    the gate too.
 
     The pitch expression atan2(ax, -az) is exact only at zero roll; at
     nonzero roll it is a small-roll approximation. Roll is exact for any
@@ -44,7 +45,7 @@ def accel_roll_pitch(accel, cfg: FastEulerConfig) -> Optional[Tuple[float, float
     """
     ax, ay, az = float(accel[0]), float(accel[1]), float(accel[2])
     norm = math.sqrt(ax * ax + ay * ay + az * az)
-    if norm == 0.0 or abs(norm - cfg.gravity) > cfg.accel_gate:
+    if norm == 0.0 or not abs(norm - cfg.gravity) <= cfg.accel_gate:
         return None
     return math.atan2(-ay, -az), math.atan2(ax, -az)
 
@@ -55,12 +56,13 @@ def mag_yaw(mag, roll: float, pitch: float) -> Optional[float]:
     The field is used direction-only (normalized first), so any unit works.
     Roll/pitch should come from the same epoch: the accelerometer angles
     while the accelerometer is fully trusted, otherwise the current
-    attitude estimate. Returns None for a zero field vector. Headings are
-    magnetic-north referenced; no declination correction is applied.
+    attitude estimate. Returns None for a zero or non-finite field
+    vector. Headings are magnetic-north referenced; no declination
+    correction is applied.
     """
     mx, my, mz = float(mag[0]), float(mag[1]), float(mag[2])
     norm = math.sqrt(mx * mx + my * my + mz * mz)
-    if norm == 0.0:
+    if norm == 0.0 or not math.isfinite(norm):
         return None
     mx, my, mz = mx / norm, my / norm, mz / norm
 

@@ -89,7 +89,8 @@ def initial_alignment(records: Sequence[SensorRecord],
     mag_mean = np.mean([r.mag for r in records], axis=0)
     yaw = mag_yaw(mag_mean, rp[0], rp[1])
     if yaw is None:
-        raise AlignmentError("averaged magnetometer is zero; heading unobservable")
+        raise AlignmentError("averaged magnetometer is zero or not finite; "
+                             "heading unobservable")
     gyro_mean = np.mean([r.gyro for r in records], axis=0)
     return euler_to_quat(EulerAngles(rp[0], rp[1], yaw)), gyro_mean
 
@@ -128,7 +129,7 @@ def run_pipeline(records: Sequence[SensorRecord], cfg: PipelineConfig,
     try:
         for i, rec in enumerate(rest, n_align):
             dt = rec.t - t_prev
-            if dt <= 0.0:
+            if not dt > 0.0:
                 raise ValueError(f"timestamps not strictly increasing "
                                  f"(previous t={t_prev})")
             mag_due = rec.t >= next_mag
@@ -166,7 +167,7 @@ def _dlkf_step(cfg, q0, bias_seed, on_epoch):
             fs = accel_update(fs, z1, gamma2 * cfg.noise.Ra_nominal)
         if yaw_meas is not None:
             fs = mag_update(fs, yaw_meas - est.yaw, cfg.noise.Rm)
-        prop, fs = apply_correction(prop, fs)
+        prop, fs = apply_correction(prop, fs, est)
         out = AttitudeEstimate(rec.t, quat_to_euler(prop.q), prop.q, prop.bias)
         if on_epoch is not None:
             on_epoch(rec.t, fs)

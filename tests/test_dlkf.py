@@ -124,6 +124,18 @@ class TestAccelUpdate:
         with pytest.raises(ValueError):
             accel_update(fs, (0.0, 0.0), np.diag([0.0, -1.0]))
 
+    def test_rejects_noise_that_is_not_2x2(self):
+        with pytest.raises(ValueError, match="2x2"):
+            accel_update(FilterState.initial(), (0.0, 0.0), np.eye(3))
+
+    def test_rejects_singular_innovation_covariance(self):
+        # a covariance that is not PSD can cancel Ra exactly
+        ra = np.diag([0.5, 5.0])
+        P = np.eye(6)
+        P[:2, :2] = -ra
+        with pytest.raises(ValueError, match="singular"):
+            accel_update(FilterState(np.zeros(6), P), (0.0, 0.0), ra)
+
     def test_gain_sanity_under_inflated_noise(self):
         # de-weighted measurements never move the state more
         rng = np.random.default_rng(32)
@@ -184,14 +196,14 @@ class TestApplyCorrection:
     def test_zero_state_is_noop(self):
         prop = PropagatorState(Quaternion.identity(), np.zeros(3))
         fs = FilterState(np.zeros(6), np.eye(6))
-        out_prop, out_fs = apply_correction(prop, fs)
+        out_prop, out_fs = apply_correction(prop, fs, quat_to_euler(prop.q))
         assert out_prop is prop
         assert out_fs is fs
 
     def test_small_roll_correction(self):
         prop = PropagatorState(Quaternion.identity(), np.zeros(3))
         fs = FilterState(np.array([0.01, 0.0, 0.0, 0.0, 0.0, 0.0]), np.eye(6))
-        out_prop, out_fs = apply_correction(prop, fs)
+        out_prop, out_fs = apply_correction(prop, fs, quat_to_euler(prop.q))
         e = quat_to_euler(out_prop.q)
         assert e.roll == pytest.approx(0.01, abs=1e-6)
         assert e.pitch == pytest.approx(0.0, abs=1e-9)
@@ -207,7 +219,7 @@ class TestApplyCorrection:
             delta = rng.normal(scale=0.02, size=3)
             prop = PropagatorState(euler_to_quat(e0), np.zeros(3))
             fs = FilterState(np.r_[delta, np.zeros(3)], np.eye(6))
-            out_prop, _ = apply_correction(prop, fs)
+            out_prop, _ = apply_correction(prop, fs, quat_to_euler(prop.q))
             e1 = quat_to_euler(out_prop.q)
             assert wrap_pi(e1.roll - e0.roll) == pytest.approx(delta[0], abs=1e-9)
             assert e1.pitch - e0.pitch == pytest.approx(delta[1], abs=1e-9)
@@ -216,7 +228,7 @@ class TestApplyCorrection:
     def test_bias_feedback_accumulates(self):
         prop = PropagatorState(Quaternion.identity(), np.array([0.001, 0.0, 0.0]))
         fs = FilterState(np.array([0.0, 0.0, 0.0, 1e-3, 0.0, 0.0]), np.eye(6))
-        out_prop, _ = apply_correction(prop, fs)
+        out_prop, _ = apply_correction(prop, fs, quat_to_euler(prop.q))
         assert out_prop.bias[0] == pytest.approx(0.002, rel=1e-12)
         assert out_prop.q == prop.q
 
@@ -273,6 +285,6 @@ def test_closed_loop_bias_observability():
                                    wrap_pi(rp[1] - est.pitch)), cfg.Ra_nominal)
         if yaw_meas is not None:
             fs = mag_update(fs, yaw_meas - est.yaw, cfg.Rm)
-        prop, fs = apply_correction(prop, fs)
+        prop, fs = apply_correction(prop, fs, est)
         t_prev = rec.t
     np.testing.assert_allclose(prop.bias, bias, rtol=0.05)

@@ -1,0 +1,137 @@
+"""The dlkf layers against textbook formulas, on random inputs.
+
+Each oracle writes its update the long way: the transition matrix built
+from np.eye, the gain from np.linalg.solve, the Joseph products in full.
+The layers compute the same quantities in closed form, so the two agree
+to rounding: every entry within RTOL of the largest entry of the result.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from ahrskit.dlkf import (FilterState, NoiseConfig, accel_update, mag_update,
+                          time_update)
+from ahrskit.geometry import EulerAngles, euler_to_quat, quat_to_dcm, wrap_pi
+
+RTOL = 1e-12
+CFG = NoiseConfig()
+
+factors = arrays(np.float64, (6, 6), elements=st.floats(-1.0, 1.0))
+# covariance scale, rad^2: from far below to far above Ra_nominal
+scales = st.floats(-8.0, -2.0).map(lambda e: 10.0 ** e)
+states = arrays(np.float64, 6, elements=st.floats(-0.1, 0.1))
+attitudes = st.builds(EulerAngles, st.floats(-3.1, 3.1),
+                      st.floats(-1.4, 1.4),  # |pitch| < 80 deg
+                      st.floats(0.0, 6.28))
+innovations = st.floats(-0.5, 0.5)
+
+
+def spd(a, scale):
+    """Symmetric positive definite 6x6 from a random factor."""
+    return (a @ a.T + 0.01 * np.eye(6)) * scale
+
+
+def assert_close(actual, expected):
+    np.testing.assert_allclose(actual, expected, rtol=RTOL,
+                               atol=RTOL * np.abs(expected).max())
+
+
+def oracle_time_update(x, P, e, dt, cfg):
+    sr, cr = math.sin(e.roll), math.cos(e.roll)
+    tp, cp = math.tan(e.pitch), math.cos(e.pitch)
+    euler_rates = np.array([[1.0, sr * tp, cr * tp],
+                            [0.0, cr, -sr],
+                            [0.0, sr / cp, cr / cp]])
+    F = np.eye(6)
+    F[0:3, 3:6] = -euler_rates * dt
+    F[3:6, 3:6] *= 1.0 - dt / cfg.tau_g
+    P_new = F @ P @ F.T + cfg.Q
+    return F @ x, 0.5 * (P_new + P_new.T)
+
+
+def oracle_update(x, P, H, z, R):
+    """One Kalman update, gain by solve, Joseph form in full."""
+    S = H @ P @ H.T + R
+    K = np.linalg.solve(S.T, (P @ H.T).T).T
+    x_new = x + K @ z
+    ikh = np.eye(6) - K @ H
+    P_new = ikh @ P @ ikh.T + K @ R @ K.T
+    return x_new, 0.5 * (P_new + P_new.T)
+
+
+@settings(deadline=None)
+@given(states, factors, scales, attitudes, st.floats(1e-4, 0.1))
+def test_time_update_matches_textbook(x, a, scale, e, dt):
+    P = spd(a, scale)
+    out = time_update(FilterState(x, P), quat_to_dcm(euler_to_quat(e)), dt, CFG)
+    x_ref, P_ref = oracle_time_update(x, P, e, dt, CFG)
+    assert_close(out.x, x_ref)
+    assert_close(out.P, P_ref)
+
+
+@settings(deadline=None)
+@given(states, factors, scales, st.floats(1.0, 100.0), innovations, innovations)
+def test_accel_update_matches_textbook(x, a, scale, gamma2, z0, z1):
+    P = spd(a, scale)
+    Ra = gamma2 * CFG.Ra_nominal
+    out = accel_update(FilterState(x, P), (z0, z1), Ra)
+    H = np.eye(6)[:2]
+    x_ref, P_ref = oracle_update(x, P, H, np.array([z0, z1]) - H @ x, Ra)
+    assert_close(out.x, x_ref)
+    assert_close(out.P, P_ref)
+
+
+@settings(deadline=None)
+@given(states, factors, scales, st.floats(0.1, 10.0), innovations)
+def test_mag_update_matches_textbook(x, a, scale, rm_factor, z2):
+    P = spd(a, scale)
+    Rm = rm_factor * CFG.Rm
+    out = mag_update(FilterState(x, P), z2, Rm)
+    H = np.eye(6)[2:3]
+    x_ref, P_ref = oracle_update(x, P, H, np.array([wrap_pi(z2 - x[2])]),
+                                 np.array([[Rm]]))
+    assert_close(out.x, x_ref)
+    assert_close(out.P, P_ref)
+
+
+@st.composite
+def symmetric_2x2(draw):
+    a = draw(st.floats(-10.0, 10.0))
+    b = draw(st.floats(-10.0, 10.0))
+    if a > 0.0 and draw(st.booleans()):
+        # a few ulps either side of the singular boundary c = b^2 / a,
+        # where only the order of the rounding decides
+        c = b * b / a
+        assume(math.isfinite(c))
+        c += draw(st.integers(-4, 4)) * float(np.spacing(c))
+    else:
+        c = draw(st.floats(-10.0, 10.0))
+    return np.array([[a, b], [b, c]])
+
+
+@settings(deadline=None, max_examples=300)
+@given(symmetric_2x2())
+def test_pd_check_fails_exactly_where_cholesky_does(Ra):
+    try:
+        np.linalg.cholesky(Ra)
+        cholesky_fails = False
+    except np.linalg.LinAlgError:
+        cholesky_fails = True
+    if cholesky_fails:
+        with pytest.raises(ValueError, match="positive definite"):
+            accel_update(FilterState.initial(), (0.0, 0.0), Ra)
+    else:
+        accel_update(FilterState.initial(), (0.0, 0.0), Ra)
+
+
+@pytest.mark.parametrize("index", [(0, 0), (1, 0), (1, 1)])
+def test_pd_check_fails_on_nan(index):
+    Ra = CFG.Ra_nominal.copy()
+    Ra[index] = math.nan
+    with pytest.raises(ValueError, match="positive definite"):
+        accel_update(FilterState.initial(), (0.0, 0.0), Ra)

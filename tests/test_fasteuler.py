@@ -64,6 +64,10 @@ class TestAccelRollPitch:
     def test_zero_vector_rejected(self):
         assert accel_roll_pitch((0.0, 0.0, 0.0), CFG) is None
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_sample_rejected(self, bad):
+        assert accel_roll_pitch((bad, 0.0, -9.81), CFG) is None
+
     def test_roll_round_trip(self):
         rng = np.random.default_rng(10)
         for roll in rng.uniform(math.radians(-80.0), math.radians(80.0), 1000):
@@ -105,6 +109,10 @@ class TestMagYaw:
 
     def test_zero_field_skipped(self):
         assert mag_yaw((0.0, 0.0, 0.0), 0.1, -0.2) is None
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_field_skipped(self, bad):
+        assert mag_yaw((0.2, bad, 0.4), 0.1, -0.2) is None
 
     def test_magnitude_invariance(self):
         a = mag_yaw((0.3, -0.1, 0.7), 0.05, -0.1)

@@ -162,6 +162,13 @@ class TestErrors:
         with pytest.raises(ValueError, match=r"sample \d+"):
             run_pipeline(records, PipelineConfig())
 
+    @pytest.mark.parametrize("algorithm", ["dlkf", "gyro-only"])
+    def test_nan_timestamp_reported_as_timestamp_fault(self, algorithm):
+        records = list(static_records(duration=4.0, seed=1))
+        records[700] = records[700]._replace(t=math.nan)
+        with pytest.raises(ValueError, match=r"sample 700 .*timestamps"):
+            run_pipeline(records, PipelineConfig(algorithm=algorithm, noise=MATCHED))
+
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             run_pipeline([], PipelineConfig())
@@ -190,3 +197,25 @@ class TestGatedEpochs:
         settled = t >= 10.0  # past the initial covariance transient
         assert np.abs(err[settled, :2]).max() < 0.6
         assert np.abs(err[settled, 2]).max() < 2.0
+
+
+# first sample after the 2 s alignment window of a static_records log;
+# the mag schedule starts there, so it is a mag epoch
+FIRST_ESTIMATE = 501
+
+
+class TestBadSamples:
+    """A non-finite accel or mag sample skips its layer for that epoch."""
+
+    @pytest.mark.parametrize("index, field", [(700, "accel"), (FIRST_ESTIMATE, "mag")])
+    def test_nan_sample_skips_its_layer(self, index, field):
+        records = list(static_records(duration=4.0, seed=1))
+        cfg = PipelineConfig(noise=MATCHED)
+        clean = run_pipeline(records, cfg)
+        records[index] = records[index]._replace(**{field: np.full(3, math.nan)})
+        faulty = run_pipeline(records, cfg)
+        assert len(faulty) == 499
+        assert np.isfinite([[*e.euler, *e.q, *e.gyro_bias] for e in faulty]).all()
+        k = index - FIRST_ESTIMATE
+        assert [e.q for e in faulty[:k]] == [e.q for e in clean[:k]]
+        assert faulty[k].q != clean[k].q
