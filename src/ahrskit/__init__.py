@@ -10,7 +10,7 @@ RMSE evaluation harness.
 from .complementary import CfState, cf_update
 from .dlkf import (FilterState, NoiseConfig, accel_update, adaptive_factor,
                    apply_correction, mag_update, time_update)
-from .fasteuler import FastEulerConfig, accel_roll_pitch, mag_yaw
+from .fasteuler import accel_roll_pitch, mag_yaw
 from .geometry import (EulerAngles, Quaternion, euler_to_quat, quat_multiply,
                        quat_to_dcm, quat_to_euler, rotvec_to_quat, wrap_pi,
                        wrap_yaw)
@@ -25,9 +25,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AccelModel", "AlignmentError", "AttitudeEstimate", "CfState",
-    "EulerAngles", "FastEulerConfig", "FilterState", "GyroModel", "MagModel",
-    "NoiseConfig", "PipelineConfig", "PropagatorState", "Quaternion",
-    "RunResult", "Segment", "SensorRecord", "TrajectorySpec",
+    "EulerAngles", "FilterState", "GyroModel", "MagModel", "NoiseConfig",
+    "PipelineConfig", "PropagatorState", "Quaternion", "RunResult",
+    "Segment", "SensorRecord", "TrajectorySpec",
     "accel_roll_pitch", "accel_update", "adaptive_factor", "align_series",
     "apply_correction", "cf_update", "euler_to_quat", "evaluate",
     "improvement", "initial_alignment", "mag_update", "mag_yaw", "propagate",

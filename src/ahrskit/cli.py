@@ -31,6 +31,15 @@ def _truth(records):
             np.array([[e.roll, e.pitch, e.yaw] for _, e in pairs]))
 
 
+def _emit(report: str, path) -> int:
+    """Print a report and, if `path` is given, also write it there."""
+    if path:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(report)
+    print(report, end="")
+    return 0
+
+
 def _cmd_sim(args) -> int:
     traj, gyro, accel, mag, rate, seed = configio.load_scenario(args.scenario)
     if args.seed is not None:
@@ -61,12 +70,7 @@ def _cmd_eval(args) -> int:
                       algorithm=args.name or "run",
                       config_hash=configio.config_hash(args.config)
                       if args.config else "")
-    report = format_report(result)
-    if args.report:
-        with open(args.report, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(report)
-    print(report, end="")
-    return 0
+    return _emit(format_report(result), args.report)
 
 
 def _cmd_compare(args) -> int:
@@ -75,12 +79,7 @@ def _cmd_compare(args) -> int:
     for path, name in ((args.baseline, "baseline"), (args.candidate, "candidate")):
         t_est, est = _angles(logio.read_estimates(path))
         results.append(evaluate(t_est, est, t_truth, truth, algorithm=name))
-    report = format_comparison(results[0], results[1])
-    if args.report:
-        with open(args.report, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(report)
-    print(report, end="")
-    return 0
+    return _emit(format_comparison(results[0], results[1]), args.report)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -16,7 +16,6 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from .dlkf import _DEG2RAD_SQ, NoiseConfig
-from .fasteuler import FastEulerConfig
 from .geometry import EulerAngles
 from .pipeline import PipelineConfig
 from .simulate import (AccelModel, GyroModel, MagModel, Segment,
@@ -51,48 +50,53 @@ def _floats(value: str, n: int, key: str) -> List[float]:
 # ---------------------------------------------------------------------------
 # pipeline config files
 
-_CONFIG_KEYS = frozenset({
-    "algorithm", "imu_rate_hz", "mag_rate_hz", "align_s", "gravity",
-    "accel_gate", "q_diag_deg2", "ra_diag_deg2", "rm_deg2", "tau_g_s",
-    "lambda_a", "gamma2_max", "cf_kp", "cf_ki",
-})
+def _text(value: str, key: str) -> str:
+    return value
+
+
+def _number(value: str, key: str) -> float:
+    return float(value)
+
+
+def _deg2(value: str, key: str) -> float:
+    return float(value) * _DEG2RAD_SQ
+
+
+def _deg2_diag(n: int):
+    return lambda value, key: np.diag(_floats(value, n, key)) * _DEG2RAD_SQ
+
+
+# key -> (owner class, field name, parser): each key sets one field of
+# PipelineConfig or its NoiseConfig; an absent key keeps the default.
+_PIPELINE_KEYS = {
+    "algorithm": (PipelineConfig, "algorithm", _text),
+    "imu_rate_hz": (PipelineConfig, "imu_rate_hz", _number),
+    "mag_rate_hz": (PipelineConfig, "mag_rate_hz", _number),
+    "align_s": (PipelineConfig, "align_duration_s", _number),
+    "cf_kp": (PipelineConfig, "cf_kp", _number),
+    "cf_ki": (PipelineConfig, "cf_ki", _number),
+    "gravity": (NoiseConfig, "gravity", _number),
+    "accel_gate": (NoiseConfig, "accel_gate", _number),
+    "q_diag_deg2": (NoiseConfig, "Q", _deg2_diag(6)),
+    "ra_diag_deg2": (NoiseConfig, "Ra_nominal", _deg2_diag(2)),
+    "rm_deg2": (NoiseConfig, "Rm", _deg2),
+    "tau_g_s": (NoiseConfig, "tau_g", _number),
+    "lambda_a": (NoiseConfig, "lambda_a", _number),
+    "gamma2_max": (NoiseConfig, "gamma2_max", _number),
+}
 
 
 def pipeline_config_from_text(text: str, source: str = "<config>") -> PipelineConfig:
-    kv: Dict[str, str] = {}
+    fields: Dict[type, dict] = {PipelineConfig: {}, NoiseConfig: {}}
     for key, value in parse_kv_lines(text, source):
-        if key not in _CONFIG_KEYS:
+        if key not in _PIPELINE_KEYS:
             raise ValueError(f"{source}: unknown config key {key!r}")
-        if key in kv:
+        owner, name, parse = _PIPELINE_KEYS[key]
+        if name in fields[owner]:
             raise ValueError(f"{source}: duplicate config key {key!r}")
-        kv[key] = value
-
-    base_noise = NoiseConfig()
-    gravity = float(kv.get("gravity", 9.81))
-    q = np.diag(_floats(kv["q_diag_deg2"], 6, "q_diag_deg2")) * _DEG2RAD_SQ \
-        if "q_diag_deg2" in kv else base_noise.Q
-    ra = np.diag(_floats(kv["ra_diag_deg2"], 2, "ra_diag_deg2")) * _DEG2RAD_SQ \
-        if "ra_diag_deg2" in kv else base_noise.Ra_nominal
-    rm = float(kv["rm_deg2"]) * _DEG2RAD_SQ if "rm_deg2" in kv else base_noise.Rm
-    noise = NoiseConfig(
-        Q=q, Ra_nominal=ra, Rm=rm,
-        tau_g=float(kv.get("tau_g_s", base_noise.tau_g)),
-        lambda_a=float(kv.get("lambda_a", base_noise.lambda_a)),
-        gamma2_max=float(kv.get("gamma2_max", base_noise.gamma2_max)),
-        gravity=gravity,
-    )
-    fast = FastEulerConfig(gravity=gravity,
-                           accel_gate=float(kv.get("accel_gate", 0.5)))
-    return PipelineConfig(
-        algorithm=kv.get("algorithm", "dlkf"),
-        noise=noise,
-        fast_euler=fast,
-        cf_kp=float(kv.get("cf_kp", 1.0)),
-        cf_ki=float(kv.get("cf_ki", 0.05)),
-        imu_rate_hz=float(kv.get("imu_rate_hz", 250.0)),
-        mag_rate_hz=float(kv.get("mag_rate_hz", 10.0)),
-        align_duration_s=float(kv.get("align_s", 2.0)),
-    )
+        fields[owner][name] = parse(value, key)
+    return PipelineConfig(noise=NoiseConfig(**fields[NoiseConfig]),
+                          **fields[PipelineConfig])
 
 
 def load_pipeline_config(path) -> PipelineConfig:

@@ -20,7 +20,7 @@ from typing import NamedTuple, Tuple
 
 import numpy as np
 
-from .geometry import EulerAngles, euler_to_quat, wrap_pi, wrap_yaw
+from .geometry import EulerAngles, Quaternion, euler_to_quat, wrap_pi, wrap_yaw
 from .propagation import PropagatorState
 
 N_STATES = 6
@@ -73,7 +73,8 @@ class NoiseConfig:
         lambda_a: adaptive weight on | ||accel|| - g |, (m/s^2)^-1;
             0 disables the adaptation (the factor stays at 1).
         gamma2_max: ceiling on the adaptive factor.
-        gravity: local gravity, m/s^2.
+        gravity: local gravity g, m/s^2, centre of gate and factor alike.
+        accel_gate: norm gate, m/s^2: rejects | ||accel|| - g | above it.
     """
 
     Q: np.ndarray = field(default_factory=_default_Q)
@@ -83,6 +84,7 @@ class NoiseConfig:
     lambda_a: float = 5.0
     gamma2_max: float = 100.0
     gravity: float = 9.81
+    accel_gate: float = 0.5
 
     def __post_init__(self):
         Q = np.asarray(self.Q, dtype=float)
@@ -103,6 +105,8 @@ class NoiseConfig:
             raise ValueError(f"gamma2_max must be >= 1, got {self.gamma2_max}")
         if self.gravity <= 0.0:
             raise ValueError(f"gravity must be positive, got {self.gravity}")
+        if self.accel_gate <= 0.0:
+            raise ValueError(f"accel_gate must be positive, got {self.accel_gate}")
 
 
 def _symmetrize(P: np.ndarray) -> np.ndarray:
@@ -121,7 +125,7 @@ def _all_finite(*arrays) -> bool:
     return all(np.isfinite(a).all() for a in arrays)
 
 
-def transition_matrix(cbn: np.ndarray, dt: float, tau_g: float) -> np.ndarray:
+def transition_matrix(q: Quaternion, dt: float, tau_g: float) -> np.ndarray:
     """First-order discretization of the error dynamics, built in one call.
 
     Attitude errors integrate the residual body-frame bias mapped to
@@ -129,15 +133,18 @@ def transition_matrix(cbn: np.ndarray, dt: float, tau_g: float) -> np.ndarray:
     constant. The attitude-error states are Euler-angle errors (that is
     what the measurements observe), so the bias drives them through the
     body-rate to Euler-rate map E(roll, pitch), read off the bottom row
-    of the DCM, not through the full body-to-navigation rotation: E is
-    independent of yaw, which keeps the bias feedback loop stable at
-    any heading. E is singular at pitch +-90 deg; the pitch cosine is
+    of the DCM of q, not through the full body-to-navigation rotation:
+    E is independent of yaw, which keeps the bias feedback loop stable
+    at any heading. E is singular at pitch +-90 deg; the pitch cosine is
     floored at 1e-6 (error-state operation stays far from gimbal lock).
 
         [ I   -E dt            ]
         [ 0   (1 - dt/tau_g) I ]
     """
-    c20, c21, c22 = cbn[2].tolist()
+    w, x, y, z = q
+    c20 = 2.0 * (x * z - w * y)  # quat_to_dcm's expressions
+    c21 = 2.0 * (y * z + w * x)
+    c22 = 1.0 - 2.0 * (x * x + y * y)
     sin_pitch = -c20
     cos_pitch = math.hypot(c21, c22)
     if cos_pitch < 1e-6:
@@ -156,14 +163,15 @@ def transition_matrix(cbn: np.ndarray, dt: float, tau_g: float) -> np.ndarray:
     ), dtype=float).reshape(N_STATES, N_STATES)
 
 
-def time_update(fs: FilterState, cbn: np.ndarray, dt: float,
+def time_update(fs: FilterState, q: Quaternion, dt: float,
                 cfg: NoiseConfig) -> FilterState:
-    """Propagate state and covariance one step."""
+    """Propagate state and covariance one step at attitude `q`."""
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    if not _all_finite(fs.x, fs.P, cbn):
+    trans = transition_matrix(q, dt, cfg.tau_g)
+    # a non-finite q or dt shows up in trans
+    if not _all_finite(fs.x, fs.P, trans):
         raise ValueError("time_update inputs must be finite")
-    trans = transition_matrix(cbn, dt, cfg.tau_g)
     P = trans @ fs.P @ trans.T
     P += cfg.Q
     return FilterState(trans @ fs.x, _symmetrize(P))
@@ -178,7 +186,7 @@ def adaptive_factor(accel, cfg: NoiseConfig) -> float:
     """
     ax, ay, az = float(accel[0]), float(accel[1]), float(accel[2])
     gamma2 = cfg.lambda_a * abs(math.sqrt(ax * ax + ay * ay + az * az) - cfg.gravity)
-    return min(max(gamma2, 1.0), cfg.gamma2_max)
+    return max(1.0, min(cfg.gamma2_max, gamma2))
 
 
 def _require_pd_2x2(a: float, b: float, c: float) -> None:

@@ -2,36 +2,25 @@
 
 The accelerometer gives roll/pitch from the gravity reaction, guarded by
 a specific-force norm gate that rejects samples taken under linear
-acceleration. The magnetometer gives yaw after tilt compensation with
-the roll/pitch of the same epoch. A gated or unusable sensor yields
-``None`` for its angles: skipping a measurement is a normal outcome, not
-an error.
+acceleration; it reads g from the `NoiseConfig` whose adaptive factor
+de-weights the samples that pass. The magnetometer gives yaw after tilt
+compensation with the roll/pitch of the same epoch. A gated or unusable
+sensor yields ``None`` for its angles: skipping a measurement is a
+normal outcome, not an error.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from .geometry import wrap_yaw
 
-
-@dataclass(frozen=True)
-class FastEulerConfig:
-    """Gravity magnitude and accelerometer outlier gate, both m/s^2."""
-
-    gravity: float = 9.81
-    accel_gate: float = 0.5
-
-    def __post_init__(self):
-        if self.gravity <= 0.0:
-            raise ValueError(f"gravity must be positive, got {self.gravity}")
-        if self.accel_gate <= 0.0:
-            raise ValueError(f"accel_gate must be positive, got {self.accel_gate}")
+if TYPE_CHECKING:
+    from .dlkf import NoiseConfig
 
 
-def accel_roll_pitch(accel, cfg: FastEulerConfig) -> Optional[Tuple[float, float]]:
+def accel_roll_pitch(accel, cfg: NoiseConfig) -> Optional[Tuple[float, float]]:
     """Roll and pitch measured from the specific-force vector (m/s^2).
 
     Returns None when the sample is the zero vector or the norm gate

@@ -20,9 +20,9 @@ import numpy as np
 from .complementary import CfState, cf_update
 from .dlkf import (FilterState, NoiseConfig, accel_update, adaptive_factor,
                    apply_correction, mag_update, time_update)
-from .fasteuler import FastEulerConfig, accel_roll_pitch, mag_yaw
-from .geometry import (EulerAngles, Quaternion, euler_to_quat, quat_to_dcm,
-                       quat_to_euler, wrap_pi)
+from .fasteuler import accel_roll_pitch, mag_yaw
+from .geometry import (EulerAngles, Quaternion, euler_to_quat, quat_to_euler,
+                       wrap_pi)
 from .propagation import PropagatorState, propagate
 from .simulate import SensorRecord
 
@@ -36,7 +36,6 @@ class PipelineConfig:
 
     algorithm: str = "dlkf"
     noise: NoiseConfig = field(default_factory=NoiseConfig)
-    fast_euler: FastEulerConfig = field(default_factory=FastEulerConfig)
     cf_kp: float = 1.0
     cf_ki: float = 0.05
     imu_rate_hz: float = 250.0
@@ -68,7 +67,7 @@ class AttitudeEstimate(NamedTuple):
 
 
 def initial_alignment(records: Sequence[SensorRecord],
-                      cfg: FastEulerConfig) -> Tuple[Quaternion, np.ndarray]:
+                      cfg: NoiseConfig) -> Tuple[Quaternion, np.ndarray]:
     """Coarse attitude and gyro-bias seed from a static data window.
 
     Roll/pitch come from the gate-passing accelerometer average, yaw
@@ -116,7 +115,7 @@ def run_pipeline(records: Sequence[SensorRecord], cfg: PipelineConfig,
             n_align += 1
         if n_align == 0:
             raise AlignmentError("alignment window contains no samples")
-        q0, bias_seed = initial_alignment(records[:n_align], cfg.fast_euler)
+        q0, bias_seed = initial_alignment(records[:n_align], cfg.noise)
     t_prev = records[n_align - 1].t
     rest = records[n_align:]
     if not rest:
@@ -151,7 +150,7 @@ def _dlkf_step(cfg, q0, bias_seed, on_epoch):
         prop = propagate(prop, rec.gyro, dt)
         est = quat_to_euler(prop.q)
 
-        rp = accel_roll_pitch(rec.accel, cfg.fast_euler)
+        rp = accel_roll_pitch(rec.accel, cfg.noise)
         gamma2 = adaptive_factor(rec.accel, cfg.noise)
         yaw_meas = None
         if mag_due:
@@ -161,7 +160,7 @@ def _dlkf_step(cfg, q0, bias_seed, on_epoch):
             tilt = rp if (rp is not None and gamma2 <= 1.0) else (est.roll, est.pitch)
             yaw_meas = mag_yaw(rec.mag, tilt[0], tilt[1])
 
-        fs = time_update(fs, quat_to_dcm(prop.q), dt, cfg.noise)
+        fs = time_update(fs, prop.q, dt, cfg.noise)
         if rp is not None:
             z1 = (wrap_pi(rp[0] - est.roll), wrap_pi(rp[1] - est.pitch))
             fs = accel_update(fs, z1, gamma2 * cfg.noise.Ra_nominal)

@@ -30,8 +30,8 @@ import numpy as np
 
 from ahrskit.benchmark import (ACCEL_SEGMENT, benchmark_records,
                                matched_noise_config, static_records)
-from ahrskit.dlkf import FilterState, accel_update, mag_update
-from ahrskit.fasteuler import FastEulerConfig, accel_roll_pitch, mag_yaw
+from ahrskit.dlkf import FilterState, NoiseConfig, accel_update, mag_update
+from ahrskit.fasteuler import accel_roll_pitch, mag_yaw
 from ahrskit.geometry import Quaternion, quat_multiply, wrap_pi, wrap_yaw
 from ahrskit.metrics import improvement, rmse
 from ahrskit.pipeline import PipelineConfig, run_pipeline
@@ -192,7 +192,7 @@ class TestCriterion6Properties:
 
     def test_roll_round_trip_1000_attitudes(self):
         rng = np.random.default_rng(61)
-        cfg = FastEulerConfig()
+        cfg = NoiseConfig()
         worst = 0.0
         for roll in rng.uniform(math.radians(-80.0), math.radians(80.0), 1000):
             out = accel_roll_pitch(specific_force(roll, 0.0), cfg)

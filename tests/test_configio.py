@@ -1,11 +1,14 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from ahrskit import configio
 from ahrskit.configio import (config_hash, load_pipeline_config, load_scenario,
                               parse_kv_lines, pipeline_config_from_text,
                               scenario_from_text)
+from ahrskit.pipeline import PipelineConfig
 
 FULL_CONFIG = """
 # benchmark tuning
@@ -42,6 +45,37 @@ mag_field_ned = 0.5, 0, 0.866
 
 D2R2 = (math.pi / 180.0) ** 2
 
+# per config key: a value off its default, and the one field it must set
+ONE_KEY = {
+    "algorithm": ("cf", "algorithm"),
+    "imu_rate_hz": ("200", "imu_rate_hz"),
+    "mag_rate_hz": ("20", "mag_rate_hz"),
+    "align_s": ("1.5", "align_duration_s"),
+    "cf_kp": ("2", "cf_kp"),
+    "cf_ki": ("0.1", "cf_ki"),
+    "gravity": ("9.80665", "noise.gravity"),
+    "accel_gate": ("0.3", "noise.accel_gate"),
+    "q_diag_deg2": ("1e-5, 1e-5, 1e-5, 1e-6, 1e-6, 1e-6", "noise.Q"),
+    "ra_diag_deg2": ("1, 2", "noise.Ra_nominal"),
+    "rm_deg2": ("3", "noise.Rm"),
+    "tau_g_s": ("120", "noise.tau_g"),
+    "lambda_a": ("10", "noise.lambda_a"),
+    "gamma2_max": ("50", "noise.gamma2_max"),
+}
+
+
+def config_fields(cfg):
+    """Every settable value of a PipelineConfig, by dotted field name."""
+    out = {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name != "noise"}
+    out.update({"noise." + f.name: getattr(cfg.noise, f.name)
+                for f in fields(cfg.noise)})
+    return out
+
+
+def changed_fields(a, b):
+    fa, fb = config_fields(a), config_fields(b)
+    return [name for name in fa if not np.array_equal(fa[name], fb[name])]
+
 
 def test_parse_kv_lines_comments_and_blanks():
     pairs = parse_kv_lines("a = 1\n\n# note\nb = 2  # trailing\n")
@@ -62,8 +96,7 @@ class TestPipelineConfig:
         assert cfg.imu_rate_hz == 200.0
         assert cfg.mag_rate_hz == 20.0
         assert cfg.align_duration_s == 1.5
-        assert cfg.fast_euler.gravity == 9.80665
-        assert cfg.fast_euler.accel_gate == 0.3
+        assert cfg.noise.accel_gate == 0.3
         assert cfg.cf_kp == 2.0 and cfg.cf_ki == 0.1
         assert cfg.noise.tau_g == 120.0
         assert cfg.noise.lambda_a == 10.0
@@ -80,6 +113,17 @@ class TestPipelineConfig:
         assert cfg.algorithm == "dlkf"
         assert cfg.imu_rate_hz == 250.0
         assert cfg.mag_rate_hz == 10.0
+        assert changed_fields(cfg, PipelineConfig()) == []
+
+    def test_every_key_has_a_case(self):
+        assert set(ONE_KEY) == set(configio._PIPELINE_KEYS)
+
+    @pytest.mark.parametrize("key", ONE_KEY)
+    def test_key_sets_exactly_one_field(self, key):
+        value, field = ONE_KEY[key]
+        changed = changed_fields(pipeline_config_from_text(f"{key} = {value}"),
+                                 pipeline_config_from_text(""))
+        assert changed == [field]
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config key 'qdiag'"):

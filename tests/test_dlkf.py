@@ -7,9 +7,9 @@ from ahrskit.benchmark import static_records
 from ahrskit.dlkf import (FilterState, NoiseConfig, accel_update,
                           adaptive_factor, apply_correction,
                           mag_update, time_update, transition_matrix)
-from ahrskit.fasteuler import FastEulerConfig, accel_roll_pitch, mag_yaw
+from ahrskit.fasteuler import accel_roll_pitch, mag_yaw
 from ahrskit.geometry import (Quaternion, euler_to_quat, EulerAngles,
-                              quat_to_dcm, quat_to_euler, wrap_pi)
+                              quat_to_euler, wrap_pi)
 from ahrskit.propagation import PropagatorState, propagate
 
 
@@ -37,7 +37,7 @@ def assert_valid_covariance(P):
 class TestTimeUpdate:
     def test_zero_state_is_fixed_point(self):
         fs = FilterState(np.zeros(6), np.eye(6))
-        out = time_update(fs, np.eye(3), 0.004, NoiseConfig())
+        out = time_update(fs, Quaternion.identity(), 0.004, NoiseConfig())
         np.testing.assert_allclose(out.x, np.zeros(6), atol=0.0)
 
     def test_covariance_blocks_hand_computed(self):
@@ -45,7 +45,7 @@ class TestTimeUpdate:
         # top-left (1 + dt^2) I, bottom-right (1 - dt/tau)^2 I
         cfg = NoiseConfig(Q=np.zeros((6, 6)), tau_g=100.0)
         fs = FilterState(np.zeros(6), np.eye(6))
-        out = time_update(fs, np.eye(3), 0.004, cfg)
+        out = time_update(fs, Quaternion.identity(), 0.004, cfg)
         np.testing.assert_allclose(np.diag(out.P)[:3], 1.000016 * np.ones(3),
                                    rtol=1e-12)
         np.testing.assert_allclose(np.diag(out.P)[3:], (1.0 - 4e-5) ** 2 * np.ones(3),
@@ -55,11 +55,11 @@ class TestTimeUpdate:
     def test_bias_leaks_into_attitude_error(self):
         b = 0.02
         fs = FilterState(np.array([0.0, 0.0, 0.0, b, 0.0, 0.0]), np.eye(6))
-        out = time_update(fs, np.eye(3), 0.004, NoiseConfig())
+        out = time_update(fs, Quaternion.identity(), 0.004, NoiseConfig())
         assert out.x[0] == pytest.approx(-b * 0.004, rel=1e-12)
 
     def test_transition_reduces_to_identity_coupling_when_level(self):
-        trans = transition_matrix(np.eye(3), 0.01, 50.0)
+        trans = transition_matrix(Quaternion.identity(), 0.01, 50.0)
         np.testing.assert_allclose(trans[0:3, 3:6], -0.01 * np.eye(3), atol=1e-15)
         np.testing.assert_allclose(trans[3:6, 3:6], (1.0 - 0.01 / 50.0) * np.eye(3),
                                    atol=1e-15)
@@ -68,9 +68,9 @@ class TestTimeUpdate:
     def test_rejects_bad_inputs(self):
         fs = FilterState.initial()
         with pytest.raises(ValueError):
-            time_update(fs, np.eye(3), 0.0, NoiseConfig())
+            time_update(fs, Quaternion.identity(), 0.0, NoiseConfig())
         with pytest.raises(ValueError):
-            time_update(fs, np.full((3, 3), np.nan), 0.01, NoiseConfig())
+            time_update(fs, Quaternion(*[np.nan] * 4), 0.01, NoiseConfig())
 
 
 class TestAdaptiveRa:
@@ -94,6 +94,22 @@ class TestAdaptiveRa:
         cfg = NoiseConfig(lambda_a=5.0, gamma2_max=100.0)
         assert adaptive_factor((0.0, 0.0, -9.81), cfg) == 1.0
         assert adaptive_factor((0.0, 0.0, -1000.0), cfg) == 100.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_gets_ceiling(self, bad):
+        cfg = NoiseConfig(gamma2_max=50.0)
+        assert adaptive_factor((bad, 0.0, -9.81), cfg) == 50.0
+        assert adaptive_factor((0.0, 0.0, bad), cfg) == 50.0
+
+    def test_gate_and_factor_share_gravity(self):
+        # one g centres both the norm gate and gamma^2; gate and weight
+        # are set so that either one centred on 9.81 would reject or
+        # de-weight a 9.78 sample
+        cfg = NoiseConfig(gravity=9.78, accel_gate=0.02, lambda_a=50.0)
+        assert accel_roll_pitch((0.0, 0.0, -9.78), cfg) == (0.0, 0.0)
+        assert adaptive_factor((0.0, 0.0, -9.78), cfg) == 1.0
+        assert accel_roll_pitch((0.0, 0.0, -9.81), cfg) is None
+        assert adaptive_factor((0.0, 0.0, -9.81), cfg) > 1.0
 
 
 class TestAccelUpdate:
@@ -249,6 +265,8 @@ class TestNoiseConfig:
         dict(gamma2_max=0.5),
         dict(Ra_nominal=np.diag([1.0, 0.0])),
         dict(Q=-np.eye(6)),
+        dict(gravity=-1.0),
+        dict(accel_gate=0.0),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -263,7 +281,6 @@ def test_closed_loop_bias_observability():
     records = static_records(duration=30.0, gyro_bias=tuple(bias), noisy=False,
                              seed=0)
     cfg = NoiseConfig()
-    fe = FastEulerConfig()
     prop = PropagatorState.initial()
     fs = FilterState.initial()
     next_mag, mag_period = records[0].t, 0.1
@@ -272,14 +289,14 @@ def test_closed_loop_bias_observability():
         dt = rec.t - t_prev
         prop = propagate(prop, rec.gyro, dt)
         est = quat_to_euler(prop.q)
-        rp = accel_roll_pitch(rec.accel, fe)
+        rp = accel_roll_pitch(rec.accel, cfg)
         yaw_meas = None
         if rec.t >= next_mag:
             tilt = rp if rp is not None else (est.roll, est.pitch)
             yaw_meas = mag_yaw(rec.mag, tilt[0], tilt[1])
             while next_mag <= rec.t:
                 next_mag += mag_period
-        fs = time_update(fs, quat_to_dcm(prop.q), dt, cfg)
+        fs = time_update(fs, prop.q, dt, cfg)
         if rp is not None:
             fs = accel_update(fs, (wrap_pi(rp[0] - est.roll),
                                    wrap_pi(rp[1] - est.pitch)), cfg.Ra_nominal)

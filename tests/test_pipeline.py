@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ahrskit.benchmark import matched_noise_config, mems_models, static_records
-from ahrskit.fasteuler import FastEulerConfig
+from ahrskit.dlkf import NoiseConfig
 from ahrskit.geometry import EulerAngles, quat_to_euler, wrap_pi
 from ahrskit.pipeline import (AlignmentError, PipelineConfig,
                               initial_alignment, run_pipeline)
@@ -68,7 +68,7 @@ class TestBiasEstimation:
 class TestInitialAlignment:
     def test_static_level_north(self):
         records = static_records(duration=2.0, noisy=False, seed=0)
-        q0, bias_seed = initial_alignment(records, FastEulerConfig())
+        q0, bias_seed = initial_alignment(records, NoiseConfig())
         np.testing.assert_allclose(quat_to_euler(q0), (0.0, 0.0, 0.0), atol=1e-9)
         np.testing.assert_allclose(bias_seed, 0.0, atol=1e-12)
 
@@ -76,7 +76,7 @@ class TestInitialAlignment:
         attitude = EulerAngles(math.radians(30.0), 0.0, 0.0)
         records = static_records(duration=2.0, noisy=True, seed=3,
                                  attitude=attitude)
-        q0, _ = initial_alignment(records, FastEulerConfig())
+        q0, _ = initial_alignment(records, NoiseConfig())
         e = quat_to_euler(q0)
         # averaging N samples leaves noise/sqrt(N) residual
         assert e.roll == pytest.approx(math.radians(30.0), abs=math.radians(0.5))
@@ -84,7 +84,7 @@ class TestInitialAlignment:
     def test_gyro_mean_seeds_bias(self):
         bias = (0.02, -0.01, 0.015)
         records = static_records(duration=2.0, gyro_bias=bias, noisy=True, seed=5)
-        _, bias_seed = initial_alignment(records, FastEulerConfig())
+        _, bias_seed = initial_alignment(records, NoiseConfig())
         np.testing.assert_allclose(bias_seed, bias, atol=5e-4)
 
     def test_shaking_rejected(self):
@@ -96,11 +96,11 @@ class TestInitialAlignment:
             for i, r in enumerate(records)
         ]
         with pytest.raises(AlignmentError):
-            initial_alignment(shaken, FastEulerConfig())
+            initial_alignment(shaken, NoiseConfig())
 
     def test_empty_window_rejected(self):
         with pytest.raises(AlignmentError):
-            initial_alignment([], FastEulerConfig())
+            initial_alignment([], NoiseConfig())
 
 
 class TestMultiRate:
