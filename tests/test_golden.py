@@ -11,6 +11,10 @@ rounding, so the last bits moved. `data/golden_dlkf.npy` holds every
 10th row (and the last) of the dlkf series as it was before that change,
 and the new series must stay within a stated tolerance of it. Never
 regenerate that file: it is the fixed point that tolerance refers to.
+`data/golden_cf.npy` and `data/golden_gyro_only.npy` hold the cf and
+gyro-only series in the same layout, written before the complementary
+filter was moved onto the shared gyro integrator; the same tolerances
+apply to all three algorithms.
 """
 
 import hashlib
@@ -28,7 +32,9 @@ from ahrskit.simulate import Segment, TrajectorySpec, simulate
 
 RATE = 250.0
 
-REFERENCE = Path(__file__).parent / "data" / "golden_dlkf.npy"
+DATA = Path(__file__).parent / "data"
+REFERENCE = {"dlkf": DATA / "golden_dlkf.npy", "cf": DATA / "golden_cf.npy",
+             "gyro-only": DATA / "golden_gyro_only.npy"}
 ANGLE_TOL = 1e-12  # rad, on the Euler angles and the quaternion
 # rad/s. The estimated bias swings to 0.2 rad/s on this log, where one
 # ulp is 2.8e-17 and the accumulator's rounding differences add up to
@@ -86,11 +92,12 @@ def estimate_rows(estimates):
     return np.array([(e.t, *e.euler, *e.q, *e.gyro_bias) for e in estimates])
 
 
-def test_dlkf_within_tolerance_of_reference(records):
-    cfg = PipelineConfig(algorithm="dlkf", noise=matched_noise_config(RATE))
+@pytest.mark.parametrize("algorithm", sorted(REFERENCE))
+def test_within_tolerance_of_reference(records, algorithm):
+    cfg = PipelineConfig(algorithm=algorithm, noise=matched_noise_config(RATE))
     rows = estimate_rows(run_pipeline(records, cfg))
     rows = rows[sorted({*range(0, len(rows), 10), len(rows) - 1})]
-    ref = np.load(REFERENCE)
+    ref = np.load(REFERENCE[algorithm])
     assert rows.shape == ref.shape
     np.testing.assert_array_equal(rows[:, 0], ref[:, 0])
     # roll and yaw wrap; compare them as angles
