@@ -7,7 +7,7 @@ complementary-filter baseline, a synthetic sensor simulator, and an
 RMSE evaluation harness.
 """
 
-from .complementary import CfState, cf_update
+from .complementary import cf_update
 from .dlkf import (FilterState, NoiseConfig, accel_update, adaptive_factor,
                    apply_correction, mag_update, time_update)
 from .fasteuler import accel_roll_pitch, mag_yaw
@@ -24,10 +24,10 @@ from .simulate import (AccelModel, GyroModel, MagModel, Segment, SensorRecord,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AccelModel", "AlignmentError", "AttitudeEstimate", "CfState",
-    "EulerAngles", "FilterState", "GyroModel", "MagModel", "NoiseConfig",
-    "PipelineConfig", "PropagatorState", "Quaternion", "RunResult",
-    "Segment", "SensorRecord", "TrajectorySpec",
+    "AccelModel", "AlignmentError", "AttitudeEstimate", "EulerAngles",
+    "FilterState", "GyroModel", "MagModel", "NoiseConfig", "PipelineConfig",
+    "PropagatorState", "Quaternion", "RunResult", "Segment", "SensorRecord",
+    "TrajectorySpec",
     "accel_roll_pitch", "accel_update", "adaptive_factor", "align_series",
     "apply_correction", "cf_update", "euler_to_quat", "evaluate",
     "improvement", "initial_alignment", "mag_update", "mag_yaw", "propagate",

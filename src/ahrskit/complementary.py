@@ -1,45 +1,32 @@
 """Mahony-style passive complementary filter, the comparison baseline.
 
-Gyro rates are corrected by a proportional-integral feedback built from
-the cross products between measured and predicted gravity/field
-directions, then integrated exactly like the plain propagator. The
-integral term absorbs constant gyro bias.
+The filter keeps the same `PropagatorState` as the other estimators:
+an attitude and a gyro-bias estimate. Each step builds an error rate
+from the cross products between measured and predicted gravity/field
+directions. Its integral is the bias estimate (Mahony, Hamel and
+Pflimlin, "Nonlinear complementary filters on the special orthogonal
+group", IEEE TAC 2008), and the proportional term corrects the rate of
+this step only; `propagate` then integrates the corrected rate.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
-from .geometry import Quaternion, quat_multiply, quat_to_dcm, rotvec_to_quat
+from .geometry import quat_to_dcm
+from .propagation import PropagatorState, propagate
 
 
-class CfState(NamedTuple):
-    """Attitude, PI integral feedback (rad/s) and gains (1/s)."""
-
-    q: Quaternion
-    integral_fb: np.ndarray
-    kp: float
-    ki: float
-
-    @classmethod
-    def initial(cls, q: Quaternion = Quaternion.identity(),
-                kp: float = 1.0, ki: float = 0.05) -> "CfState":
-        if kp < 0.0 or ki < 0.0:
-            raise ValueError(f"gains must be non-negative, got kp={kp} ki={ki}")
-        return cls(q, np.zeros(3), kp, ki)
-
-
-def cf_update(state: CfState, gyro, accel, mag, dt: float) -> CfState:
-    """One fusion step. A zero-norm accel or mag skips that error term."""
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    gyro = np.asarray(gyro, dtype=float)
+def cf_update(prop: PropagatorState, gyro, accel, mag, dt: float,
+              kp: float, ki: float) -> PropagatorState:
+    """One fusion step with gains kp and ki (1/s). A zero-norm accel or
+    mag skips that error term."""
+    if kp < 0.0 or ki < 0.0:
+        raise ValueError(f"gains must be non-negative, got kp={kp} ki={ki}")
     accel = np.asarray(accel, dtype=float)
     mag = np.asarray(mag, dtype=float)
 
-    cbn = quat_to_dcm(state.q)
+    cbn = quat_to_dcm(prop.q)
     err = np.zeros(3)
 
     an = np.linalg.norm(accel)
@@ -58,9 +45,8 @@ def cf_update(state: CfState, gyro, accel, mag, dt: float) -> CfState:
         pred = cbn.T @ ref
         err += np.cross(meas, pred)
 
-    integral = state.integral_fb
-    if state.ki > 0.0:
-        integral = integral + state.ki * err * dt
-    rate = gyro + state.kp * err + integral
-    q = quat_multiply(state.q, rotvec_to_quat(rate * dt))
-    return CfState(q, integral, state.kp, state.ki)
+    bias = prop.bias
+    if ki > 0.0:
+        bias = bias - ki * err * dt
+    q = propagate(PropagatorState(prop.q, bias - kp * err), gyro, dt).q
+    return PropagatorState(q, bias)

@@ -1,13 +1,16 @@
 """End-to-end fusion loop: alignment, per-sample estimation, emission.
 
 One driver serves every algorithm: it owns the clock, the mag-epoch
-schedule and the per-sample error context. Each algorithm is a factory
-in `_STEPS` returning `step(rec, dt, mag_due) -> AttitudeEstimate`, a
-closure over its own estimator state. The dlkf step dead-reckons the
-attitude from the gyro, converts accel/mag into measured angles, runs
-the filter time update and whichever measurement layers have valid data
-this epoch, then feeds the corrections back. A gated accelerometer or an
-off-epoch magnetometer simply skips its layer; the covariance flows on.
+schedule, the per-sample error context and the emitted estimates. Each
+algorithm is a factory in `_STEPS` returning
+`step(rec, dt, mag_due) -> PropagatorState`, a closure over its own
+estimator state. All three integrate the gyro with `propagate` and
+differ only in the correction: none for gyro-only, the PI feedback of
+`cf_update` for cf. The dlkf step converts accel/mag into measured
+angles, runs the filter time update and whichever measurement layers
+have valid data this epoch, then feeds the corrections back. A gated
+accelerometer or an off-epoch magnetometer simply skips its layer; the
+covariance flows on.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .complementary import CfState, cf_update
+from .complementary import cf_update
 from .dlkf import (FilterState, NoiseConfig, accel_update, adaptive_factor,
                    apply_correction, mag_update, time_update)
 from .fasteuler import accel_roll_pitch, mag_yaw
@@ -134,7 +137,9 @@ def run_pipeline(records: Sequence[SensorRecord], cfg: PipelineConfig,
             mag_due = rec.t >= next_mag
             while next_mag <= rec.t:
                 next_mag += mag_period
-            estimates.append(step(rec, dt, mag_due))
+            prop = step(rec, dt, mag_due)
+            estimates.append(AttitudeEstimate(rec.t, quat_to_euler(prop.q),
+                                              prop.q, prop.bias))
             t_prev = rec.t
     except ValueError as exc:
         raise ValueError(f"sample {i} (t={rec.t}): {exc}") from exc
@@ -167,10 +172,9 @@ def _dlkf_step(cfg, q0, bias_seed, on_epoch):
         if yaw_meas is not None:
             fs = mag_update(fs, yaw_meas - est.yaw, cfg.noise.Rm)
         prop, fs = apply_correction(prop, fs, est)
-        out = AttitudeEstimate(rec.t, quat_to_euler(prop.q), prop.q, prop.bias)
         if on_epoch is not None:
             on_epoch(rec.t, fs)
-        return out
+        return prop
 
     return step
 
@@ -179,15 +183,15 @@ _NO_MAG = np.zeros(3)
 
 
 def _cf_step(cfg, q0, bias_seed, on_epoch):
-    state = CfState.initial(q0, cfg.cf_kp, cfg.cf_ki)
+    # the bias is the PI integral, so it starts at zero, not at the seed
+    prop = PropagatorState(q0, np.zeros(3))
 
     def step(rec, dt, mag_due):
-        nonlocal state
-        state = cf_update(state, rec.gyro, rec.accel,
-                          rec.mag if mag_due else _NO_MAG, dt)
-        # the PI integral converges to minus the gyro bias
-        return AttitudeEstimate(rec.t, quat_to_euler(state.q), state.q,
-                                -state.integral_fb)
+        nonlocal prop
+        prop = cf_update(prop, rec.gyro, rec.accel,
+                         rec.mag if mag_due else _NO_MAG, dt,
+                         cfg.cf_kp, cfg.cf_ki)
+        return prop
 
     return step
 
@@ -200,7 +204,7 @@ def _gyro_only_step(cfg, q0, bias_seed, on_epoch):
     def step(rec, dt, mag_due):
         nonlocal prop
         prop = propagate(prop, rec.gyro, dt)
-        return AttitudeEstimate(rec.t, quat_to_euler(prop.q), prop.q, prop.bias)
+        return prop
 
     return step
 

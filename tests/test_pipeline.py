@@ -156,13 +156,14 @@ class TestErrors:
         with pytest.raises(ValueError, match="not strictly increasing"):
             run_pipeline(bad, PipelineConfig())
 
-    def test_non_finite_gyro_reported_with_sample_index(self):
+    @pytest.mark.parametrize("algorithm", ["dlkf", "cf", "gyro-only"])
+    def test_non_finite_gyro_reported_with_sample_index(self, algorithm):
         records = list(static_records(duration=3.0, noisy=False, seed=0))
         records[600] = records[600]._replace(gyro=np.array([np.nan, 0.0, 0.0]))
-        with pytest.raises(ValueError, match=r"sample \d+"):
-            run_pipeline(records, PipelineConfig())
+        with pytest.raises(ValueError, match=r"sample 600 .*gyro sample must be finite"):
+            run_pipeline(records, PipelineConfig(algorithm=algorithm))
 
-    @pytest.mark.parametrize("algorithm", ["dlkf", "gyro-only"])
+    @pytest.mark.parametrize("algorithm", ["dlkf", "cf", "gyro-only"])
     def test_nan_timestamp_reported_as_timestamp_fault(self, algorithm):
         records = list(static_records(duration=4.0, seed=1))
         records[700] = records[700]._replace(t=math.nan)
