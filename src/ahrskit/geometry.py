@@ -88,7 +88,12 @@ def quat_multiply(a: Quaternion, b: Quaternion) -> Quaternion:
 
 
 def rotvec_to_quat(rotvec) -> Quaternion:
-    """Quaternion of a rotation vector (axis * angle, radians)."""
+    """Quaternion of a rotation vector (axis * angle, radians).
+
+    The result is unit up to rounding and is not renormalised (nor
+    sign-canonicalised, so w < 0 for angles beyond pi): it is meant to be
+    composed with `quat_multiply`, which normalises the product.
+    """
     rx, ry, rz = float(rotvec[0]), float(rotvec[1]), float(rotvec[2])
     angle = math.sqrt(rx * rx + ry * ry + rz * rz)
     if angle < SMALL_ROTATION:
@@ -96,7 +101,7 @@ def rotvec_to_quat(rotvec) -> Quaternion:
         k = 0.5 - angle * angle / 48.0
     else:
         k = math.sin(0.5 * angle) / angle
-    return Quaternion(math.cos(0.5 * angle), rx * k, ry * k, rz * k).normalized()
+    return Quaternion(math.cos(0.5 * angle), rx * k, ry * k, rz * k)
 
 
 def quat_to_euler(q: Quaternion) -> EulerAngles:

@@ -70,6 +70,12 @@ class TestRotvec:
         assert all(math.isfinite(c) for c in q)
         np.testing.assert_allclose(q, (1.0, 5e-10, 0.0, 0.0), rtol=1e-9, atol=1e-25)
 
+    def test_unit_up_to_rounding(self):
+        rng = np.random.default_rng(4)
+        for _ in range(200):
+            q = rotvec_to_quat(rng.normal(scale=2.0, size=3))
+            assert abs(q.norm() - 1.0) < 1e-15
+
     def test_opposite_vectors_are_inverse_rotations(self):
         rng = np.random.default_rng(3)
         for _ in range(200):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ahrskit.geometry import quat_to_euler
+from ahrskit.geometry import Quaternion, quat_to_euler
 from ahrskit.propagation import PropagatorState, propagate
 
 
@@ -11,6 +11,19 @@ def test_zero_rate_zero_bias_is_identity():
     state = PropagatorState.initial()
     out = propagate(state, (0.0, 0.0, 0.0), 0.004)
     assert out.q == state.q
+
+
+def test_one_normalisation_per_step(monkeypatch):
+    calls = []
+    normalized = Quaternion.normalized
+
+    def counted(q):
+        calls.append(q)
+        return normalized(q)
+
+    monkeypatch.setattr(Quaternion, "normalized", counted)
+    propagate(PropagatorState.initial(), (0.3, -0.2, 0.1), 0.004)
+    assert len(calls) == 1
 
 
 def test_single_step_quarter_yaw():
