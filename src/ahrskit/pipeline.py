@@ -15,6 +15,7 @@ covariance flows on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -131,12 +132,13 @@ def run_pipeline(records: Sequence[SensorRecord], cfg: PipelineConfig,
     try:
         for i, rec in enumerate(rest, n_align):
             dt = rec.t - t_prev
-            if not dt > 0.0:
-                raise ValueError(f"timestamps not strictly increasing "
-                                 f"(previous t={t_prev})")
+            if not 0.0 < dt < math.inf:
+                fault = "not finite" if dt == math.inf else "not strictly increasing"
+                raise ValueError(f"timestamps {fault} (previous t={t_prev})")
             mag_due = rec.t >= next_mag
-            while next_mag <= rec.t:
-                next_mag += mag_period
+            if mag_due:
+                # one period per step, or one jump over the epochs a gap missed
+                next_mag += ((rec.t - next_mag) // mag_period + 1.0) * mag_period
             prop = step(rec, dt, mag_due)
             estimates.append(AttitudeEstimate(rec.t, quat_to_euler(prop.q),
                                               prop.q, prop.bias))

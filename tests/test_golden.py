@@ -36,9 +36,10 @@ import numpy as np
 import pytest
 
 from ahrskit import dlkf, pipeline
-from ahrskit.benchmark import matched_noise_config, mems_models
+from ahrskit.benchmark import benchmark_records, matched_noise_config, mems_models
 from ahrskit.geometry import quat_to_euler
 from ahrskit.pipeline import PipelineConfig, run_pipeline
+from ahrskit.propagation import PropagatorState
 from ahrskit.simulate import Segment, TrajectorySpec, simulate
 
 RATE = 250.0
@@ -139,3 +140,37 @@ def test_dlkf_hot_path_calls(records, monkeypatch):
         monkeypatch.setattr(module, "quat_to_euler", counted, raising=False)
     estimates = run_pipeline(records, cfg)
     assert len(calls) <= 2 * len(estimates)
+
+
+def accumulated_mag_schedule(times, period):
+    """mag_due per sample of the driver's original schedule: one
+    accumulated `next_mag += period` per elapsed epoch, from the first
+    estimated sample on."""
+    due, next_mag = [], times[0]
+    for t in times:
+        due.append(t >= next_mag)
+        while next_mag <= t:
+            next_mag += period
+    return due
+
+
+@pytest.mark.parametrize("log", ["golden", "benchmark"])
+def test_mag_epochs_follow_accumulated_schedule(records, monkeypatch, log):
+    if log == "benchmark":
+        records = benchmark_records(seed=11)
+    seen = []
+
+    def recording_step(cfg, q0, bias_seed, on_epoch):
+        prop = PropagatorState(q0, bias_seed)
+
+        def step(rec, dt, mag_due):
+            seen.append(mag_due)
+            return prop
+
+        return step
+
+    monkeypatch.setitem(pipeline._STEPS, "dlkf", recording_step)
+    cfg = PipelineConfig()
+    times = [e.t for e in run_pipeline(records, cfg)]
+    assert seen == accumulated_mag_schedule(times, 1.0 / cfg.mag_rate_hz)
+    assert sum(seen) == {"golden": 110, "benchmark": 1180}[log]

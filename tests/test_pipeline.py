@@ -1,7 +1,14 @@
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import ahrskit
 
 from ahrskit.benchmark import matched_noise_config, mems_models, static_records
 from ahrskit.dlkf import NoiseConfig
@@ -170,6 +177,22 @@ class TestErrors:
         with pytest.raises(ValueError, match=r"sample 700 .*timestamps"):
             run_pipeline(records, PipelineConfig(algorithm=algorithm, noise=MATCHED))
 
+    @pytest.mark.parametrize("algorithm", ["dlkf", "cf", "gyro-only"])
+    @pytest.mark.parametrize("last_t, expected", [
+        ("inf", r"error: sample 999 \(t=inf\): timestamps not finite"),
+        ("1e9", r"estimates: 499 finite: True"),
+    ], ids=["inf", "1e9"])
+    def test_last_sample_far_in_time_does_not_hang(self, algorithm, last_t, expected):
+        # the run happens in a child process so that a hang fails the
+        # test after the timeout instead of stalling the suite
+        src = str(Path(ahrskit.__file__).parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run([sys.executable, "-c", HANG_CHILD, algorithm, last_t],
+                             capture_output=True, text=True, env=env, timeout=60,
+                             check=True).stdout
+        assert re.search(expected, out), out
+
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             run_pipeline([], PipelineConfig())
@@ -182,6 +205,24 @@ class TestErrors:
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ValueError):
             PipelineConfig(algorithm="ukf")
+
+
+HANG_CHILD = """
+import sys
+import numpy as np
+from ahrskit.benchmark import static_records
+from ahrskit.pipeline import PipelineConfig, run_pipeline
+algorithm, last_t = sys.argv[1], float(sys.argv[2])
+records = static_records(duration=4.0, seed=1)
+records[-1] = records[-1]._replace(t=last_t)
+try:
+    estimates = run_pipeline(records, PipelineConfig(algorithm=algorithm))
+except ValueError as exc:
+    print("error:", exc)
+else:
+    finite = np.isfinite([[*e.euler, *e.q, *e.gyro_bias] for e in estimates]).all()
+    print("estimates:", len(estimates), "finite:", finite)
+"""
 
 
 class TestGatedEpochs:
