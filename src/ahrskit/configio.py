@@ -112,11 +112,31 @@ def config_hash(path) -> str:
 # ---------------------------------------------------------------------------
 # scenario files for the simulator
 
-_SCENARIO_KEYS = frozenset({
-    "rate_hz", "seed", "initial_rpy_deg", "segment", "gravity",
-    "gyro_bias_rps", "gyro_tau_s", "gyro_sigma_markov", "gyro_sigma_white",
-    "accel_sigma_white", "mag_sigma_white", "mag_field_ned",
-})
+def _vector3(value: str, key: str) -> Tuple[float, float, float]:
+    return tuple(_floats(value, 3, key))
+
+
+def _rpy_deg(value: str, key: str) -> EulerAngles:
+    return EulerAngles(*(math.radians(a) for a in _floats(value, 3, key)))
+
+
+# key -> (owner, field name, parser): each key sets one field of the
+# trajectory or a sensor model, and an absent key keeps its default;
+# rate_hz and seed belong to the run, whose defaults are _RUN_DEFAULTS.
+_SCENARIO_KEYS = {
+    "rate_hz": ("run", "rate_hz", _number),
+    "seed": ("run", "seed", lambda value, key: int(value)),
+    "initial_rpy_deg": (TrajectorySpec, "initial_attitude", _rpy_deg),
+    "gyro_bias_rps": (GyroModel, "bias", _vector3),
+    "gyro_tau_s": (GyroModel, "tau", _number),
+    "gyro_sigma_markov": (GyroModel, "sigma_markov", _number),
+    "gyro_sigma_white": (GyroModel, "sigma_white", _number),
+    "accel_sigma_white": (AccelModel, "sigma_white", _number),
+    "gravity": (AccelModel, "gravity", _number),
+    "mag_field_ned": (MagModel, "field_ned", _vector3),
+    "mag_sigma_white": (MagModel, "sigma_white", _number),
+}
+_RUN_DEFAULTS = {"rate_hz": 250.0, "seed": 0}
 
 
 def scenario_from_text(text: str, source: str = "<scenario>"):
@@ -126,40 +146,26 @@ def scenario_from_text(text: str, source: str = "<scenario>"):
     ``segment`` lines repeat, in order, each holding
     ``duration_s, wx_dps, wy_dps, wz_dps, ax, ay, az``.
     """
-    kv: Dict[str, str] = {}
+    fields: Dict[object, dict] = {owner: {} for owner, _, _ in _SCENARIO_KEYS.values()}
     segments: List[Segment] = []
     for key, value in parse_kv_lines(text, source):
-        if key not in _SCENARIO_KEYS:
-            raise ValueError(f"{source}: unknown scenario key {key!r}")
         if key == "segment":
             v = _floats(value, 7, "segment")
             segments.append(Segment(v[0], tuple(math.radians(x) for x in v[1:4]),
                                     tuple(v[4:7])))
             continue
-        if key in kv:
+        if key not in _SCENARIO_KEYS:
+            raise ValueError(f"{source}: unknown scenario key {key!r}")
+        owner, name, parse = _SCENARIO_KEYS[key]
+        if name in fields[owner]:
             raise ValueError(f"{source}: duplicate scenario key {key!r}")
-        kv[key] = value
+        fields[owner][name] = parse(value, key)
     if not segments:
         raise ValueError(f"{source}: scenario needs at least one 'segment' line")
-
-    rpy = _floats(kv.get("initial_rpy_deg", "0,0,0"), 3, "initial_rpy_deg")
-    traj = TrajectorySpec(tuple(segments),
-                          EulerAngles(*(math.radians(a) for a in rpy)))
-    gyro = GyroModel(
-        bias=tuple(_floats(kv.get("gyro_bias_rps", "0,0,0"), 3, "gyro_bias_rps")),
-        tau=float(kv.get("gyro_tau_s", 100.0)),
-        sigma_markov=float(kv.get("gyro_sigma_markov", 0.0)),
-        sigma_white=float(kv.get("gyro_sigma_white", 0.0)),
-    )
-    accel = AccelModel(sigma_white=float(kv.get("accel_sigma_white", 0.0)),
-                       gravity=float(kv.get("gravity", 9.81)))
-    field = kv.get("mag_field_ned")
-    mag = MagModel(field_ned=tuple(_floats(field, 3, "mag_field_ned"))
-                   if field else MagModel().field_ned,
-                   sigma_white=float(kv.get("mag_sigma_white", 0.0)))
-    rate = float(kv.get("rate_hz", 250.0))
-    seed = int(kv.get("seed", 0))
-    return traj, gyro, accel, mag, rate, seed
+    run = {**_RUN_DEFAULTS, **fields["run"]}
+    return (TrajectorySpec(tuple(segments), **fields[TrajectorySpec]),
+            GyroModel(**fields[GyroModel]), AccelModel(**fields[AccelModel]),
+            MagModel(**fields[MagModel]), run["rate_hz"], run["seed"])
 
 
 def load_scenario(path):

@@ -9,6 +9,7 @@ from ahrskit.configio import (config_hash, load_pipeline_config, load_scenario,
                               parse_kv_lines, pipeline_config_from_text,
                               scenario_from_text)
 from ahrskit.pipeline import PipelineConfig
+from ahrskit.simulate import AccelModel, GyroModel, MagModel
 
 FULL_CONFIG = """
 # benchmark tuning
@@ -75,6 +76,33 @@ def config_fields(cfg):
 def changed_fields(a, b):
     fa, fb = config_fields(a), config_fields(b)
     return [name for name in fa if not np.array_equal(fa[name], fb[name])]
+
+
+SEGMENT = "segment = 1, 0, 0, 0, 0, 0, 0\n"
+
+# per scenario key: a value off its default, and the one field it must set
+ONE_SCENARIO_KEY = {
+    "rate_hz": ("100", "rate"),
+    "seed": ("42", "seed"),
+    "initial_rpy_deg": ("10, -5, 90", "traj.initial_attitude"),
+    "gravity": ("9.80665", "accel.gravity"),
+    "gyro_bias_rps": ("0.02, -0.01, 0.015", "gyro.bias"),
+    "gyro_tau_s": ("50", "gyro.tau"),
+    "gyro_sigma_markov": ("1e-5", "gyro.sigma_markov"),
+    "gyro_sigma_white": ("8.7e-5", "gyro.sigma_white"),
+    "accel_sigma_white": ("0.004", "accel.sigma_white"),
+    "mag_sigma_white": ("0.002", "mag.sigma_white"),
+    "mag_field_ned": ("0.6, 0, 0.8", "mag.field_ned"),
+}
+
+
+def scenario_fields(scenario):
+    """Every value a scenario sets, by dotted field name."""
+    traj, gyro, accel, mag, rate, seed = scenario
+    out = {"rate": rate, "seed": seed}
+    for prefix, obj in (("traj", traj), ("gyro", gyro), ("accel", accel), ("mag", mag)):
+        out.update({f"{prefix}.{f.name}": getattr(obj, f.name) for f in fields(obj)})
+    return out
 
 
 def test_parse_kv_lines_comments_and_blanks():
@@ -161,6 +189,26 @@ class TestScenario:
         assert accel.sigma_white == 0.004
         assert mag.sigma_white == 0.002
         np.testing.assert_allclose(np.linalg.norm(mag.field_ned), 1.0, atol=1e-9)
+
+    def test_segment_only_gives_defaults(self):
+        traj, gyro, accel, mag, rate, seed = scenario_from_text(SEGMENT)
+        assert (gyro, accel, mag) == (GyroModel(), AccelModel(), MagModel())
+        assert traj.initial_attitude == (0.0, 0.0, 0.0)
+        assert rate == 250.0 and seed == 0
+
+    def test_every_key_has_a_case(self):
+        assert set(ONE_SCENARIO_KEY) == set(configio._SCENARIO_KEYS)
+
+    @pytest.mark.parametrize("key", ONE_SCENARIO_KEY)
+    def test_key_sets_exactly_one_field(self, key):
+        value, field = ONE_SCENARIO_KEY[key]
+        a = scenario_fields(scenario_from_text(f"{SEGMENT}{key} = {value}\n"))
+        b = scenario_fields(scenario_from_text(SEGMENT))
+        assert [name for name in a if a[name] != b[name]] == [field]
+
+    def test_duplicate_key_rejected(self):
+        with pytest.raises(ValueError, match="duplicate scenario key 'seed'"):
+            scenario_from_text(f"{SEGMENT}seed = 1\nseed = 2\n")
 
     def test_segmentless_scenario_rejected(self):
         with pytest.raises(ValueError, match="segment"):
