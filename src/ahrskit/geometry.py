@@ -88,12 +88,8 @@ def quat_multiply(a: Quaternion, b: Quaternion) -> Quaternion:
 
 
 def rotvec_to_quat(rotvec) -> Quaternion:
-    """Quaternion of a rotation vector (axis * angle, radians).
-
-    The result is unit up to rounding and is not renormalised (nor
-    sign-canonicalised, so w < 0 for angles beyond pi): it is meant to be
-    composed with `quat_multiply`, which normalises the product.
-    """
+    """Quaternion of a rotation vector (axis * angle, radians), unit up to
+    rounding and not renormalised: `quat_multiply` normalises the product."""
     rx, ry, rz = float(rotvec[0]), float(rotvec[1]), float(rotvec[2])
     angle = math.sqrt(rx * rx + ry * ry + rz * rz)
     if angle < SMALL_ROTATION:

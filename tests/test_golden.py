@@ -154,10 +154,8 @@ def accumulated_mag_schedule(times, period):
     return due
 
 
-@pytest.mark.parametrize("log", ["golden", "benchmark"])
-def test_mag_epochs_follow_accumulated_schedule(records, monkeypatch, log):
-    if log == "benchmark":
-        records = benchmark_records(seed=11)
+def mag_due_flags(monkeypatch, records, cfg):
+    """(mag_due, t) per estimated sample, from a step that only records."""
     seen = []
 
     def recording_step(cfg, q0, bias_seed, on_epoch):
@@ -169,8 +167,27 @@ def test_mag_epochs_follow_accumulated_schedule(records, monkeypatch, log):
 
         return step
 
-    monkeypatch.setitem(pipeline._STEPS, "dlkf", recording_step)
+    monkeypatch.setitem(pipeline._STEPS, cfg.algorithm, recording_step)
+    return seen, [e.t for e in run_pipeline(records, cfg)]
+
+
+@pytest.mark.parametrize("log", ["golden", "benchmark"])
+def test_mag_epochs_follow_accumulated_schedule(records, monkeypatch, log):
+    if log == "benchmark":
+        records = benchmark_records(seed=11)
     cfg = PipelineConfig()
-    times = [e.t for e in run_pipeline(records, cfg)]
-    assert seen == accumulated_mag_schedule(times, 1.0 / cfg.mag_rate_hz)
-    assert sum(seen) == {"golden": 110, "benchmark": 1180}[log]
+    due, times = mag_due_flags(monkeypatch, records, cfg)
+    assert due == accumulated_mag_schedule(times, 1.0 / cfg.mag_rate_hz)
+    assert sum(due) == {"golden": 110, "benchmark": 1180}[log]
+
+
+def test_mag_schedule_resumes_at_its_rate_after_a_gap(records, monkeypatch):
+    gap_at = 1500
+    records = [r._replace(t=r.t + 1000.0) if i >= gap_at else r
+               for i, r in enumerate(records)]
+    due, times = mag_due_flags(monkeypatch, records, PipelineConfig())
+    after = [i for i, (d, t) in enumerate(zip(due, times)) if d and t > 1000.0]
+    assert times[after[0] - 1] < 1000.0  # the first sample after the gap
+    # then back on the 10 Hz grid of a 250 Hz log: one epoch every 25
+    # samples, give or take one where a sample sits on an epoch
+    assert set(np.diff(after[1:])) <= {24, 25, 26}
