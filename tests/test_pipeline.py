@@ -155,6 +155,24 @@ class TestDeterminism:
             np.testing.assert_array_equal(ea.gyro_bias, eb.gyro_bias)
 
 
+HANG_CHILD = """
+import sys
+import numpy as np
+from ahrskit.benchmark import static_records
+from ahrskit.pipeline import PipelineConfig, run_pipeline
+algorithm, last_t = sys.argv[1], float(sys.argv[2])
+records = static_records(duration=4.0, seed=1)
+records[-1] = records[-1]._replace(t=last_t)
+try:
+    estimates = run_pipeline(records, PipelineConfig(algorithm=algorithm))
+except ValueError as exc:
+    print("error:", exc)
+else:
+    finite = np.isfinite([[*e.euler, *e.q, *e.gyro_bias] for e in estimates]).all()
+    print("estimates:", len(estimates), "finite:", finite)
+"""
+
+
 class TestErrors:
     def test_unordered_timestamps_reported_with_index(self):
         records = static_records(duration=3.0, noisy=False, seed=0)
@@ -205,24 +223,6 @@ class TestErrors:
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ValueError):
             PipelineConfig(algorithm="ukf")
-
-
-HANG_CHILD = """
-import sys
-import numpy as np
-from ahrskit.benchmark import static_records
-from ahrskit.pipeline import PipelineConfig, run_pipeline
-algorithm, last_t = sys.argv[1], float(sys.argv[2])
-records = static_records(duration=4.0, seed=1)
-records[-1] = records[-1]._replace(t=last_t)
-try:
-    estimates = run_pipeline(records, PipelineConfig(algorithm=algorithm))
-except ValueError as exc:
-    print("error:", exc)
-else:
-    finite = np.isfinite([[*e.euler, *e.q, *e.gyro_bias] for e in estimates]).all()
-    print("estimates:", len(estimates), "finite:", finite)
-"""
 
 
 class TestGatedEpochs:
