@@ -4,7 +4,7 @@ Everything the CLI consumes and produces is a small text file; this
 script writes a scenario and two run configs into a scratch directory,
 then drives the `sim`, `run`, `eval` and `compare` subcommands through
 their Python entry point. Equivalent shell commands are printed as it
-goes.
+goes. The scratch directory is removed when the script ends.
 """
 
 import tempfile
@@ -32,12 +32,6 @@ CF_CFG = """\
 algorithm = cf
 """
 
-work = Path(tempfile.mkdtemp(prefix="ahrskit-demo-"))
-(work / "hover.scn").write_text(SCENARIO)
-(work / "dlkf.cfg").write_text(DLKF_CFG)
-(work / "cf.cfg").write_text(CF_CFG)
-print(f"working in {work}\n")
-
 
 def run(argv):
     print(f"$ ahrskit {' '.join(argv)}")
@@ -46,13 +40,20 @@ def run(argv):
     print()
 
 
-run(["sim", "--scenario", str(work / "hover.scn"), "--out", str(work / "log.csv")])
-run(["run", "--log", str(work / "log.csv"), "--config", str(work / "dlkf.cfg"),
-     "--out", str(work / "dlkf.csv")])
-run(["run", "--log", str(work / "log.csv"), "--config", str(work / "cf.cfg"),
-     "--out", str(work / "cf.csv")])
-run(["eval", "--estimates", str(work / "dlkf.csv"), "--truth",
-     str(work / "log.csv"), "--name", "dlkf",
-     "--config", str(work / "dlkf.cfg")])
-run(["compare", "--baseline", str(work / "cf.csv"), "--candidate",
-     str(work / "dlkf.csv"), "--truth", str(work / "log.csv")])
+with tempfile.TemporaryDirectory(prefix="ahrskit-demo-") as tmp:
+    work = Path(tmp)
+    (work / "hover.scn").write_text(SCENARIO)
+    (work / "dlkf.cfg").write_text(DLKF_CFG)
+    (work / "cf.cfg").write_text(CF_CFG)
+    print(f"working in {work}\n")
+
+    run(["sim", "--scenario", str(work / "hover.scn"), "--out", str(work / "log.csv")])
+    run(["run", "--log", str(work / "log.csv"), "--config", str(work / "dlkf.cfg"),
+         "--out", str(work / "dlkf.csv")])
+    run(["run", "--log", str(work / "log.csv"), "--config", str(work / "cf.cfg"),
+         "--out", str(work / "cf.csv")])
+    run(["eval", "--estimates", str(work / "dlkf.csv"), "--truth",
+         str(work / "log.csv"), "--name", "dlkf",
+         "--config", str(work / "dlkf.cfg")])
+    run(["compare", "--baseline", str(work / "cf.csv"), "--candidate",
+         str(work / "dlkf.csv"), "--truth", str(work / "log.csv")])

@@ -96,6 +96,8 @@ def rotvec_to_quat(rotvec) -> Quaternion:
         # sin(x/2)/x ~ 1/2 - x^2/48 keeps the zero-rotation limit finite
         k = 0.5 - angle * angle / 48.0
     else:
+        if not angle < math.inf:  # also NaN; a huge step overflows to inf
+            raise ValueError(f"rotation angle is not finite, got {angle}")
         k = math.sin(0.5 * angle) / angle
     return Quaternion(math.cos(0.5 * angle), rx * k, ry * k, rz * k)
 

@@ -76,6 +76,12 @@ class TestRotvec:
             q = rotvec_to_quat(rng.normal(scale=2.0, size=3))
             assert abs(q.norm() - 1.0) < 1e-15
 
+    @pytest.mark.parametrize("rotvec", [(1e200, 0.0, 1e200), (math.inf, 0.0, 0.0),
+                                        (math.nan, 0.0, 0.0)])
+    def test_non_finite_angle_rejected(self, rotvec):
+        with pytest.raises(ValueError, match="rotation angle is not finite"):
+            rotvec_to_quat(rotvec)
+
     def test_opposite_vectors_are_inverse_rotations(self):
         rng = np.random.default_rng(3)
         for _ in range(200):

@@ -26,6 +26,12 @@ normalising its result, leaving the one normalisation per gyro step to
 `quat_multiply`. The simulator's step quaternions move too, so the log
 itself changes in its last bits. Against the reference series: dlkf
 1.5e-14 rad and 6.1e-15 rad/s, cf and gyro-only 3.6e-15 rad.
+
+The cf digest was re-pinned again when `cf_update` moved its error
+terms from NumPy vectors onto Python floats: the norms and the two
+matrix-vector products sum in another order than NumPy's dot products,
+so the last bits move (2.2e-16 on the quaternion, 2.0e-18 rad/s on the
+bias; 3.6e-15 rad and 8.5e-17 rad/s from `data/golden_cf.npy`).
 """
 
 import hashlib
@@ -35,7 +41,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ahrskit import dlkf, pipeline
+from ahrskit import complementary, dlkf, pipeline
 from ahrskit.benchmark import benchmark_records, matched_noise_config, mems_models
 from ahrskit.geometry import quat_to_euler
 from ahrskit.pipeline import PipelineConfig, run_pipeline
@@ -55,7 +61,7 @@ BIAS_TOL = 1e-14
 
 GOLDEN = {
     "dlkf": "c1c1baed59c62e69258c3f6ef696c3e088e841c117304baab8c2703fc7e0f92a",
-    "cf": "566d5f6295f95cf8522b30eb5478c3a5d11c05c6555cabd6f6d756ef0bc7907b",
+    "cf": "15135b128d599df9b1692c96ac1256790c29242f8d76a6d7fd21967d9522ed0c",
     "gyro-only": "b9f9054ee5f3f7e86c7796d6f829fb70df53323f36b8b9ec300b00dce25bb2d2",
 }
 
@@ -140,6 +146,20 @@ def test_dlkf_hot_path_calls(records, monkeypatch):
         monkeypatch.setattr(module, "quat_to_euler", counted, raising=False)
     estimates = run_pipeline(records, cfg)
     assert len(calls) <= 2 * len(estimates)
+
+
+def test_cf_hot_path_calls(records, monkeypatch):
+    """The cf step does its 3-vector work on floats: no NumPy cross
+    product or norm and no DCM array per sample."""
+    cfg = PipelineConfig(algorithm="cf", noise=matched_noise_config(RATE))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("vector helper called on the cf hot path")
+
+    monkeypatch.setattr(np, "cross", forbidden)
+    monkeypatch.setattr(np.linalg, "norm", forbidden)
+    monkeypatch.setattr(complementary, "quat_to_dcm", forbidden, raising=False)
+    assert run_pipeline(records, cfg)
 
 
 def accumulated_mag_schedule(times, period):

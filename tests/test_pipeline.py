@@ -211,6 +211,15 @@ class TestErrors:
                              check=True).stdout
         assert re.search(expected, out), out
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("algorithm", ["dlkf", "cf", "gyro-only"])
+    def test_huge_time_step_reported(self, algorithm):
+        # a finite gap so long that the gyro step's rotation angle overflows
+        records = list(static_records(duration=4.0, seed=1))
+        records[-1] = records[-1]._replace(t=1e300)
+        with pytest.raises(ValueError, match=r"sample 999 .*not finite"):
+            run_pipeline(records, PipelineConfig(algorithm=algorithm))
+
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             run_pipeline([], PipelineConfig())
