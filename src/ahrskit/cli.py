@@ -14,7 +14,7 @@ import numpy as np
 from . import configio, logio
 from .metrics import evaluate, format_comparison, format_report
 from .pipeline import run_pipeline
-from .simulate import simulate
+from .simulate import simulate, truth_array
 
 
 def _angles(estimates):
@@ -24,11 +24,8 @@ def _angles(estimates):
 
 
 def _truth(records):
-    pairs = [(r.t, r.truth) for r in records if r.truth is not None]
-    if not pairs:
-        raise ValueError("truth log carries no ground-truth columns")
-    return (np.array([t for t, _ in pairs]),
-            np.array([[e.roll, e.pitch, e.yaw] for _, e in pairs]))
+    # read_log yields truth for every record or for none
+    return np.array([r.t for r in records]), truth_array(records)
 
 
 def _emit(report: str, path) -> int:

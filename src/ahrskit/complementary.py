@@ -25,8 +25,8 @@ from .propagation import PropagatorState, propagate
 
 def cf_update(prop: PropagatorState, gyro, accel, mag, dt: float,
               kp: float, ki: float) -> PropagatorState:
-    """One fusion step with gains kp and ki (1/s). A zero-norm accel or
-    mag skips that error term."""
+    """One fusion step with gains kp and ki (1/s). An accel or mag whose
+    norm is zero or not finite skips that error term."""
     if kp < 0.0 or ki < 0.0:
         raise ValueError(f"gains must be non-negative, got kp={kp} ki={ki}")
     w, x, y, z = prop.q
@@ -41,7 +41,7 @@ def cf_update(prop: PropagatorState, gyro, accel, mag, dt: float,
 
     ax, ay, az = float(accel[0]), float(accel[1]), float(accel[2])
     an = math.sqrt(ax * ax + ay * ay + az * az)
-    if an > 0.0:
+    if 0.0 < an < math.inf:
         # measured vs predicted "up" reaction: at rest accel = -C_n^b g,
         # so pred = -(c20, c21, c22) and meas x pred = (c20, c21, c22) x meas
         ax, ay, az = ax / an, ay / an, az / an
@@ -51,7 +51,7 @@ def cf_update(prop: PropagatorState, gyro, accel, mag, dt: float,
 
     mx, my, mz = float(mag[0]), float(mag[1]), float(mag[2])
     mn = math.sqrt(mx * mx + my * my + mz * mz)
-    if mn > 0.0:
+    if 0.0 < mn < math.inf:
         mx, my, mz = mx / mn, my / mn, mz / mn
         h0 = c00 * mx + c01 * my + c02 * mz
         h1 = c10 * mx + c11 * my + c12 * mz

@@ -58,9 +58,6 @@ class Quaternion(NamedTuple):
             inv = -inv
         return Quaternion(self.w * inv, self.x * inv, self.y * inv, self.z * inv)
 
-    def conjugate(self) -> "Quaternion":
-        return Quaternion(self.w, -self.x, -self.y, -self.z)
-
 
 class EulerAngles(NamedTuple):
     """Z-Y-X Euler angles in radians: roll, pitch, yaw."""

@@ -8,11 +8,14 @@ SI units throughout (s, rad/s, m/s^2, unit-normalized field, rad), UTF-8,
 LF line endings, '.' decimal separator. The three truth columns are
 present either for every row or for none. Floats are written with
 repr(), which round-trips exactly, so a write/read cycle is lossless and
-rewriting produces bit-identical files.
+rewriting produces bit-identical files. Readers skip blank and
+whitespace-only lines, accept CRLF, and name the file in every error.
 """
 
 from __future__ import annotations
 
+import warnings
+from itertools import repeat
 from pathlib import Path
 from typing import List, Sequence
 
@@ -27,8 +30,31 @@ LOG_TRUTH_HEADER = LOG_HEADER + ",troll,tpitch,tyaw"
 EST_HEADER = "t,roll,pitch,yaw,qw,qx,qy,qz,bgx,bgy,bgz"
 
 
-def _fmt(values) -> str:
-    return ",".join(repr(float(v)) for v in values)
+def _read_table(path, headers, kind):
+    """(header, (N, k) float array) of a CSV whose header is one of `headers`."""
+    try:
+        with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
+            header = fh.readline().strip()
+            if header not in headers:
+                raise ValueError(f"unrecognized {kind} header {header!r}")
+            # a header-only file is reported below, as "no samples"
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            data = np.loadtxt((line for line in fh if line.strip()),
+                              delimiter=",", comments=None, ndmin=2)
+        n_cols = header.count(",") + 1
+        if not len(data):
+            raise ValueError(f"{kind} file contains no samples")
+        if data.shape[1] != n_cols:
+            raise ValueError(f"expected {n_cols} columns, got {data.shape[1]}")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return header, data
+
+
+def _write_table(path, header: str, rows) -> None:
+    """Write the header and one repr() row per item; nothing if a row raises."""
+    lines = [header, *(",".join(map(repr, map(float, row))) for row in rows)]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
 def write_log(path, records: Sequence[SensorRecord]) -> None:
@@ -36,80 +62,34 @@ def write_log(path, records: Sequence[SensorRecord]) -> None:
     if not records:
         raise ValueError("refusing to write an empty log")
     with_truth = records[0].truth is not None
-    lines = [LOG_TRUTH_HEADER if with_truth else LOG_HEADER]
-    for rec in records:
-        if (rec.truth is not None) != with_truth:
-            raise ValueError(f"record at t={rec.t}: truth must be present for "
-                             "all records or none")
-        fields = [rec.t, *rec.gyro, *rec.accel, *rec.mag]
-        if with_truth:
-            fields += [rec.truth.roll, rec.truth.pitch, rec.truth.yaw]
-        lines.append(_fmt(fields))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+
+    def rows():
+        for rec in records:
+            if (rec.truth is not None) != with_truth:
+                raise ValueError(f"record at t={rec.t}: truth must be present for "
+                                 "all records or none")
+            yield (rec.t, *rec.gyro, *rec.accel, *rec.mag, *(rec.truth or ()))
+
+    _write_table(path, LOG_TRUTH_HEADER if with_truth else LOG_HEADER, rows())
 
 
 def read_log(path) -> List[SensorRecord]:
     """Read a sensor log; accepts both schema variants."""
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.splitlines()
-    if not lines:
-        raise ValueError(f"{path}: empty log file")
-    header = lines[0].strip()
-    if header == LOG_TRUTH_HEADER:
-        with_truth, n_cols = True, 13
-    elif header == LOG_HEADER:
-        with_truth, n_cols = False, 10
-    else:
-        raise ValueError(f"{path}: unrecognized log header {header!r}")
-    records = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != n_cols:
-            raise ValueError(f"{path}:{lineno}: expected {n_cols} columns, "
-                             f"got {len(parts)}")
-        try:
-            v = [float(p) for p in parts]
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
-        truth = EulerAngles(v[10], v[11], v[12]) if with_truth else None
-        records.append(SensorRecord(v[0], np.array(v[1:4]), np.array(v[4:7]),
-                                    np.array(v[7:10]), truth))
-    if not records:
-        raise ValueError(f"{path}: log contains no samples")
-    return records
+    header, data = _read_table(path, (LOG_HEADER, LOG_TRUTH_HEADER), "log")
+    truth = map(EulerAngles._make, data[:, 10:].tolist()) \
+        if header == LOG_TRUTH_HEADER else repeat(None)
+    return [SensorRecord(t, row[1:4], row[4:7], row[7:10], e)
+            for t, row, e in zip(data[:, 0].tolist(), data, truth)]
 
 
 def write_estimates(path, estimates: Sequence[AttitudeEstimate]) -> None:
     if not estimates:
         raise ValueError("refusing to write an empty estimate file")
-    lines = [EST_HEADER]
-    for est in estimates:
-        lines.append(_fmt([est.t, est.euler.roll, est.euler.pitch, est.euler.yaw,
-                           est.q.w, est.q.x, est.q.y, est.q.z, *est.gyro_bias]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    _write_table(path, EST_HEADER, ((e.t, *e.euler, *e.q, *e.gyro_bias)
+                                    for e in estimates))
 
 
 def read_estimates(path) -> List[AttitudeEstimate]:
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != EST_HEADER:
-        raise ValueError(f"{path}: unrecognized estimate header")
-    estimates = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 11:
-            raise ValueError(f"{path}:{lineno}: expected 11 columns, got {len(parts)}")
-        try:
-            v = [float(p) for p in parts]
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
-        estimates.append(AttitudeEstimate(v[0], EulerAngles(v[1], v[2], v[3]),
-                                          Quaternion(v[4], v[5], v[6], v[7]),
-                                          np.array(v[8:11])))
-    if not estimates:
-        raise ValueError(f"{path}: estimate file contains no samples")
-    return estimates
+    _, data = _read_table(path, (EST_HEADER,), "estimate")
+    return [AttitudeEstimate(v[0], EulerAngles(*v[1:4]), Quaternion(*v[4:8]), row[8:])
+            for v, row in zip(data[:, :8].tolist(), data)]

@@ -258,12 +258,14 @@ FIRST_ESTIMATE = 501
 class TestBadSamples:
     """A non-finite accel or mag sample skips its layer for that epoch."""
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("algorithm", ["dlkf", "cf"])
     @pytest.mark.parametrize("index, field", [(700, "accel"), (FIRST_ESTIMATE, "mag")])
-    def test_nan_sample_skips_its_layer(self, index, field):
+    def test_nan_sample_skips_its_layer(self, index, field, algorithm, value):
         records = list(static_records(duration=4.0, seed=1))
-        cfg = PipelineConfig(noise=MATCHED)
+        cfg = PipelineConfig(algorithm=algorithm, noise=MATCHED)
         clean = run_pipeline(records, cfg)
-        records[index] = records[index]._replace(**{field: np.full(3, math.nan)})
+        records[index] = records[index]._replace(**{field: np.full(3, value)})
         faulty = run_pipeline(records, cfg)
         assert len(faulty) == 499
         assert np.isfinite([[*e.euler, *e.q, *e.gyro_bias] for e in faulty]).all()
