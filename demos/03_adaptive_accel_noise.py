@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 
 from ahrskit.benchmark import matched_noise_config, mems_models
-from ahrskit.dlkf import adaptive_factor
+from ahrskit.fasteuler import accel_roll_pitch
 from ahrskit.metrics import rmse
 from ahrskit.pipeline import PipelineConfig, run_pipeline
 from ahrskit.simulate import Segment, TrajectorySpec, simulate, truth_array
@@ -31,7 +31,7 @@ sample = next(r for r in records if PUSH[0] + 1.0 < r.t < PUSH[1])
 print("specific-force norm during the push: "
       f"{np.linalg.norm(sample.accel):.2f} m/s^2 (gravity 9.81)")
 print(f"adaptive noise factor for that sample: "
-      f"{adaptive_factor(sample.accel, noise):.1f}x nominal")
+      f"{accel_roll_pitch(sample.accel, noise)[2]:.1f}x nominal")
 
 truth = truth_array(records)
 t_rec = np.array([r.t for r in records])

@@ -8,8 +8,8 @@ RMSE evaluation harness.
 """
 
 from .complementary import cf_update
-from .dlkf import (FilterState, NoiseConfig, accel_update, adaptive_factor,
-                   apply_correction, mag_update, time_update)
+from .dlkf import (FilterState, NoiseConfig, accel_update, apply_correction,
+                   mag_update, time_update)
 from .fasteuler import accel_roll_pitch, mag_yaw
 from .geometry import (EulerAngles, Quaternion, euler_to_quat, quat_multiply,
                        quat_to_dcm, quat_to_euler, rotvec_to_quat, wrap_pi,
@@ -28,9 +28,9 @@ __all__ = [
     "FilterState", "GyroModel", "MagModel", "NoiseConfig", "PipelineConfig",
     "PropagatorState", "Quaternion", "RunResult", "Segment", "SensorRecord",
     "TrajectorySpec",
-    "accel_roll_pitch", "accel_update", "adaptive_factor", "align_series",
-    "apply_correction", "cf_update", "euler_to_quat", "evaluate",
-    "improvement", "initial_alignment", "mag_update", "mag_yaw", "propagate",
+    "accel_roll_pitch", "accel_update", "align_series", "apply_correction",
+    "cf_update", "euler_to_quat", "evaluate", "improvement",
+    "initial_alignment", "mag_update", "mag_yaw", "propagate",
     "quat_multiply", "quat_to_dcm", "quat_to_euler", "rmse", "rotvec_to_quat",
     "run_pipeline", "simulate", "time_update", "wrap_pi", "wrap_yaw",
 ]

@@ -70,10 +70,10 @@ class NoiseConfig:
         Ra_nominal: (2, 2) roll/pitch measurement noise at rest.
         Rm: scalar yaw measurement noise.
         tau_g: gyro-bias Markov correlation time, s.
-        lambda_a: adaptive weight on | ||accel|| - g |, (m/s^2)^-1;
-            0 disables the adaptation (the factor stays at 1).
-        gamma2_max: ceiling on the adaptive factor.
-        gravity: local gravity g, m/s^2, centre of gate and factor alike.
+        lambda_a: weight on | ||accel|| - g | in the accel-noise factor
+            gamma^2, (m/s^2)^-1; 0 disables the adaptation (gamma^2 = 1).
+        gamma2_max: ceiling on gamma^2.
+        gravity: local gravity g, m/s^2, centre of gate and gamma^2 alike.
         accel_gate: norm gate, m/s^2: rejects | ||accel|| - g | above it.
     """
 
@@ -91,22 +91,24 @@ class NoiseConfig:
         Ra = np.asarray(self.Ra_nominal, dtype=float)
         object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "Ra_nominal", Ra)
-        if Q.shape != (N_STATES, N_STATES) or np.linalg.eigvalsh(Q).min() < 0.0:
-            raise ValueError("Q must be a 6x6 positive semi-definite matrix")
-        if Ra.shape != (2, 2) or np.linalg.eigvalsh(Ra).min() <= 0.0:
-            raise ValueError("Ra_nominal must be a 2x2 positive definite matrix")
-        if self.Rm <= 0.0:
-            raise ValueError(f"Rm must be positive, got {self.Rm}")
-        if self.tau_g <= 0.0:
-            raise ValueError(f"tau_g must be positive, got {self.tau_g}")
-        if self.lambda_a < 0.0:
-            raise ValueError(f"lambda_a must be non-negative, got {self.lambda_a}")
-        if self.gamma2_max < 1.0:
-            raise ValueError(f"gamma2_max must be >= 1, got {self.gamma2_max}")
-        if self.gravity <= 0.0:
-            raise ValueError(f"gravity must be positive, got {self.gravity}")
-        if self.accel_gate <= 0.0:
-            raise ValueError(f"accel_gate must be positive, got {self.accel_gate}")
+        if (Q.shape != (N_STATES, N_STATES) or not np.isfinite(Q).all()
+                or np.linalg.eigvalsh(Q).min() < 0.0):
+            raise ValueError("Q must be a finite 6x6 positive semi-definite matrix")
+        if (Ra.shape != (2, 2) or not np.isfinite(Ra).all()
+                or np.linalg.eigvalsh(Ra).min() <= 0.0):
+            raise ValueError("Ra_nominal must be a finite 2x2 positive definite matrix")
+        if not 0.0 < self.Rm < math.inf:
+            raise ValueError(f"Rm must be finite and > 0, got {self.Rm}")
+        if not 0.0 < self.tau_g < math.inf:
+            raise ValueError(f"tau_g must be finite and > 0, got {self.tau_g}")
+        if not 0.0 <= self.lambda_a < math.inf:
+            raise ValueError(f"lambda_a must be finite and >= 0, got {self.lambda_a}")
+        if not 1.0 <= self.gamma2_max < math.inf:
+            raise ValueError(f"gamma2_max must be finite and >= 1, got {self.gamma2_max}")
+        if not 0.0 < self.gravity < math.inf:
+            raise ValueError(f"gravity must be finite and > 0, got {self.gravity}")
+        if not 0.0 < self.accel_gate < math.inf:
+            raise ValueError(f"accel_gate must be finite and > 0, got {self.accel_gate}")
 
 
 def _symmetrize(P: np.ndarray) -> np.ndarray:
@@ -175,18 +177,6 @@ def time_update(fs: FilterState, q: Quaternion, dt: float,
     P = trans @ fs.P @ trans.T
     P += cfg.Q
     return FilterState(trans @ fs.x, _symmetrize(P))
-
-
-def adaptive_factor(accel, cfg: NoiseConfig) -> float:
-    """Measurement-noise multiplier for the current accelerometer sample.
-
-    Grows with | ||accel|| - g |, de-weighting the accelerometer while
-    the vehicle maneuvers; clamped to [1, gamma2_max] so the noise never
-    drops below nominal and stays finite. 1 means fully trusted.
-    """
-    ax, ay, az = float(accel[0]), float(accel[1]), float(accel[2])
-    gamma2 = cfg.lambda_a * abs(math.sqrt(ax * ax + ay * ay + az * az) - cfg.gravity)
-    return max(1.0, min(cfg.gamma2_max, gamma2))
 
 
 def _require_pd_2x2(a: float, b: float, c: float) -> None:

@@ -1,12 +1,12 @@
 """Direct Euler-angle measurements from accelerometer and magnetometer.
 
-The accelerometer gives roll/pitch from the gravity reaction, guarded by
-a specific-force norm gate that rejects samples taken under linear
-acceleration; it reads g from the `NoiseConfig` whose adaptive factor
-de-weights the samples that pass. The magnetometer gives yaw after tilt
-compensation with the roll/pitch of the same epoch. A gated or unusable
-sensor yields ``None`` for its angles: skipping a measurement is a
-normal outcome, not an error.
+The accelerometer gives roll/pitch from the gravity reaction, trusted as
+far as its deviation from gravity | ||f|| - g | allows: a norm gate
+rejects the sample, and below the gate the deviation sets the noise
+factor gamma^2, both tuned in `NoiseConfig`. The magnetometer gives yaw
+after tilt compensation with the roll/pitch of the same epoch. A gated
+or unusable sensor yields ``None``: skipping a measurement is a normal
+outcome, not an error.
 """
 
 from __future__ import annotations
@@ -20,13 +20,13 @@ if TYPE_CHECKING:
     from .dlkf import NoiseConfig
 
 
-def accel_roll_pitch(accel, cfg: NoiseConfig) -> Optional[Tuple[float, float]]:
-    """Roll and pitch measured from the specific-force vector (m/s^2).
+def accel_roll_pitch(accel, cfg: NoiseConfig) -> Optional[Tuple[float, float, float]]:
+    """Roll, pitch and noise factor gamma^2 from one specific-force sample (m/s^2).
 
-    Returns None when the sample is the zero vector or the norm gate
-    ``| ||f|| - g | <= accel_gate`` fails, i.e. when linear acceleration
-    makes the gravity direction unreliable. A non-finite sample fails
-    the gate too.
+    Returns None when the sample is zero, not finite or fails the norm
+    gate ``| ||f|| - g | <= accel_gate`` (linear acceleration makes the
+    gravity direction unreliable). Otherwise gamma^2, the factor on the
+    nominal roll/pitch noise, is lambda_a * | ||f|| - g | in [1, gamma2_max].
 
     The pitch expression atan2(ax, -az) is exact only at zero roll; at
     nonzero roll it is a small-roll approximation. Roll is exact for any
@@ -34,9 +34,11 @@ def accel_roll_pitch(accel, cfg: NoiseConfig) -> Optional[Tuple[float, float]]:
     """
     ax, ay, az = float(accel[0]), float(accel[1]), float(accel[2])
     norm = math.sqrt(ax * ax + ay * ay + az * az)
-    if norm == 0.0 or not abs(norm - cfg.gravity) <= cfg.accel_gate:
+    deviation = abs(norm - cfg.gravity)
+    if norm == 0.0 or not deviation <= cfg.accel_gate:
         return None
-    return math.atan2(-ay, -az), math.atan2(ax, -az)
+    gamma2 = max(1.0, min(cfg.gamma2_max, cfg.lambda_a * deviation))
+    return math.atan2(-ay, -az), math.atan2(ax, -az), gamma2
 
 
 def mag_yaw(mag, roll: float, pitch: float) -> Optional[float]:

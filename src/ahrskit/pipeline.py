@@ -22,8 +22,8 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .complementary import cf_update
-from .dlkf import (FilterState, NoiseConfig, accel_update, adaptive_factor,
-                   apply_correction, mag_update, time_update)
+from .dlkf import (FilterState, NoiseConfig, accel_update, apply_correction,
+                   mag_update, time_update)
 from .fasteuler import accel_roll_pitch, mag_yaw
 from .geometry import (EulerAngles, Quaternion, euler_to_quat, quat_to_euler,
                        wrap_pi)
@@ -50,15 +50,15 @@ class PipelineConfig:
         if self.algorithm not in _STEPS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}, "
                              f"expected one of {tuple(_STEPS)}")
-        if self.imu_rate_hz <= 0.0 or self.mag_rate_hz <= 0.0:
-            raise ValueError("sensor rates must be positive")
+        if not (0.0 < self.imu_rate_hz < math.inf and 0.0 < self.mag_rate_hz < math.inf):
+            raise ValueError("sensor rates must be finite and > 0")
         if self.mag_rate_hz > self.imu_rate_hz:
             raise ValueError(f"mag rate {self.mag_rate_hz} Hz cannot exceed "
                              f"IMU rate {self.imu_rate_hz} Hz")
-        if self.align_duration_s < 0.0:
-            raise ValueError("alignment duration must be non-negative")
-        if self.cf_kp < 0.0 or self.cf_ki < 0.0:
-            raise ValueError("CF gains must be non-negative")
+        if not 0.0 <= self.align_duration_s < math.inf:
+            raise ValueError("alignment duration must be finite and >= 0")
+        if not (0.0 <= self.cf_kp < math.inf and 0.0 <= self.cf_ki < math.inf):
+            raise ValueError("CF gains must be finite and >= 0")
 
 
 class AttitudeEstimate(NamedTuple):
@@ -109,6 +109,8 @@ def run_pipeline(records: Sequence[SensorRecord], cfg: PipelineConfig,
     """
     if not records:
         raise ValueError("no records to process")
+    if not math.isfinite(records[0].t):
+        raise ValueError(f"sample 0 (t={records[0].t}): timestamp not finite")
 
     n_align = 1  # without alignment the first sample only sets the clock
     q0, bias_seed = Quaternion.identity(), np.zeros(3)
@@ -157,19 +159,19 @@ def _dlkf_step(cfg, q0, bias_seed, on_epoch):
         prop = propagate(prop, rec.gyro, dt)
         est = quat_to_euler(prop.q)
 
-        rp = accel_roll_pitch(rec.accel, cfg.noise)
-        gamma2 = adaptive_factor(rec.accel, cfg.noise)
+        meas = accel_roll_pitch(rec.accel, cfg.noise)
         yaw_meas = None
         if mag_due:
             # tilt-compensate with the accel angles only while the
             # accel is fully trusted; a gated or de-weighted sample
             # would leak its linear-acceleration error into heading
-            tilt = rp if (rp is not None and gamma2 <= 1.0) else (est.roll, est.pitch)
+            tilt = meas if meas is not None and meas[2] <= 1.0 else (est.roll, est.pitch)
             yaw_meas = mag_yaw(rec.mag, tilt[0], tilt[1])
 
         fs = time_update(fs, prop.q, dt, cfg.noise)
-        if rp is not None:
-            z1 = (wrap_pi(rp[0] - est.roll), wrap_pi(rp[1] - est.pitch))
+        if meas is not None:
+            roll, pitch, gamma2 = meas
+            z1 = (wrap_pi(roll - est.roll), wrap_pi(pitch - est.pitch))
             fs = accel_update(fs, z1, gamma2 * cfg.noise.Ra_nominal)
         if yaw_meas is not None:
             fs = mag_update(fs, yaw_meas - est.yaw, cfg.noise.Rm)

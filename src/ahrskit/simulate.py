@@ -41,9 +41,11 @@ class TrajectorySpec:
         object.__setattr__(self, "segments", tuple(self.segments))
         if not self.segments:
             raise ValueError("trajectory must have at least one segment")
+        if not all(math.isfinite(a) for a in self.initial_attitude):
+            raise ValueError("initial attitude must be finite")
         for seg in self.segments:
-            if seg.duration <= 0.0:
-                raise ValueError(f"segment duration must be positive, got {seg.duration}")
+            if not 0.0 < seg.duration < math.inf:
+                raise ValueError("segment durations must be finite and > 0")
             if not all(math.isfinite(v) for v in (*seg.rate, *seg.accel)):
                 raise ValueError("segment rates and accelerations must be finite")
 
@@ -68,10 +70,12 @@ class GyroModel:
     sigma_white: float = 0.0
 
     def __post_init__(self):
-        if self.tau <= 0.0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
-        if self.sigma_markov < 0.0 or self.sigma_white < 0.0:
-            raise ValueError("noise densities must be non-negative")
+        if not all(math.isfinite(b) for b in self.bias):
+            raise ValueError("gyro bias must be finite")
+        if not 0.0 < self.tau < math.inf:
+            raise ValueError(f"tau must be finite and > 0, got {self.tau}")
+        if not all(0.0 <= s < math.inf for s in (self.sigma_markov, self.sigma_white)):
+            raise ValueError("noise densities must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -82,10 +86,10 @@ class AccelModel:
     gravity: float = 9.81
 
     def __post_init__(self):
-        if self.sigma_white < 0.0:
-            raise ValueError("sigma_white must be non-negative")
-        if self.gravity <= 0.0:
-            raise ValueError(f"gravity must be positive, got {self.gravity}")
+        if not 0.0 <= self.sigma_white < math.inf:
+            raise ValueError("sigma_white must be finite and >= 0")
+        if not 0.0 < self.gravity < math.inf:
+            raise ValueError(f"gravity must be finite and > 0, got {self.gravity}")
 
 
 def _default_field() -> Tuple[float, float, float]:
@@ -103,14 +107,14 @@ class MagModel:
     def __post_init__(self):
         f = np.asarray(self.field_ned, dtype=float)
         norm = np.linalg.norm(f)
-        if norm == 0.0:
-            raise ValueError("magnetic field direction cannot be zero")
+        if not 0.0 < norm < math.inf:
+            raise ValueError("magnetic field direction must be finite and non-zero")
         f = f / norm
         if np.hypot(f[0], f[1]) <= 1e-9:
             raise ValueError("magnetic field needs a horizontal component for heading")
         object.__setattr__(self, "field_ned", tuple(f))
-        if self.sigma_white < 0.0:
-            raise ValueError("sigma_white must be non-negative")
+        if not 0.0 <= self.sigma_white < math.inf:
+            raise ValueError("sigma_white must be finite and >= 0")
 
 
 class SensorRecord(NamedTuple):
@@ -132,8 +136,8 @@ def simulate(traj: TrajectorySpec, gyro_model: GyroModel, accel_model: AccelMode
     so replaying the noiseless stream through a rotation-vector
     integrator reproduces the truth attitude exactly.
     """
-    if rate <= 0.0:
-        raise ValueError(f"rate must be positive, got {rate}")
+    if not 0.0 < rate < math.inf:
+        raise ValueError(f"rate must be finite and > 0, got {rate}")
     dt = 1.0 / rate
 
     steps_per_seg = []

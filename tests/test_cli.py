@@ -110,6 +110,18 @@ class TestDiagnostics:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "not_a_key" in err
 
+    @pytest.mark.parametrize("line", ["segment = inf, 0, 0, 0, 0, 0, 0",
+                                      "rate_hz = inf", "rate_hz = nan",
+                                      "gravity = nan"])
+    def test_non_finite_scenario_value_exits_with_one_line(self, tmp_path, capsys,
+                                                           line):
+        (tmp_path / "bad.scn").write_text(f"segment = 1, 0, 0, 0, 0, 0, 0\n{line}\n")
+        log = tmp_path / "log.csv"
+        code = main(["sim", "--scenario", str(tmp_path / "bad.scn"), "--out", str(log)])
+        err = capsys.readouterr().err
+        assert code == 1 and not log.exists()
+        assert err.startswith("error:") and err.count("\n") == 1 and " finite" in err
+
     def test_eval_without_truth_columns(self, workspace, capsys):
         log = workspace / "log.csv"
         main(["sim", "--scenario", str(workspace / "hover.scn"), "--out", str(log)])

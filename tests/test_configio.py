@@ -9,7 +9,7 @@ from ahrskit.configio import (config_hash, load_pipeline_config, load_scenario,
                               parse_kv_lines, pipeline_config_from_text,
                               scenario_from_text)
 from ahrskit.pipeline import PipelineConfig
-from ahrskit.simulate import AccelModel, GyroModel, MagModel
+from ahrskit.simulate import AccelModel, GyroModel, MagModel, simulate
 
 FULL_CONFIG = """
 # benchmark tuning
@@ -153,6 +153,14 @@ class TestPipelineConfig:
                                  pipeline_config_from_text(""))
         assert changed == [field]
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    @pytest.mark.parametrize("key", [k for k in ONE_KEY if k != "algorithm"])
+    def test_non_finite_value_rejected(self, key, bad):
+        # the bad value replaces the first entry of a vector
+        value = ", ".join([bad, *ONE_KEY[key][0].split(",")[1:]])
+        with pytest.raises(ValueError, match=r"\bfinite"):
+            pipeline_config_from_text(f"{key} = {value}")
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config key 'qdiag'"):
             pipeline_config_from_text("qdiag = 1\n")
@@ -205,6 +213,16 @@ class TestScenario:
         a = scenario_fields(scenario_from_text(f"{SEGMENT}{key} = {value}\n"))
         b = scenario_fields(scenario_from_text(SEGMENT))
         assert [name for name in a if a[name] != b[name]] == [field]
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    @pytest.mark.parametrize("key", [*(k for k in ONE_SCENARIO_KEY if k != "seed"),
+                                     "segment"])
+    def test_non_finite_value_rejected(self, key, bad):
+        # the bad value replaces the first entry of a vector or segment
+        good = SEGMENT.split("=")[1] if key == "segment" else ONE_SCENARIO_KEY[key][0]
+        value = ", ".join([bad, *good.split(",")[1:]])
+        with pytest.raises(ValueError, match=r"\bfinite"):
+            simulate(*scenario_from_text(f"{SEGMENT}{key} = {value}\n"))
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ValueError, match="duplicate scenario key 'seed'"):

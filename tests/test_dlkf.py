@@ -1,12 +1,15 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ahrskit.benchmark import static_records
 from ahrskit.dlkf import (FilterState, NoiseConfig, accel_update,
-                          adaptive_factor, apply_correction,
-                          mag_update, time_update, transition_matrix)
+                          apply_correction, mag_update, time_update,
+                          transition_matrix)
 from ahrskit.fasteuler import accel_roll_pitch, mag_yaw
 from ahrskit.geometry import (Quaternion, euler_to_quat, EulerAngles,
                               quat_to_euler, wrap_pi)
@@ -73,43 +76,75 @@ class TestTimeUpdate:
             time_update(fs, Quaternion(*[np.nan] * 4), 0.01, NoiseConfig())
 
 
+def adaptive_factor(accel, cfg):
+    """Oracle: gamma^2 as the former dlkf.adaptive_factor computed it."""
+    ax, ay, az = float(accel[0]), float(accel[1]), float(accel[2])
+    gamma2 = cfg.lambda_a * abs(math.sqrt(ax * ax + ay * ay + az * az) - cfg.gravity)
+    return max(1.0, min(cfg.gamma2_max, gamma2))
+
+
+def gate_passes(accel, cfg):
+    """Oracle: the norm gate as accel_roll_pitch applied it before it
+    returned gamma^2 too."""
+    ax, ay, az = float(accel[0]), float(accel[1]), float(accel[2])
+    norm = math.sqrt(ax * ax + ay * ay + az * az)
+    return norm != 0.0 and abs(norm - cfg.gravity) <= cfg.accel_gate
+
+
+components = st.one_of(st.floats(-25.0, 25.0),
+                       st.sampled_from([0.0, math.nan, math.inf, -math.inf]))
+
+
 class TestAdaptiveRa:
+    """gamma^2, the accel-layer noise factor that accel_roll_pitch returns
+    with every gate-passing sample. Offsets beyond the default 0.5 m/s^2
+    gate need a wider gate to reach the factor at all."""
+
     def test_hover_returns_nominal(self):
         cfg = NoiseConfig(Ra_nominal=np.diag([0.5, 5.0]), gravity=9.81)
-        out = adaptive_factor((0.0, 0.0, -9.81), cfg) * cfg.Ra_nominal
+        out = accel_roll_pitch((0.0, 0.0, -9.81), cfg)[2] * cfg.Ra_nominal
         np.testing.assert_allclose(out, np.diag([0.5, 5.0]), rtol=1e-12)
 
     def test_two_ms2_offset_with_weight_five(self):
-        cfg = NoiseConfig(Ra_nominal=np.diag([0.5, 5.0]), lambda_a=5.0, gravity=9.81)
-        out = adaptive_factor((0.0, 0.0, -11.81), cfg) * cfg.Ra_nominal
+        cfg = NoiseConfig(Ra_nominal=np.diag([0.5, 5.0]), lambda_a=5.0, gravity=9.81,
+                          accel_gate=2.5)
+        out = accel_roll_pitch((0.0, 0.0, -11.81), cfg)[2] * cfg.Ra_nominal
         np.testing.assert_allclose(out, np.diag([5.0, 50.0]), rtol=1e-12)
 
     def test_monotone_in_norm_offset(self):
-        cfg = NoiseConfig()
+        cfg = NoiseConfig(accel_gate=30.0)
         offsets = np.linspace(0.0, 25.0, 60)
-        factors = [adaptive_factor((0.0, 0.0, -(9.81 + d)), cfg) for d in offsets]
+        factors = [accel_roll_pitch((0.0, 0.0, -(9.81 + d)), cfg)[2] for d in offsets]
         assert all(b >= a for a, b in zip(factors, factors[1:]))
 
     def test_clamped_to_ceiling_and_floor(self):
-        cfg = NoiseConfig(lambda_a=5.0, gamma2_max=100.0)
-        assert adaptive_factor((0.0, 0.0, -9.81), cfg) == 1.0
-        assert adaptive_factor((0.0, 0.0, -1000.0), cfg) == 100.0
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_sample_gets_ceiling(self, bad):
-        cfg = NoiseConfig(gamma2_max=50.0)
-        assert adaptive_factor((bad, 0.0, -9.81), cfg) == 50.0
-        assert adaptive_factor((0.0, 0.0, bad), cfg) == 50.0
+        cfg = NoiseConfig(lambda_a=5.0, gamma2_max=100.0, accel_gate=1e3)
+        assert accel_roll_pitch((0.0, 0.0, -9.81), cfg)[2] == 1.0
+        assert accel_roll_pitch((0.0, 0.0, -1000.0), cfg)[2] == 100.0
 
     def test_gate_and_factor_share_gravity(self):
         # one g centres both the norm gate and gamma^2; gate and weight
         # are set so that either one centred on 9.81 would reject or
         # de-weight a 9.78 sample
         cfg = NoiseConfig(gravity=9.78, accel_gate=0.02, lambda_a=50.0)
-        assert accel_roll_pitch((0.0, 0.0, -9.78), cfg) == (0.0, 0.0)
-        assert adaptive_factor((0.0, 0.0, -9.78), cfg) == 1.0
+        assert accel_roll_pitch((0.0, 0.0, -9.78), cfg) == (0.0, 0.0, 1.0)
         assert accel_roll_pitch((0.0, 0.0, -9.81), cfg) is None
-        assert adaptive_factor((0.0, 0.0, -9.81), cfg) > 1.0
+        wider = replace(cfg, accel_gate=0.05)
+        assert accel_roll_pitch((0.0, 0.0, -9.81), wider)[2] > 1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.tuples(components, components, components), st.floats(1.0, 20.0),
+           st.floats(0.01, 20.0), st.floats(0.0, 100.0), st.floats(1.0, 1e3))
+    def test_matches_former_gate_and_factor(self, accel, gravity, gate, lambda_a,
+                                            gamma2_max):
+        cfg = NoiseConfig(gravity=gravity, accel_gate=gate, lambda_a=lambda_a,
+                          gamma2_max=gamma2_max)
+        out = accel_roll_pitch(accel, cfg)
+        assert (out is None) == (not gate_passes(accel, cfg))
+        if out is not None:
+            ax, ay, az = accel
+            assert out == (math.atan2(-ay, -az), math.atan2(ax, -az),
+                           adaptive_factor(accel, cfg))
 
 
 class TestAccelUpdate:

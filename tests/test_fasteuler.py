@@ -44,7 +44,7 @@ def brute_force_yaw(roll, pitch, m_body, m_n):
 
 class TestAccelRollPitch:
     def test_level_gravity_only(self):
-        assert accel_roll_pitch((0.0, 0.0, -9.81), CFG) == (0.0, 0.0)
+        assert accel_roll_pitch((0.0, 0.0, -9.81), CFG) == (0.0, 0.0, 1.0)
 
     def test_thirty_degree_roll_literal_values(self):
         out = accel_roll_pitch((0.0, -4.905, -8.4957), CFG)
@@ -145,7 +145,7 @@ class TestFastEuler:
 
     def test_full_pass_level(self):
         rp = accel_roll_pitch((0.0, 0.0, -9.81), CFG)
-        assert rp == (0.0, 0.0)
+        assert rp == (0.0, 0.0, 1.0)
         yaw = mag_yaw((0.5, 0.0, 0.866), rp[0], rp[1])
         assert yaw == pytest.approx(0.0, abs=1e-12)
 

@@ -195,6 +195,14 @@ class TestErrors:
         with pytest.raises(ValueError, match=r"sample 700 .*timestamps"):
             run_pipeline(records, PipelineConfig(algorithm=algorithm, noise=MATCHED))
 
+    @pytest.mark.parametrize("align_s", [2.0, 0.0], ids=["aligned", "unaligned"])
+    def test_nan_first_timestamp_reported_as_timestamp_fault(self, align_s):
+        records = list(static_records(duration=4.0, seed=1))
+        records[0] = records[0]._replace(t=math.nan)
+        with pytest.raises(ValueError,
+                           match=r"^sample 0 \(t=nan\): timestamp not finite$"):
+            run_pipeline(records, PipelineConfig(align_duration_s=align_s))
+
     @pytest.mark.parametrize("algorithm", ["dlkf", "cf", "gyro-only"])
     @pytest.mark.parametrize("last_t, expected", [
         ("inf", r"error: sample 999 \(t=inf\): timestamps not finite"),
