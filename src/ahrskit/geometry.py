@@ -140,16 +140,18 @@ def euler_to_quat(e: EulerAngles) -> Quaternion:
 
 
 def quat_to_dcm(q: Quaternion) -> np.ndarray:
-    """3x3 body-to-navigation rotation matrix of a unit quaternion."""
+    """Body-to-navigation rotation matrix of a unit quaternion: 3x3 for float
+    components; for (N,) array components a contiguous (N, 3, 3) stack,
+    bit for bit the matrices of the N quaternions."""
     w, x, y, z = q
     xx, yy, zz = x * x, y * y, z * z
     wx, wy, wz = w * x, w * y, w * z
     xy, xz, yz = x * y, x * z, y * z
-    return np.array([
-        [1.0 - 2.0 * (yy + zz), 2.0 * (xy - wz), 2.0 * (xz + wy)],
-        [2.0 * (xy + wz), 1.0 - 2.0 * (xx + zz), 2.0 * (yz - wx)],
-        [2.0 * (xz - wy), 2.0 * (yz + wx), 1.0 - 2.0 * (xx + yy)],
-    ])
+    return np.ascontiguousarray(np.array([
+        1.0 - 2.0 * (yy + zz), 2.0 * (xy - wz), 2.0 * (xz + wy),
+        2.0 * (xy + wz), 1.0 - 2.0 * (xx + zz), 2.0 * (yz - wx),
+        2.0 * (xz - wy), 2.0 * (yz + wx), 1.0 - 2.0 * (xx + yy),
+    ]).T).reshape(np.shape(w) + (3, 3))
 
 
 def wrap_yaw(psi: float) -> float:

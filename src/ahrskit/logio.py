@@ -68,7 +68,8 @@ def write_log(path, records: Sequence[SensorRecord]) -> None:
             if (rec.truth is not None) != with_truth:
                 raise ValueError(f"record at t={rec.t}: truth must be present for "
                                  "all records or none")
-            yield (rec.t, *rec.gyro, *rec.accel, *rec.mag, *(rec.truth or ()))
+            yield (rec.t, *rec.gyro.tolist(), *rec.accel.tolist(), *rec.mag.tolist(),
+                   *(rec.truth or ()))
 
     _write_table(path, LOG_TRUTH_HEADER if with_truth else LOG_HEADER, rows())
 
@@ -85,7 +86,7 @@ def read_log(path) -> List[SensorRecord]:
 def write_estimates(path, estimates: Sequence[AttitudeEstimate]) -> None:
     if not estimates:
         raise ValueError("refusing to write an empty estimate file")
-    _write_table(path, EST_HEADER, ((e.t, *e.euler, *e.q, *e.gyro_bias)
+    _write_table(path, EST_HEADER, ((e.t, *e.euler, *e.q, *e.gyro_bias.tolist())
                                     for e in estimates))
 
 

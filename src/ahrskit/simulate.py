@@ -6,12 +6,20 @@ exactly (one rotation-vector step per sample). Sensor errors follow a
 constant-plus-first-order-Markov gyro bias with white noise, white
 accelerometer noise on the specific force, and white noise on a rotated
 unit magnetic field. Output is bit-reproducible for a given seed.
+
+Only the recursions run per sample, on Python floats: the attitude, one
+`quat_multiply` per step, with its truth angles (NumPy's arcsin and
+arctan2 round differently from `math`'s), and the Markov drift. The DCMs
+and sensor columns are computed over the whole log at once, bit for bit
+equal to computing them one sample at a time.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -155,29 +163,36 @@ def simulate(traj: TrajectorySpec, gyro_model: GyroModel, accel_model: AccelMode
     accel_w = rng.normal(0.0, accel_model.sigma_white * math.sqrt(rate), (n_total, 3))
     mag_w = rng.normal(0.0, mag_model.sigma_white * math.sqrt(rate), (n_total, 3))
 
-    bias0 = np.asarray(gyro_model.bias, dtype=float)
-    field_n = np.asarray(mag_model.field_ned, dtype=float)
-    gravity = accel_model.gravity
-    markov_decay = 1.0 - dt / gyro_model.tau
-
+    # per sample, on floats: the attitude with its truth angles
+    rates = np.array([seg.rate for seg in traj.segments], dtype=float)
     q = euler_to_quat(traj.initial_attitude)
-    drift = np.zeros(3)
-    records: List[SensorRecord] = []
-    k = 0
-    for seg, n_steps in zip(traj.segments, steps_per_seg):
-        omega = np.asarray(seg.rate, dtype=float)
-        lin_acc = np.asarray(seg.accel, dtype=float)
-        step_quat = rotvec_to_quat(omega * dt)
+    quats, truth = array("d"), []
+    for seg_rate, n_steps in zip(rates, steps_per_seg):
+        step_quat = rotvec_to_quat(seg_rate * dt)
         for _ in range(n_steps):
             q = quat_multiply(q, step_quat)
-            cbn = quat_to_dcm(q)
-            gyro = omega + bias0 + drift + gyro_w[k]
-            drift = markov_decay * drift + markov_w[k]
-            accel = -gravity * cbn[2, :] + lin_acc + accel_w[k]
-            mag = cbn.T @ field_n + mag_w[k]
-            k += 1
-            records.append(SensorRecord(k * dt, gyro, accel, mag, quat_to_euler(q)))
-    return records
+            quats.extend(q)
+            truth.append(quat_to_euler(q))
+    # and the Markov drift; sample k carries the state before its update
+    markov_decay = 1.0 - dt / gyro_model.tau
+    drift = np.zeros((n_total, 3))
+    if gyro_model.sigma_markov > 0.0:  # else every drift term is exactly 0.0
+        drift = np.array([list(accumulate(w, lambda d, w: markov_decay * d + w, initial=0.0))
+                          for w in markov_w[:-1].T.tolist()]).T
+
+    cbn = quat_to_dcm(np.frombuffer(quats).reshape(n_total, 4).T)
+    omega = np.repeat(rates, steps_per_seg, axis=0)
+    lin_acc = np.repeat(np.array([seg.accel for seg in traj.segments], dtype=float),
+                        steps_per_seg, axis=0)
+    gyro = omega + np.asarray(gyro_model.bias, dtype=float) + drift + gyro_w
+    accel = -accel_model.gravity * cbn[:, 2, :] + lin_acc + accel_w
+    # matmul on the contiguous stack runs BLAS per sample, as `cbn.T @ field`
+    # did, so the bits match; einsum or a strided stack round differently
+    mag = np.asarray(mag_model.field_ned, dtype=float) @ cbn + mag_w
+    # free the work arrays before the N records are built: this sets the peak
+    del cbn, quats, omega, lin_acc, drift, markov_w, gyro_w, accel_w, mag_w
+    t = (np.arange(1, n_total + 1) * dt).tolist()
+    return list(map(SensorRecord, t, gyro, accel, mag, truth))
 
 
 def truth_array(records: Sequence[SensorRecord]) -> np.ndarray:

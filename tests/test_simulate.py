@@ -1,15 +1,159 @@
+import hashlib
+import importlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import ahrskit
 from ahrskit.geometry import (EulerAngles, euler_to_quat, quat_multiply,
-                              quat_to_euler, rotvec_to_quat)
+                              quat_to_dcm, quat_to_euler, rotvec_to_quat)
 from ahrskit.simulate import (AccelModel, GyroModel, MagModel, Segment,
                               SensorRecord, TrajectorySpec, simulate,
                               truth_array)
 
+from test_golden import golden_records
+
 QUIET = (GyroModel(), AccelModel(), MagModel())
+
+
+def markov_records():
+    """60 s with Markov drift from a non-zero initial attitude."""
+    traj = TrajectorySpec((Segment(20.0, (0.2, -0.1, 0.05)),
+                           Segment(40.0, (-0.05, 0.1, -0.3), (0.5, -1.0, 0.2))),
+                          initial_attitude=EulerAngles(0.4, -0.3, 2.0))
+    gm = GyroModel(bias=(0.01, -0.02, 0.005), tau=0.5, sigma_markov=1e-3,
+                   sigma_white=1e-3)
+    return simulate(traj, gm, AccelModel(sigma_white=0.01), MagModel(sigma_white=0.002),
+                    rate=100.0, seed=3)
+
+
+def field_records():
+    """Several segments under a non-default gravity and field direction."""
+    traj = TrajectorySpec((Segment(1.0, (0.0, 0.0, 0.0)),
+                           Segment(2.0, (0.3, 0.0, 0.0), (1.0, 0.0, 0.0)),
+                           Segment(1.5, (0.0, -0.4, 0.6)),
+                           Segment(0.5, (1.0, 1.0, -1.0), (0.0, 2.0, -3.0))),
+                          initial_attitude=EulerAngles(-0.2, 0.1, 5.0))
+    return simulate(traj, GyroModel(sigma_white=0.002), AccelModel(0.02, gravity=9.78),
+                    MagModel((0.3, -0.2, 0.9), sigma_white=0.003), rate=400.0, seed=8)
+
+
+def records_digest(records):
+    """sha256 of the float64 bytes of the t, gyro, accel, mag and truth columns."""
+    h = hashlib.sha256()
+    for column in (np.array([r.t for r in records]), np.array([r.gyro for r in records]),
+                   np.array([r.accel for r in records]), np.array([r.mag for r in records]),
+                   truth_array(records)):
+        h.update(np.ascontiguousarray(column, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+# Digests of the per-sample simulator (one DCM and one `cbn.T @ field`
+# per sample), which the column form must reproduce bit for bit.
+SIMULATED = {
+    "golden": (golden_records,
+               "7d62584fa714656c80f8abf30a0b2f251bf8fd0e1ebc9d7ae1c605415b23c291"),
+    "markov": (markov_records,
+               "791724dd66ee572fb8ab5384006344cdbb208c54305893fc1452a7f84e6b5853"),
+    "field": (field_records,
+              "3d44a522fa83cb68bface785d52be80fc0882dafe78ceb7ae6a56debd9a804a5"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIMULATED))
+def test_output_bit_identical(name):
+    make, digest = SIMULATED[name]
+    assert records_digest(make()) == digest
+
+
+def reference_simulate(traj, gyro_model, accel_model, mag_model, rate, seed):
+    """The simulator one sample at a time: one DCM, one `cbn.T @ field`
+    and three new arrays per sample."""
+    dt = 1.0 / rate
+    steps_per_seg = [round(seg.duration * rate) for seg in traj.segments]
+    n_total = sum(steps_per_seg)
+    rng = np.random.default_rng(seed)
+    markov_w = rng.normal(0.0, gyro_model.sigma_markov * math.sqrt(dt), (n_total, 3))
+    gyro_w = rng.normal(0.0, gyro_model.sigma_white * math.sqrt(rate), (n_total, 3))
+    accel_w = rng.normal(0.0, accel_model.sigma_white * math.sqrt(rate), (n_total, 3))
+    mag_w = rng.normal(0.0, mag_model.sigma_white * math.sqrt(rate), (n_total, 3))
+    bias0 = np.asarray(gyro_model.bias, dtype=float)
+    field_n = np.asarray(mag_model.field_ned, dtype=float)
+    markov_decay = 1.0 - dt / gyro_model.tau
+    q = euler_to_quat(traj.initial_attitude)
+    drift = np.zeros(3)
+    records = []
+    for seg, n_steps in zip(traj.segments, steps_per_seg):
+        omega = np.asarray(seg.rate, dtype=float)
+        lin_acc = np.asarray(seg.accel, dtype=float)
+        step_quat = rotvec_to_quat(omega * dt)
+        for _ in range(n_steps):
+            q = quat_multiply(q, step_quat)
+            cbn = quat_to_dcm(q)
+            k = len(records)
+            gyro = omega + bias0 + drift + gyro_w[k]
+            drift = markov_decay * drift + markov_w[k]
+            accel = -accel_model.gravity * cbn[2, :] + lin_acc + accel_w[k]
+            mag = cbn.T @ field_n + mag_w[k]
+            records.append(SensorRecord((k + 1) * dt, gyro, accel, mag, quat_to_euler(q)))
+    return records
+
+
+small = st.floats(-3.0, 3.0)
+triples = st.tuples(small, small, small)
+segments = st.builds(Segment, st.floats(0.02, 0.3), triples,
+                     st.one_of(st.just((0.0, 0.0, 0.0)), triples))
+densities = st.one_of(st.just(0.0), st.floats(1e-6, 0.1))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(segments, min_size=1, max_size=4), triples,
+       st.builds(GyroModel, st.tuples(*[st.floats(-0.1, 0.1)] * 3), st.floats(1e-3, 100.0),
+                 densities, densities),
+       st.builds(AccelModel, densities, st.floats(1.0, 20.0)),
+       st.builds(MagModel, triples.filter(lambda f: math.hypot(f[0], f[1]) > 0.1),
+                 densities),
+       st.floats(50.0, 500.0), st.integers(0, 2 ** 32))
+def test_matches_per_sample_reference(segs, attitude, gm, am, mm, rate, seed):
+    traj = TrajectorySpec(segs, EulerAngles(*attitude))
+    out = simulate(traj, gm, am, mm, rate, seed)
+    ref = reference_simulate(traj, gm, am, mm, rate, seed)
+    assert records_digest(out) == records_digest(ref)
+    assert all(type(r.t) is float and type(r.truth) is EulerAngles for r in out)
+
+
+def test_one_dcm_call_per_simulate(monkeypatch):
+    """The DCM, accel and mag synthesis runs over the whole log at once."""
+    calls = []
+
+    def counted(q):
+        calls.append(q)
+        return quat_to_dcm(q)
+
+    # the package exports the function `simulate` under its module's name
+    monkeypatch.setattr(importlib.import_module("ahrskit.simulate"), "quat_to_dcm", counted)
+    assert len(golden_records()) > 1
+    assert len(calls) <= 1
+
+
+def test_import_loads_no_scipy():
+    """NumPy is the only dependency, and importing scipy.signal would add
+    over a second to every process that imports ahrskit."""
+    src = str(Path(ahrskit.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys, ahrskit\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=60, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_noiseless_static_level_output():
