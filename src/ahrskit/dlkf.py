@@ -7,6 +7,15 @@ corrects roll/pitch, the magnetometer layer corrects yaw on the output
 of the first layer, so the two layers together equal one joint update
 while tolerating sensors that arrive at different rates.
 
+The filter state is held as Python floats: six for x and the 21 of the
+upper triangle of the symmetric covariance P. At this size one NumPy
+call costs more than the arithmetic it does, so every layer works on the
+packed floats, exploits the block structure of the transition and the
+sparsity of the measurement matrices, and computes each covariance entry
+once. Storing one triangle keeps P exactly symmetric, which removes the
+usual weakness of the standard form P - K H P that both measurement
+layers use.
+
 Measurements follow the convention ``z = measured - estimated``, so the
 converged state is the correction to add to the current estimate.
 All functions are pure: they return new states and never mutate inputs.
@@ -15,8 +24,9 @@ All functions are pure: they return new states and never mutate inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import NamedTuple, Tuple
+from dataclasses import dataclass, field, fields
+from operator import itemgetter
+from typing import Tuple
 
 import numpy as np
 
@@ -31,20 +41,65 @@ _DEG2RAD_SQ = (math.pi / 180.0) ** 2
 # the magnetometer layer observes the yaw error state.
 YAW_STATE = 2
 
-_IDENTITY = np.eye(N_STATES)  # never written: mag_update works on a copy
+# Packed covariance: the upper triangle row by row, P00..P05, P11..P15,
+# P22..P25, P33..P35, P44, P45, P55. _UNPACK holds the packed index of
+# every entry of the full matrix.
+_ROWS, _COLS = (tuple(a.tolist()) for a in np.triu_indices(N_STATES))
+_UNPACK = np.empty((N_STATES, N_STATES), dtype=np.intp)
+_UNPACK[_ROWS, _COLS] = _UNPACK[_COLS, _ROWS] = np.arange(len(_ROWS))
+# columns 0, 1 and 2 of P, the ones the measurement layers observe
+_column0, _column1, _column2 = (itemgetter(*_UNPACK[k].tolist()) for k in range(3))
+_ZERO_X = (0.0,) * N_STATES
 
 
-class FilterState(NamedTuple):
-    """Error state (6,) and covariance (6, 6)."""
+def _pack(P: np.ndarray) -> tuple:
+    """The upper triangle of (P + P^T) / 2; a symmetric P packs unchanged."""
+    return tuple(((P + P.T) * 0.5)[_ROWS, _COLS].tolist())
 
-    x: np.ndarray
-    P: np.ndarray
+
+class FilterState:
+    """Error state (6,) and covariance (6, 6), stored as Python floats.
+
+    Built from arrays, it keeps x as six floats and P as the 21 floats of
+    the upper triangle of (P + P^T) / 2. `x` and `P` unpack them into new
+    arrays on every read, so a symmetric P round-trips bit for bit.
+    """
+
+    __slots__ = ("_x", "_p")
+
+    def __init__(self, x, P):
+        x = np.asarray(x, dtype=float)
+        P = np.asarray(P, dtype=float)
+        if x.shape != (N_STATES,) or P.shape != (N_STATES, N_STATES):
+            raise ValueError(f"x must be a 6-vector and P a 6x6 matrix, "
+                             f"got shapes {x.shape} and {P.shape}")
+        self._x = tuple(x.tolist())
+        self._p = _pack(P)
 
     @classmethod
     def initial(cls) -> "FilterState":
         # zero error state, identity covariance; like the noise defaults
         # the identity is denominated in degrees and stored in rad^2
-        return cls(np.zeros(N_STATES), np.eye(N_STATES) * _DEG2RAD_SQ)
+        return _packed(_ZERO_X, tuple([_DEG2RAD_SQ if i == j else 0.0
+                                       for i, j in zip(_ROWS, _COLS)]))
+
+    @property
+    def x(self) -> np.ndarray:
+        return np.array(self._x)
+
+    @property
+    def P(self) -> np.ndarray:
+        return np.array(self._p)[_UNPACK]
+
+    def __repr__(self) -> str:
+        return f"FilterState(x={self.x!r}, P={self.P!r})"
+
+
+def _packed(x: tuple, p: tuple) -> FilterState:
+    """A FilterState around tuples the layers computed, without conversion."""
+    fs = object.__new__(FilterState)
+    fs._x, fs._p = x, p
+    return fs
 
 
 def _default_Q() -> np.ndarray:
@@ -87,7 +142,9 @@ class NoiseConfig:
     accel_gate: float = 0.5
 
     def __post_init__(self):
-        Q = np.asarray(self.Q, dtype=float)
+        # a read-only copy: time_update reads Q from its packed form below
+        Q = np.array(self.Q, dtype=float)
+        Q.flags.writeable = False
         Ra = np.asarray(self.Ra_nominal, dtype=float)
         object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "Ra_nominal", Ra)
@@ -109,26 +166,22 @@ class NoiseConfig:
             raise ValueError(f"gravity must be finite and > 0, got {self.gravity}")
         if not 0.0 < self.accel_gate < math.inf:
             raise ValueError(f"accel_gate must be finite and > 0, got {self.accel_gate}")
+        object.__setattr__(self, "_Q_packed", _pack(Q))
+
+    def __reduce__(self):
+        # copies and pickles are rebuilt through __init__, so each gets
+        # its own read-only Q and the packed form that matches it
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
-def _symmetrize(P: np.ndarray) -> np.ndarray:
-    """Symmetrize a covariance this module just computed, in place."""
-    P += P.T.copy()  # an explicit copy is cheaper than NumPy's overlap check
-    P *= 0.5
-    return P
+def time_update(fs: FilterState, q: Quaternion, dt: float,
+                cfg: NoiseConfig) -> FilterState:
+    """Propagate state and covariance one step at attitude `q`.
 
+    First-order discretization of the error dynamics:
 
-def _all_finite(*arrays) -> bool:
-    # A sum of squares is finite only if every entry is, so one cheap
-    # product per array settles the common case; the exact test runs
-    # only when that sum is not finite (a bad entry, or an overflow).
-    if math.isfinite(sum(np.vdot(a, a) for a in arrays)):
-        return True
-    return all(np.isfinite(a).all() for a in arrays)
-
-
-def transition_matrix(q: Quaternion, dt: float, tau_g: float) -> np.ndarray:
-    """First-order discretization of the error dynamics, built in one call.
+        F = [ I   G   ]    G = -E(roll, pitch) dt,  d = 1 - dt/tau_g
+            [ 0   d I ]
 
     Attitude errors integrate the residual body-frame bias mapped to
     Euler-angle rates; the bias states decay with the Markov time
@@ -140,13 +193,16 @@ def transition_matrix(q: Quaternion, dt: float, tau_g: float) -> np.ndarray:
     at any heading. E is singular at pitch +-90 deg; the pitch cosine is
     floored at 1e-6 (error-state operation stays far from gimbal lock).
 
-        [ I   -E dt            ]
-        [ 0   (1 - dt/tau_g) I ]
+    With P = [[A, B], [B^T, C]] and M = B + G C, F P F^T + Q is computed
+    by blocks: A' = (A + G B^T) + M G^T, B' = d M, C' = (d C) d, each sum
+    taken in the order of the full matrix product.
     """
-    w, x, y, z = q
-    c20 = 2.0 * (x * z - w * y)  # quat_to_dcm's expressions
-    c21 = 2.0 * (y * z + w * x)
-    c22 = 1.0 - 2.0 * (x * x + y * y)
+    if not dt > 0.0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    w, qx, qy, qz = q
+    c20 = 2.0 * (qx * qz - w * qy)  # quat_to_dcm's expressions
+    c21 = 2.0 * (qy * qz + w * qx)
+    c22 = 1.0 - 2.0 * (qx * qx + qy * qy)
     sin_pitch = -c20
     cos_pitch = math.hypot(c21, c22)
     if cos_pitch < 1e-6:
@@ -154,29 +210,44 @@ def transition_matrix(q: Quaternion, dt: float, tau_g: float) -> np.ndarray:
     sin_roll = c21 / cos_pitch
     cos_roll = c22 / cos_pitch
     tan_pitch = sin_pitch / cos_pitch
-    decay = 1.0 - dt / tau_g
-    return np.array((
-        1.0, 0.0, 0.0, -dt, -sin_roll * tan_pitch * dt, -cos_roll * tan_pitch * dt,
-        0.0, 1.0, 0.0, 0.0, -cos_roll * dt, sin_roll * dt,
-        0.0, 0.0, 1.0, 0.0, -sin_roll / cos_pitch * dt, -cos_roll / cos_pitch * dt,
-        0.0, 0.0, 0.0, decay, 0.0, 0.0,
-        0.0, 0.0, 0.0, 0.0, decay, 0.0,
-        0.0, 0.0, 0.0, 0.0, 0.0, decay,
-    ), dtype=float).reshape(N_STATES, N_STATES)
+    # G's first column is (-dt, 0, 0)
+    g00, g01, g02 = -dt, -sin_roll * tan_pitch * dt, -cos_roll * tan_pitch * dt
+    g11, g12 = -cos_roll * dt, sin_roll * dt
+    g21, g22 = -sin_roll / cos_pitch * dt, -cos_roll / cos_pitch * dt
+    d = 1.0 - dt / cfg.tau_g
 
-
-def time_update(fs: FilterState, q: Quaternion, dt: float,
-                cfg: NoiseConfig) -> FilterState:
-    """Propagate state and covariance one step at attitude `q`."""
-    if not dt > 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    trans = transition_matrix(q, dt, cfg.tau_g)
-    # a non-finite q or dt shows up in trans
-    if not _all_finite(fs.x, fs.P, trans):
+    x0, x1, x2, x3, x4, x5 = fs._x
+    (a00, a01, a02, b00, b01, b02, a11, a12, b10, b11, b12,
+     a22, b20, b21, b22, c00, c01, c02, c11, c12, c22) = fs._p
+    m00 = b00 + g00 * c00 + g01 * c01 + g02 * c02
+    m01 = b01 + g00 * c01 + g01 * c11 + g02 * c12
+    m02 = b02 + g00 * c02 + g01 * c12 + g02 * c22
+    m10 = b10 + g11 * c01 + g12 * c02
+    m11 = b11 + g11 * c11 + g12 * c12
+    m12 = b12 + g11 * c12 + g12 * c22
+    m20 = b20 + g21 * c01 + g22 * c02
+    m21 = b21 + g21 * c11 + g22 * c12
+    m22 = b22 + g21 * c12 + g22 * c22
+    x = (x0 + g00 * x3 + g01 * x4 + g02 * x5, x1 + g11 * x4 + g12 * x5,
+         x2 + g21 * x4 + g22 * x5, d * x3, d * x4, d * x5)
+    p = tuple([pij + qij for pij, qij in zip((
+        a00 + g00 * b00 + g01 * b01 + g02 * b02 + m00 * g00 + m01 * g01 + m02 * g02,
+        a01 + g00 * b10 + g01 * b11 + g02 * b12 + m01 * g11 + m02 * g12,
+        a02 + g00 * b20 + g01 * b21 + g02 * b22 + m01 * g21 + m02 * g22,
+        d * m00, d * m01, d * m02,
+        a11 + g11 * b11 + g12 * b12 + m11 * g11 + m12 * g12,
+        a12 + g11 * b21 + g12 * b22 + m11 * g21 + m12 * g22,
+        d * m10, d * m11, d * m12,
+        a22 + g21 * b21 + g22 * b22 + m21 * g21 + m22 * g22,
+        d * m20, d * m21, d * m22,
+        d * c00 * d, d * c01 * d, d * c02 * d, d * c11 * d, d * c12 * d, d * c22 * d,
+    ), cfg._Q_packed)])
+    # a non-finite input leaves a non-finite output; only then look at
+    # the inputs, as an overflow is no error of theirs
+    if not math.isfinite(sum(p, sum(x))) and not all(
+            map(math.isfinite, (*fs._x, *fs._p, *q, dt))):
         raise ValueError("time_update inputs must be finite")
-    P = trans @ fs.P @ trans.T
-    P += cfg.Q
-    return FilterState(trans @ fs.x, _symmetrize(P))
+    return _packed(x, p)
 
 
 def _require_pd_2x2(a: float, b: float, c: float) -> None:
@@ -194,32 +265,32 @@ def accel_update(fs: FilterState, z1, Ra) -> FilterState:
     """First measurement layer: roll/pitch error observation.
 
     z1 is the 2-vector (measured - estimated) of roll and pitch, rad.
-    With H selecting the roll/pitch states, HP is the first two rows P2
-    of P and S = P[:2, :2] + Ra, so the gain K = P H^T S^-1 comes from
-    the closed-form inverse of the 2x2 S. The covariance uses the Joseph
-    form for numerical robustness, expanded for this H as
-    P - K P2 - (K P2)^T + K S K^T.
+    With H selecting the roll/pitch states, P H^T is columns 0 and 1 of
+    the packed P and S = P[:2, :2] + Ra, so the gain K = P H^T S^-1
+    comes from the closed-form inverse of the 2x2 S. The covariance
+    takes the standard form P - K (P H^T)^T, a rank-2 update computed
+    on the packed upper triangle.
     """
     Ra = np.asarray(Ra, dtype=float)
     if Ra.shape != (2, 2):
         raise ValueError(f"Ra must be a 2x2 matrix, got shape {Ra.shape}")
     (r00, r01), (r10, r11) = Ra.tolist()
     _require_pd_2x2(r00, r10, r11)
-    x, P = fs
-    (p00, p01), (p10, p11) = P[:2, :2].tolist()
-    s00, s01, s10, s11 = p00 + r00, p01 + r01, p10 + r10, p11 + r11
+    x, p = fs._x, fs._p
+    h0, h1 = _column0(p), _column1(p)
+    s00, s01, s10, s11 = h0[0] + r00, h0[1] + r01, h1[0] + r10, h1[1] + r11
     det = s00 * s11 - s01 * s10
     if det == 0.0:
         raise ValueError("innovation covariance is singular")
     inv_det = 1.0 / det
-    gain = P[:, :2] @ np.array(((s11 * inv_det, -s01 * inv_det),
-                                (-s10 * inv_det, s00 * inv_det)), dtype=float)
-    x = x + gain @ (float(z1[0]) - x[0], float(z1[1]) - x[1])
-    kp2 = gain @ P[:2]
-    P = P - kp2
-    P -= kp2.T
-    P += gain @ np.array(((s00, s01), (s10, s11)), dtype=float) @ gain.T
-    return FilterState(x, _symmetrize(P))
+    i00, i01, i10, i11 = s11 * inv_det, -s01 * inv_det, -s10 * inv_det, s00 * inv_det
+    k0 = [a * i00 + b * i10 for a, b in zip(h0, h1)]
+    k1 = [a * i01 + b * i11 for a, b in zip(h0, h1)]
+    e0, e1 = float(z1[0]) - x[0], float(z1[1]) - x[1]
+    x = tuple([xi + (a * e0 + b * e1) for xi, a, b in zip(x, k0, k1)])
+    p = tuple([pij - (k0[i] * h0[j] + k1[i] * h1[j])
+               for pij, i, j in zip(p, _ROWS, _COLS)])
+    return _packed(x, p)
 
 
 def mag_update(fs: FilterState, z2: float, Rm: float) -> FilterState:
@@ -227,18 +298,22 @@ def mag_update(fs: FilterState, z2: float, Rm: float) -> FilterState:
 
     Runs on the output of accel_update so the pair is equivalent to one
     joint update. The innovation is wrapped to (-pi, pi] so headings on
-    either side of north never produce a near-360-degree residual.
+    either side of north never produce a near-360-degree residual. H
+    selects the yaw state, so P H^T is column 2 of P, the gain is that
+    column over its scalar innovation variance s, and the covariance
+    takes the standard form P - K (P H^T)^T, a rank-1 update computed on
+    the packed upper triangle.
     """
-    if Rm <= 0.0:
+    if not Rm > 0.0:
         raise ValueError(f"Rm must be positive, got {Rm}")
-    s = fs.P[YAW_STATE, YAW_STATE] + Rm
-    gain = fs.P[:, YAW_STATE] / s
-    innov = wrap_pi(float(z2) - fs.x[YAW_STATE])
-    x = fs.x + gain * innov
-    ikh = _IDENTITY.copy()
-    ikh[:, YAW_STATE] -= gain
-    P = ikh @ fs.P @ ikh.T + np.outer(gain, gain) * Rm
-    return FilterState(x, _symmetrize(P))
+    x, p = fs._x, fs._p
+    h = _column2(p)
+    s = h[YAW_STATE] + Rm
+    gain = [hi / s for hi in h]
+    innov = wrap_pi(float(z2) - x[YAW_STATE])
+    x = tuple([xi + ki * innov for xi, ki in zip(x, gain)])
+    p = tuple([pij - gain[i] * h[j] for pij, i, j in zip(p, _ROWS, _COLS)])
+    return _packed(x, p)
 
 
 def apply_correction(prop: PropagatorState, fs: FilterState,
@@ -253,13 +328,12 @@ def apply_correction(prop: PropagatorState, fs: FilterState,
     propagate() subtracts. The covariance is kept: only the state
     expectation moves to zero.
     """
-    dx = fs.x.tolist()
+    dx = fs._x
     if not any(dx):
         return prop, fs
     corrected = EulerAngles(wrap_pi(est.roll + dx[0]),
                             est.pitch + dx[1],
                             wrap_yaw(est.yaw + dx[2]))
     q = euler_to_quat(corrected)
-    bias = prop.bias + fs.x[3:6]
-    return (PropagatorState(q, bias),
-            FilterState(np.zeros(N_STATES), fs.P))
+    bias = prop.bias + dx[3:6]
+    return PropagatorState(q, bias), _packed(_ZERO_X, fs._p)

@@ -1,15 +1,17 @@
+import copy
 import math
+import pickle
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ahrskit.benchmark import static_records
 from ahrskit.dlkf import (FilterState, NoiseConfig, accel_update,
-                          apply_correction, mag_update, time_update,
-                          transition_matrix)
+                          apply_correction, mag_update, time_update)
 from ahrskit.fasteuler import accel_roll_pitch, mag_yaw
 from ahrskit.geometry import (Quaternion, euler_to_quat, EulerAngles,
                               quat_to_euler, wrap_pi)
@@ -37,6 +39,38 @@ def assert_valid_covariance(P):
     assert np.linalg.eigvalsh(P).min() >= -1e-10
 
 
+class TestFilterState:
+    @settings(deadline=None)
+    @given(arrays(np.float64, (6, 6), elements=st.floats(-1.0, 1.0)),
+           st.floats(-12.0, 2.0), arrays(np.float64, 6, elements=st.floats(-1e3, 1e3)))
+    def test_round_trips_bit_for_bit(self, a, exponent, x):
+        P = (a @ a.T + 0.01 * np.eye(6)) * 10.0 ** exponent
+        P = np.triu(P) + np.triu(P, 1).T  # symmetric to the last bit
+        fs = FilterState(x, P)
+        for got, want in ((fs.x, x), (fs.P, P)):
+            assert isinstance(got, np.ndarray) and got.dtype == np.float64
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        fs.P[0, 0] = fs.x[0] = 99.0  # each read is a new array
+        assert fs.P.tobytes() == P.tobytes() and fs.x.tobytes() == x.tobytes()
+
+    def test_stores_the_symmetric_part(self):
+        P = np.eye(6)
+        P[0, 1], P[1, 0] = 1.0, 0.5
+        out = FilterState(np.zeros(6), P).P
+        assert out[0, 1] == out[1, 0] == 0.75
+
+    def test_rejects_wrong_shapes(self):
+        with pytest.raises(ValueError, match="6x6"):
+            FilterState(np.zeros(6), np.eye(5))
+        with pytest.raises(ValueError, match="6-vector"):
+            FilterState(np.zeros(3), np.eye(6))
+
+    def test_initial_is_one_degree_squared_identity(self):
+        fs = FilterState.initial()
+        np.testing.assert_array_equal(fs.x, np.zeros(6))
+        np.testing.assert_array_equal(fs.P, np.eye(6) * (math.pi / 180.0) ** 2)
+
+
 class TestTimeUpdate:
     def test_zero_state_is_fixed_point(self):
         fs = FilterState(np.zeros(6), np.eye(6))
@@ -62,7 +96,12 @@ class TestTimeUpdate:
         assert out.x[0] == pytest.approx(-b * 0.004, rel=1e-12)
 
     def test_transition_reduces_to_identity_coupling_when_level(self):
-        trans = transition_matrix(Quaternion.identity(), 0.01, 50.0)
+        # column k of the transition is the propagated unit state e_k
+        cfg = NoiseConfig(Q=np.zeros((6, 6)), tau_g=50.0)
+        trans = np.column_stack([
+            time_update(FilterState(e, np.zeros((6, 6))), Quaternion.identity(),
+                        0.01, cfg).x
+            for e in np.eye(6)])
         np.testing.assert_allclose(trans[0:3, 3:6], -0.01 * np.eye(3), atol=1e-15)
         np.testing.assert_allclose(trans[3:6, 3:6], (1.0 - 0.01 / 50.0) * np.eye(3),
                                    atol=1e-15)
@@ -292,6 +331,17 @@ class TestNoiseConfig:
         assert cfg.Rm == pytest.approx(5.0 * d2r2)
         np.testing.assert_allclose(np.diag(cfg.Q)[:3], 0.1e-4 * d2r2)
         np.testing.assert_allclose(np.diag(cfg.Q)[3:], 0.01e-4 * d2r2)
+
+    def test_q_is_a_read_only_copy(self):
+        # time_update adds Q from the packed copy taken at construction
+        Q = np.eye(6)
+        cfg = NoiseConfig(Q=Q)
+        Q[0, 0] = 2.0
+        assert cfg.Q[0, 0] == 1.0
+        with pytest.raises(ValueError):
+            cfg.Q[0, 0] = 2.0
+        for other in (copy.deepcopy(cfg), pickle.loads(pickle.dumps(cfg))):
+            assert not other.Q.flags.writeable
 
     @pytest.mark.parametrize("kwargs", [
         dict(Rm=0.0),

@@ -32,6 +32,19 @@ terms from NumPy vectors onto Python floats: the norms and the two
 matrix-vector products sum in another order than NumPy's dot products,
 so the last bits move (2.2e-16 on the quaternion, 2.0e-18 rad/s on the
 bias; 3.6e-15 rad and 8.5e-17 rad/s from `data/golden_cf.npy`).
+
+The dlkf digest was re-pinned when the filter moved from 6x6 NumPy
+matrices to Python floats, with the covariance packed as the 21 entries
+of its upper triangle. Each covariance entry is now computed once, not
+twice and averaged, and no sum goes through BLAS. The time update sums
+each block product in the order of the full product F P F^T, as
+(A + G B^T) + M G^T, and scales the bias block as (d C) d; both
+measurement layers take the standard form P - K H P. Against
+`data/golden_dlkf.npy`: 1.4e-14 rad on the Euler angles, 6.9e-15 on
+the quaternion and 6.1e-15 rad/s on the bias. With the filter's
+arithmetic off BLAS, the dlkf digest depends on BLAS only through the
+simulated mag column of the log, which `simulate` forms as a matrix
+product.
 """
 
 import hashlib
@@ -60,7 +73,7 @@ ANGLE_TOL = 1e-12  # rad, on the Euler angles and the quaternion
 BIAS_TOL = 1e-14
 
 GOLDEN = {
-    "dlkf": "c1c1baed59c62e69258c3f6ef696c3e088e841c117304baab8c2703fc7e0f92a",
+    "dlkf": "ef0c478642da1ddd3749d76e56cea234222db53a28084f7a3d874d809cc00017",
     "cf": "15135b128d599df9b1692c96ac1256790c29242f8d76a6d7fd21967d9522ed0c",
     "gyro-only": "b9f9054ee5f3f7e86c7796d6f829fb70df53323f36b8b9ec300b00dce25bb2d2",
 }
@@ -146,6 +159,32 @@ def test_dlkf_hot_path_calls(records, monkeypatch):
         monkeypatch.setattr(module, "quat_to_euler", counted, raising=False)
     estimates = run_pipeline(records, cfg)
     assert len(calls) <= 2 * len(estimates)
+
+
+def test_dlkf_epoch_builds_no_6x6_array(records, monkeypatch):
+    """The filter layers run on packed floats: through `ahrskit.dlkf.np`
+    they build no identity, outer or matrix product, and no array larger
+    than the 2x2 accel noise."""
+    cfg = PipelineConfig(algorithm="dlkf", noise=matched_noise_config(RATE))
+
+    def at_most_2x2(make):
+        def checked(*args, **kwargs):
+            out = make(*args, **kwargs)
+            assert out.size <= 4, f"{out.shape} array built on the dlkf hot path"
+            return out
+        return checked
+
+    class SmallArraysOnly:
+        array = staticmethod(at_most_2x2(np.array))
+        asarray = staticmethod(at_most_2x2(np.asarray))
+
+        def __getattr__(self, name):
+            if name in ("eye", "outer", "matmul", "dot", "einsum"):
+                raise AssertionError(f"np.{name} called on the dlkf hot path")
+            return getattr(np, name)
+
+    monkeypatch.setattr(dlkf, "np", SmallArraysOnly())
+    assert run_pipeline(records, cfg)
 
 
 def test_cf_hot_path_calls(records, monkeypatch):
