@@ -11,14 +11,12 @@ this step only; `propagate` then integrates the corrected rate.
 A step is two cross products and two 3x3 matrix-vector products, far
 too little work to repay NumPy's per-call overhead, so it is written out
 on Python floats: the DCM entries are `quat_to_dcm`'s expressions, and
-the only array a step builds is the bias it returns.
+a step builds no array.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 from .propagation import PropagatorState, propagate
 
@@ -27,8 +25,8 @@ def cf_update(prop: PropagatorState, gyro, accel, mag, dt: float,
               kp: float, ki: float) -> PropagatorState:
     """One fusion step with gains kp and ki (1/s). An accel or mag whose
     norm is zero or not finite skips that error term."""
-    if kp < 0.0 or ki < 0.0:
-        raise ValueError(f"gains must be non-negative, got kp={kp} ki={ki}")
+    if not (0.0 <= kp < math.inf and 0.0 <= ki < math.inf):
+        raise ValueError(f"gains must be non-negative and finite, got kp={kp} ki={ki}")
     w, x, y, z = prop.q
     # quat_to_dcm's expressions: cij is row i, column j of C_b^n
     xx, yy, zz = x * x, y * y, z * z
@@ -66,12 +64,12 @@ def cf_update(prop: PropagatorState, gyro, accel, mag, dt: float,
         ez += mx * py - my * px
 
     bias = prop.bias
-    bx, by, bz = bias.tolist()
+    bx, by, bz = bias
     if ki > 0.0:
         bx -= ki * ex * dt
         by -= ki * ey * dt
         bz -= ki * ez * dt
-        bias = np.array((bx, by, bz))
+        bias = (bx, by, bz)
     q = propagate(PropagatorState(prop.q, (bx - kp * ex, by - kp * ey, bz - kp * ez)),
                   gyro, dt).q
     return PropagatorState(q, bias)

@@ -269,12 +269,13 @@ def accel_update(fs: FilterState, z1, Ra) -> FilterState:
     the packed P and S = P[:2, :2] + Ra, so the gain K = P H^T S^-1
     comes from the closed-form inverse of the 2x2 S. The covariance
     takes the standard form P - K (P H^T)^T, a rank-2 update computed
-    on the packed upper triangle.
+    on the packed upper triangle. Ra is any 2x2 array or nested sequence.
     """
-    Ra = np.asarray(Ra, dtype=float)
-    if Ra.shape != (2, 2):
-        raise ValueError(f"Ra must be a 2x2 matrix, got shape {Ra.shape}")
-    (r00, r01), (r10, r11) = Ra.tolist()
+    try:
+        (r00, r01), (r10, r11) = Ra
+        r00, r01, r10, r11 = float(r00), float(r01), float(r10), float(r11)
+    except (TypeError, ValueError):
+        raise ValueError(f"Ra must be a 2x2 matrix, got {Ra!r}") from None
     _require_pd_2x2(r00, r10, r11)
     x, p = fs._x, fs._p
     h0, h1 = _column0(p), _column1(p)
@@ -335,5 +336,6 @@ def apply_correction(prop: PropagatorState, fs: FilterState,
                             est.pitch + dx[1],
                             wrap_yaw(est.yaw + dx[2]))
     q = euler_to_quat(corrected)
-    bias = prop.bias + dx[3:6]
+    bx, by, bz = prop.bias
+    bias = (bx + dx[3], by + dx[4], bz + dx[5])
     return PropagatorState(q, bias), _packed(_ZERO_X, fs._p)

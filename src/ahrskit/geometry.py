@@ -9,7 +9,8 @@ Conventions used everywhere in this library:
 * Euler angles use the aerospace Z-Y-X sequence (yaw about Z, then pitch
   about Y, then roll about X). Roll lies in (-pi, pi], pitch in
   [-pi/2, pi/2], yaw in [0, 2*pi).
-* Vectors are plain length-3 numpy arrays (or anything indexable).
+* Vectors are anything indexable of length 3: sensor samples are numpy
+  arrays, the estimators keep their gyro bias as a tuple of floats.
 
 All operations are pure functions on immutable values and are safe to
 share between threads.
@@ -50,13 +51,19 @@ class Quaternion(NamedTuple):
 
     def normalized(self) -> "Quaternion":
         """Unit-norm copy with the canonical sign (w >= 0)."""
-        n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize a zero quaternion")
-        inv = 1.0 / n
-        if self.w < 0.0:
-            inv = -inv
-        return Quaternion(self.w * inv, self.x * inv, self.y * inv, self.z * inv)
+        return _normalized(*self)
+
+
+def _normalized(w: float, x: float, y: float, z: float) -> Quaternion:
+    """`Quaternion.normalized` on four floats, so a caller that computes
+    the components builds one Quaternion, not two."""
+    n = math.sqrt(w * w + x * x + y * y + z * z)
+    if n == 0.0:
+        raise ValueError("cannot normalize a zero quaternion")
+    inv = 1.0 / n
+    if w < 0.0:
+        inv = -inv
+    return Quaternion(w * inv, x * inv, y * inv, z * inv)
 
 
 class EulerAngles(NamedTuple):
@@ -76,12 +83,12 @@ def quat_multiply(a: Quaternion, b: Quaternion) -> Quaternion:
     """
     w1, x1, y1, z1 = a
     w2, x2, y2, z2 = b
-    return Quaternion(
+    return _normalized(
         w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
         w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
         w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
         w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-    ).normalized()
+    )
 
 
 def rotvec_to_quat(rotvec) -> Quaternion:
@@ -131,12 +138,12 @@ def euler_to_quat(e: EulerAngles) -> Quaternion:
     cr, sr = math.cos(0.5 * roll), math.sin(0.5 * roll)
     cp, sp = math.cos(0.5 * pitch), math.sin(0.5 * pitch)
     cy, sy = math.cos(0.5 * yaw), math.sin(0.5 * yaw)
-    return Quaternion(
+    return _normalized(
         cr * cp * cy + sr * sp * sy,
         sr * cp * cy - cr * sp * sy,
         cr * sp * cy + sr * cp * sy,
         cr * cp * sy - sr * sp * cy,
-    ).normalized()
+    )
 
 
 def quat_to_dcm(q: Quaternion) -> np.ndarray:

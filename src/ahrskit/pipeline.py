@@ -113,7 +113,7 @@ def run_pipeline(records: Sequence[SensorRecord], cfg: PipelineConfig,
         raise ValueError(f"sample 0 (t={records[0].t}): timestamp not finite")
 
     n_align = 1  # without alignment the first sample only sets the clock
-    q0, bias_seed = Quaternion.identity(), np.zeros(3)
+    q0, bias_seed = Quaternion.identity(), (0.0, 0.0, 0.0)
     if cfg.align_duration_s > 0.0:
         align_end = records[0].t + cfg.align_duration_s
         n_align = 0
@@ -131,6 +131,7 @@ def run_pipeline(records: Sequence[SensorRecord], cfg: PipelineConfig,
     mag_period = 1.0 / cfg.mag_rate_hz
     next_mag = rest[0].t
     estimates = []
+    bias = gyro_bias = None
     try:
         for i, rec in enumerate(rest, n_align):
             dt = rec.t - t_prev
@@ -142,8 +143,11 @@ def run_pipeline(records: Sequence[SensorRecord], cfg: PipelineConfig,
                 # one period per step, or one jump over the epochs a gap missed
                 next_mag += ((rec.t - next_mag) // mag_period + 1.0) * mag_period
             prop = step(rec, dt, mag_due)
+            if prop.bias is not bias:  # one array per bias the step returns
+                bias = prop.bias
+                gyro_bias = np.array(bias)
             estimates.append(AttitudeEstimate(rec.t, quat_to_euler(prop.q),
-                                              prop.q, prop.bias))
+                                              prop.q, gyro_bias))
             t_prev = rec.t
     except ValueError as exc:
         raise ValueError(f"sample {i} (t={rec.t}): {exc}") from exc
@@ -151,8 +155,9 @@ def run_pipeline(records: Sequence[SensorRecord], cfg: PipelineConfig,
 
 
 def _dlkf_step(cfg, q0, bias_seed, on_epoch):
-    prop = PropagatorState(q0, np.asarray(bias_seed, dtype=float))
+    prop = PropagatorState(q0, tuple(map(float, bias_seed)))
     fs = FilterState.initial()
+    (r00, r01), (r10, r11) = cfg.noise.Ra_nominal.tolist()
 
     def step(rec, dt, mag_due):
         nonlocal prop, fs
@@ -172,7 +177,8 @@ def _dlkf_step(cfg, q0, bias_seed, on_epoch):
         if meas is not None:
             roll, pitch, gamma2 = meas
             z1 = (wrap_pi(roll - est.roll), wrap_pi(pitch - est.pitch))
-            fs = accel_update(fs, z1, gamma2 * cfg.noise.Ra_nominal)
+            fs = accel_update(fs, z1, ((gamma2 * r00, gamma2 * r01),
+                                       (gamma2 * r10, gamma2 * r11)))
         if yaw_meas is not None:
             fs = mag_update(fs, yaw_meas - est.yaw, cfg.noise.Rm)
         prop, fs = apply_correction(prop, fs, est)
@@ -183,12 +189,12 @@ def _dlkf_step(cfg, q0, bias_seed, on_epoch):
     return step
 
 
-_NO_MAG = np.zeros(3)
+_NO_MAG = (0.0, 0.0, 0.0)
 
 
 def _cf_step(cfg, q0, bias_seed, on_epoch):
     # the bias is the PI integral, so it starts at zero, not at the seed
-    prop = PropagatorState(q0, np.zeros(3))
+    prop = PropagatorState(q0, (0.0, 0.0, 0.0))
 
     def step(rec, dt, mag_due):
         nonlocal prop
@@ -203,7 +209,7 @@ def _cf_step(cfg, q0, bias_seed, on_epoch):
 def _gyro_only_step(cfg, q0, bias_seed, on_epoch):
     # pure dead reckoning: no bias compensation, establishes the drift
     # the filters must remove
-    prop = PropagatorState(q0, np.zeros(3))
+    prop = PropagatorState(q0, (0.0, 0.0, 0.0))
 
     def step(rec, dt, mag_due):
         nonlocal prop

@@ -9,24 +9,17 @@ accurate to O(dt^2) otherwise; no coning correction is applied.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
-
-import numpy as np
+from typing import NamedTuple, Tuple
 
 from .geometry import Quaternion, quat_multiply, rotvec_to_quat
 
 
 class PropagatorState(NamedTuple):
-    """Attitude and accumulated gyro bias (rad/s)."""
+    """Attitude and accumulated gyro bias (rad/s), the bias as three
+    Python floats so that a step does no NumPy scalar arithmetic."""
 
     q: Quaternion
-    bias: np.ndarray
-
-    @classmethod
-    def initial(cls, q: Quaternion = Quaternion.identity(),
-                bias=None) -> "PropagatorState":
-        b = np.zeros(3) if bias is None else np.asarray(bias, dtype=float)
-        return cls(q, b)
+    bias: Tuple[float, float, float]
 
 
 def propagate(state: PropagatorState, gyro, dt: float) -> PropagatorState:
@@ -35,8 +28,8 @@ def propagate(state: PropagatorState, gyro, dt: float) -> PropagatorState:
     The bias estimate is subtracted from the measured rate before
     integration; the bias itself is left unchanged (the filter owns it).
     """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     gx, gy, gz = float(gyro[0]), float(gyro[1]), float(gyro[2])
     if not (math.isfinite(gx) and math.isfinite(gy) and math.isfinite(gz)):
         raise ValueError(f"gyro sample must be finite, got ({gx}, {gy}, {gz})")

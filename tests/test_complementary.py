@@ -11,6 +11,9 @@ from ahrskit.geometry import (EulerAngles, Quaternion, euler_to_quat,
                               quat_to_dcm, quat_to_euler, wrap_pi)
 from ahrskit.propagation import PropagatorState, propagate
 
+# identity attitude, zero gyro bias
+START = PropagatorState(Quaternion.identity(), (0.0, 0.0, 0.0))
+
 
 def run_static(prop, records, kp, ki):
     t_prev = 0.0
@@ -22,7 +25,7 @@ def run_static(prop, records, kp, ki):
 
 def test_zero_gains_degenerate_to_pure_propagation():
     rng = np.random.default_rng(40)
-    cf = prop = PropagatorState.initial()
+    cf = prop = START
     for _ in range(500):
         gyro = rng.normal(scale=1.0, size=3)
         cf = cf_update(cf, gyro, rng.normal(size=3), rng.normal(size=3), 0.004,
@@ -35,7 +38,7 @@ def test_zero_gains_degenerate_to_pure_propagation():
 def test_consistent_measurements_are_fixed_point():
     attitude = EulerAngles(0.25, -0.15, 1.0)
     records = static_records(duration=1.0, noisy=False, seed=0, attitude=attitude)
-    prop = PropagatorState.initial(euler_to_quat(attitude))
+    prop = PropagatorState(euler_to_quat(attitude), (0.0, 0.0, 0.0))
     out = run_static(prop, records, kp=2.0, ki=0.1)
     np.testing.assert_allclose(out.q, prop.q, atol=1e-9)
     np.testing.assert_allclose(out.bias, 0.0, atol=1e-12)
@@ -44,7 +47,8 @@ def test_consistent_measurements_are_fixed_point():
 def test_initial_roll_error_decays_within_five_seconds():
     # first-order error dynamics with kp = 1 give tau ~ 1 s
     records = static_records(duration=5.0, noisy=False, seed=0)
-    prop = PropagatorState.initial(euler_to_quat(EulerAngles(math.radians(10.0), 0.0, 0.0)))
+    prop = PropagatorState(euler_to_quat(EulerAngles(math.radians(10.0), 0.0, 0.0)),
+                           (0.0, 0.0, 0.0))
     out = run_static(prop, records, kp=1.0, ki=0.0)
     assert abs(math.degrees(quat_to_euler(out.q).roll)) < 1.0
 
@@ -54,14 +58,14 @@ def test_integral_action_shrinks_steady_state_bias_error():
     records = static_records(duration=40.0, gyro_bias=bias, noisy=False, seed=0)
     err = {}
     for ki in (0.0, 0.05):
-        out = run_static(PropagatorState.initial(), records, kp=1.0, ki=ki)
+        out = run_static(START, records, kp=1.0, ki=ki)
         err[ki] = abs(wrap_pi(quat_to_euler(out.q).roll))
     assert err[0.05] < err[0.0]
 
 
 def test_norm_preserved():
     rng = np.random.default_rng(41)
-    prop = PropagatorState.initial()
+    prop = START
     for _ in range(2000):
         prop = cf_update(prop, rng.normal(size=3), rng.normal(size=3),
                          rng.normal(size=3), 0.004, kp=1.0, ki=0.05)
@@ -69,19 +73,21 @@ def test_norm_preserved():
 
 
 def test_zero_norm_sensors_skip_their_terms():
-    out = cf_update(PropagatorState.initial(), (0.1, 0.0, 0.0), (0.0, 0.0, 0.0),
+    out = cf_update(START, (0.1, 0.0, 0.0), (0.0, 0.0, 0.0),
                     (0.0, 0.0, 0.0), 0.01, kp=1.0, ki=0.05)
-    ref = propagate(PropagatorState.initial(), (0.1, 0.0, 0.0), 0.01)
+    ref = propagate(START, (0.1, 0.0, 0.0), 0.01)
     np.testing.assert_allclose(out.q, ref.q, atol=1e-12)
 
 
 def test_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        cf_update(PropagatorState.initial(), (0, 0, 0), (0, 0, -9.81), (1, 0, 0), 0.0,
+        cf_update(START, (0, 0, 0), (0, 0, -9.81), (1, 0, 0), 0.0,
                   kp=1.0, ki=0.05)
-    with pytest.raises(ValueError, match="gains must be non-negative"):
-        cf_update(PropagatorState.initial(), (0, 0, 0), (0, 0, -9.81), (1, 0, 0), 0.004,
-                  kp=-1.0, ki=0.05)
+    for kp, ki in ((-1.0, 0.05), (math.nan, 0.05), (math.inf, 0.05),
+                   (1.0, math.nan), (1.0, math.inf)):
+        with pytest.raises(ValueError, match="gains must be non-negative and finite"):
+            cf_update(START, (0, 0, 0), (0, 0, -9.81), (1, 0, 0), 0.004,
+                      kp=kp, ki=ki)
 
 
 def _cf_update_numpy(prop, gyro, accel, mag, dt, kp, ki):
@@ -107,7 +113,7 @@ def _cf_update_numpy(prop, gyro, accel, mag, dt, kp, ki):
         pred = cbn.T @ ref
         err += np.cross(meas, pred)
 
-    bias = prop.bias
+    bias = np.array(prop.bias)
     if ki > 0.0:
         bias = bias - ki * err * dt
     q = propagate(PropagatorState(prop.q, bias - kp * err), gyro, dt).q
@@ -139,11 +145,12 @@ def sensor_vectors(draw, scale):
 def test_matches_numpy_oracle(q, bias, gyro, accel, mag, dt, kp, ki):
     n = math.sqrt(sum(c * c for c in q))
     assume(n > 0.1)
-    prop = PropagatorState(Quaternion(*(c / n for c in q)), np.array(bias))
+    prop = PropagatorState(Quaternion(*(c / n for c in q)), bias)
     out = cf_update(prop, gyro, accel, mag, dt, kp, ki)
     ref = _cf_update_numpy(prop, gyro, accel, mag, dt, kp, ki)
     # q and -q are one rotation; near w = 0 rounding may pick either sign
     q_out, q_ref = np.array(out.q), np.array(ref.q)
     assert min(np.abs(q_out - q_ref).max(), np.abs(q_out + q_ref).max()) <= 1e-12
     np.testing.assert_allclose(out.bias, ref.bias, rtol=0.0, atol=1e-14)
-    assert isinstance(out.bias, np.ndarray) and out.bias.shape == (3,)
+    assert type(out.bias) is tuple and len(out.bias) == 3
+    assert all(type(b) is float for b in out.bias)

@@ -215,8 +215,19 @@ class TestAccelUpdate:
             accel_update(fs, (0.0, 0.0), np.diag([0.0, -1.0]))
 
     def test_rejects_noise_that_is_not_2x2(self):
-        with pytest.raises(ValueError, match="2x2"):
-            accel_update(FilterState.initial(), (0.0, 0.0), np.eye(3))
+        for Ra in (np.eye(3), np.ones(2), np.ones((2, 2, 1)), 1.0,
+                   [[[1.0], [0.0]], [[0.0], [1.0]]], [[1.0, 0.0], [0.0]]):
+            with pytest.raises(ValueError, match="2x2"):
+                accel_update(FilterState.initial(), (0.0, 0.0), Ra)
+
+    def test_noise_as_array_or_nested_tuple_gives_one_update(self):
+        rng = np.random.default_rng(36)
+        fs = FilterState(rng.normal(size=6), random_pd(rng))
+        ra = np.array([[0.3, 0.1], [0.1, 2.0]])
+        ref = accel_update(fs, (0.01, -0.02), ra)
+        out = accel_update(fs, (0.01, -0.02), tuple(map(tuple, ra.tolist())))
+        np.testing.assert_array_equal(out.x, ref.x)
+        np.testing.assert_array_equal(out.P, ref.P)
 
     def test_rejects_singular_innovation_covariance(self):
         # a covariance that is not PSD can cancel Ra exactly
@@ -284,14 +295,14 @@ class TestSequentialEquivalence:
 
 class TestApplyCorrection:
     def test_zero_state_is_noop(self):
-        prop = PropagatorState(Quaternion.identity(), np.zeros(3))
+        prop = PropagatorState(Quaternion.identity(), (0.0, 0.0, 0.0))
         fs = FilterState(np.zeros(6), np.eye(6))
         out_prop, out_fs = apply_correction(prop, fs, quat_to_euler(prop.q))
         assert out_prop is prop
         assert out_fs is fs
 
     def test_small_roll_correction(self):
-        prop = PropagatorState(Quaternion.identity(), np.zeros(3))
+        prop = PropagatorState(Quaternion.identity(), (0.0, 0.0, 0.0))
         fs = FilterState(np.array([0.01, 0.0, 0.0, 0.0, 0.0, 0.0]), np.eye(6))
         out_prop, out_fs = apply_correction(prop, fs, quat_to_euler(prop.q))
         e = quat_to_euler(out_prop.q)
@@ -307,7 +318,7 @@ class TestApplyCorrection:
             e0 = EulerAngles(rng.uniform(-1.0, 1.0), rng.uniform(-0.9, 0.9),
                              rng.uniform(0.5, 5.5))
             delta = rng.normal(scale=0.02, size=3)
-            prop = PropagatorState(euler_to_quat(e0), np.zeros(3))
+            prop = PropagatorState(euler_to_quat(e0), (0.0, 0.0, 0.0))
             fs = FilterState(np.r_[delta, np.zeros(3)], np.eye(6))
             out_prop, _ = apply_correction(prop, fs, quat_to_euler(prop.q))
             e1 = quat_to_euler(out_prop.q)
@@ -316,7 +327,7 @@ class TestApplyCorrection:
             assert wrap_pi(e1.yaw - e0.yaw) == pytest.approx(delta[2], abs=1e-9)
 
     def test_bias_feedback_accumulates(self):
-        prop = PropagatorState(Quaternion.identity(), np.array([0.001, 0.0, 0.0]))
+        prop = PropagatorState(Quaternion.identity(), (0.001, 0.0, 0.0))
         fs = FilterState(np.array([0.0, 0.0, 0.0, 1e-3, 0.0, 0.0]), np.eye(6))
         out_prop, _ = apply_correction(prop, fs, quat_to_euler(prop.q))
         assert out_prop.bias[0] == pytest.approx(0.002, rel=1e-12)
@@ -366,7 +377,7 @@ def test_closed_loop_bias_observability():
     records = static_records(duration=30.0, gyro_bias=tuple(bias), noisy=False,
                              seed=0)
     cfg = NoiseConfig()
-    prop = PropagatorState.initial()
+    prop = PropagatorState(Quaternion.identity(), (0.0, 0.0, 0.0))
     fs = FilterState.initial()
     next_mag, mag_period = records[0].t, 0.1
     t_prev = 0.0

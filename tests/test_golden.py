@@ -54,7 +54,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ahrskit import complementary, dlkf, pipeline
+from ahrskit import complementary, dlkf, fasteuler, geometry, pipeline, propagation
 from ahrskit.benchmark import benchmark_records, matched_noise_config, mems_models
 from ahrskit.geometry import quat_to_euler
 from ahrskit.pipeline import PipelineConfig, run_pipeline
@@ -185,6 +185,42 @@ def test_dlkf_epoch_builds_no_6x6_array(records, monkeypatch):
 
     monkeypatch.setattr(dlkf, "np", SmallArraysOnly())
     assert run_pipeline(records, cfg)
+
+
+class NoNumPy:
+    """Stands in for `np` in a module whose per-sample path must not reach it."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"np.{name} reached on the per-sample path")
+
+
+@pytest.mark.parametrize("algorithm", sorted(GOLDEN))
+def test_hot_path_builds_no_array(records, monkeypatch, algorithm):
+    """Every estimator steps on Python floats: a run reaches NumPy through
+    none of the modules below, and the driver builds at most one gyro-bias
+    array per estimate (one per run for gyro-only, whose bias is fixed)."""
+    cfg = PipelineConfig(algorithm=algorithm, noise=matched_noise_config(RATE))
+    for module in (geometry, propagation, fasteuler, dlkf, complementary):
+        monkeypatch.setattr(module, "np", NoNumPy(), raising=False)
+    built = []
+
+    class CountedArrays:
+        def __getattr__(self, name):
+            make = getattr(np, name)
+            if name not in ("array", "asarray"):
+                return make
+
+            def counted(*args, **kwargs):
+                built.append(name)
+                return make(*args, **kwargs)
+            return counted
+
+    monkeypatch.setattr(pipeline, "np", CountedArrays())
+    estimates = run_pipeline(records, cfg)
+    assert len(built) <= len(estimates)
+    assert all(type(e.gyro_bias) is np.ndarray for e in estimates)
+    if algorithm == "gyro-only":
+        assert len(built) == 1
 
 
 def test_cf_hot_path_calls(records, monkeypatch):
