@@ -10,14 +10,15 @@ this step only; `propagate` then integrates the corrected rate.
 
 A step is two cross products and two 3x3 matrix-vector products, far
 too little work to repay NumPy's per-call overhead, so it is written out
-on Python floats: the DCM entries are `quat_to_dcm`'s expressions, and
-a step builds no array.
+on Python floats: the DCM entries come from `quat_to_dcm`'s formula on
+float components, and a step builds no array.
 """
 
 from __future__ import annotations
 
 import math
 
+from .geometry import _dcm_entries
 from .propagation import PropagatorState, propagate
 
 
@@ -27,14 +28,8 @@ def cf_update(prop: PropagatorState, gyro, accel, mag, dt: float,
     norm is zero or not finite skips that error term."""
     if not (0.0 <= kp < math.inf and 0.0 <= ki < math.inf):
         raise ValueError(f"gains must be non-negative and finite, got kp={kp} ki={ki}")
-    w, x, y, z = prop.q
-    # quat_to_dcm's expressions: cij is row i, column j of C_b^n
-    xx, yy, zz = x * x, y * y, z * z
-    wx, wy, wz = w * x, w * y, w * z
-    xy, xz, yz = x * y, x * z, y * z
-    c00, c01, c02 = 1.0 - 2.0 * (yy + zz), 2.0 * (xy - wz), 2.0 * (xz + wy)
-    c10, c11, c12 = 2.0 * (xy + wz), 1.0 - 2.0 * (xx + zz), 2.0 * (yz - wx)
-    c20, c21, c22 = 2.0 * (xz - wy), 2.0 * (yz + wx), 1.0 - 2.0 * (xx + yy)
+    # cij is row i, column j of C_b^n
+    c00, c01, c02, c10, c11, c12, c20, c21, c22 = _dcm_entries(*prop.q)
     ex = ey = ez = 0.0
 
     ax, ay, az = float(accel[0]), float(accel[1]), float(accel[2])

@@ -30,7 +30,8 @@ from typing import Tuple
 
 import numpy as np
 
-from .geometry import EulerAngles, Quaternion, euler_to_quat, wrap_pi, wrap_yaw
+from .geometry import (EulerAngles, Quaternion, _dcm_entries, euler_to_quat, wrap_pi,
+                       wrap_yaw)
 from .propagation import PropagatorState
 
 N_STATES = 6
@@ -199,10 +200,7 @@ def time_update(fs: FilterState, q: Quaternion, dt: float,
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    w, qx, qy, qz = q
-    c20 = 2.0 * (qx * qz - w * qy)  # quat_to_dcm's expressions
-    c21 = 2.0 * (qy * qz + w * qx)
-    c22 = 1.0 - 2.0 * (qx * qx + qy * qy)
+    c20, c21, c22 = _dcm_entries(*q)[6:]
     sin_pitch = -c20
     cos_pitch = math.hypot(c21, c22)
     if cos_pitch < 1e-6:

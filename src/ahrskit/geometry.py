@@ -10,7 +10,8 @@ Conventions used everywhere in this library:
   about Y, then roll about X). Roll lies in (-pi, pi], pitch in
   [-pi/2, pi/2], yaw in [0, 2*pi).
 * Vectors are anything indexable of length 3: sensor samples are numpy
-  arrays, the estimators keep their gyro bias as a tuple of floats.
+  arrays; the gyro bias is a tuple of three floats from the alignment
+  seed through every estimator to each emitted estimate.
 
 All operations are pure functions on immutable values and are safe to
 share between threads.
@@ -150,15 +151,19 @@ def quat_to_dcm(q: Quaternion) -> np.ndarray:
     """Body-to-navigation rotation matrix of a unit quaternion: 3x3 for float
     components; for (N,) array components a contiguous (N, 3, 3) stack,
     bit for bit the matrices of the N quaternions."""
-    w, x, y, z = q
+    return np.ascontiguousarray(np.array(_dcm_entries(*q)).T).reshape(
+        np.shape(q[0]) + (3, 3))
+
+
+def _dcm_entries(w, x, y, z):
+    """The nine entries of `quat_to_dcm`, row by row, for float or (N,)
+    array components: the one place the formula is written."""
     xx, yy, zz = x * x, y * y, z * z
     wx, wy, wz = w * x, w * y, w * z
     xy, xz, yz = x * y, x * z, y * z
-    return np.ascontiguousarray(np.array([
-        1.0 - 2.0 * (yy + zz), 2.0 * (xy - wz), 2.0 * (xz + wy),
-        2.0 * (xy + wz), 1.0 - 2.0 * (xx + zz), 2.0 * (yz - wx),
-        2.0 * (xz - wy), 2.0 * (yz + wx), 1.0 - 2.0 * (xx + yy),
-    ]).T).reshape(np.shape(w) + (3, 3))
+    return (1.0 - 2.0 * (yy + zz), 2.0 * (xy - wz), 2.0 * (xz + wy),
+            2.0 * (xy + wz), 1.0 - 2.0 * (xx + zz), 2.0 * (yz - wx),
+            2.0 * (xz - wy), 2.0 * (yz + wx), 1.0 - 2.0 * (xx + yy))
 
 
 def wrap_yaw(psi: float) -> float:

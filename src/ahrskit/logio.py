@@ -86,11 +86,12 @@ def read_log(path) -> List[SensorRecord]:
 def write_estimates(path, estimates: Sequence[AttitudeEstimate]) -> None:
     if not estimates:
         raise ValueError("refusing to write an empty estimate file")
-    _write_table(path, EST_HEADER, ((e.t, *e.euler, *e.q, *e.gyro_bias.tolist())
+    _write_table(path, EST_HEADER, ((e.t, *e.euler, *e.q, *e.gyro_bias)
                                     for e in estimates))
 
 
 def read_estimates(path) -> List[AttitudeEstimate]:
     _, data = _read_table(path, (EST_HEADER,), "estimate")
-    return [AttitudeEstimate(v[0], EulerAngles(*v[1:4]), Quaternion(*v[4:8]), row[8:])
-            for v, row in zip(data[:, :8].tolist(), data)]
+    return [AttitudeEstimate(v[0], EulerAngles(*v[1:4]), Quaternion(*v[4:8]),
+                             tuple(v[8:]))
+            for v in map(np.ndarray.tolist, data)]  # one row's floats at a time

@@ -56,12 +56,12 @@ def improvement(baseline_rmse: float, candidate_rmse: float) -> float:
     return 100.0 * (baseline_rmse - candidate_rmse) / candidate_rmse
 
 
-def align_series(t_est, est, t_truth, truth, max_gap: float | None = None):
+def align_series(t_est, est, t_truth, truth):
     """Pair estimate and truth samples by nearest timestamp.
 
     Each truth sample is matched to the nearest estimate; pairs further
-    apart than `max_gap` (default: half the median estimate period) are
-    dropped. Returns (t, est_matched, truth_matched).
+    apart than half the median estimate period are dropped (none, with a
+    single estimate). Returns (t, est_matched, truth_matched).
     """
     t_est = np.asarray(t_est, dtype=float)
     est = np.asarray(est, dtype=float)
@@ -69,9 +69,7 @@ def align_series(t_est, est, t_truth, truth, max_gap: float | None = None):
     truth = np.asarray(truth, dtype=float)
     if len(t_est) == 0 or len(t_truth) == 0:
         raise ValueError("cannot align empty series")
-    if max_gap is None:
-        period = np.median(np.diff(t_est)) if len(t_est) > 1 else np.inf
-        max_gap = 0.5 * period
+    max_gap = 0.5 * np.median(np.diff(t_est)) if len(t_est) > 1 else np.inf
 
     if len(t_est) > 1:
         idx = np.clip(np.searchsorted(t_est, t_truth), 1, len(t_est) - 1)

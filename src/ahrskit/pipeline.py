@@ -62,16 +62,17 @@ class PipelineConfig:
 
 
 class AttitudeEstimate(NamedTuple):
-    """One output sample: Euler angles, quaternion, accumulated gyro bias."""
+    """One output sample: Euler angles, quaternion, and the accumulated
+    gyro bias as the step's own tuple of three floats (rad/s)."""
 
     t: float
     euler: EulerAngles
     q: Quaternion
-    gyro_bias: np.ndarray
+    gyro_bias: Tuple[float, float, float]
 
 
-def initial_alignment(records: Sequence[SensorRecord],
-                      cfg: NoiseConfig) -> Tuple[Quaternion, np.ndarray]:
+def initial_alignment(records: Sequence[SensorRecord], cfg: NoiseConfig,
+                      ) -> Tuple[Quaternion, Tuple[float, float, float]]:
     """Coarse attitude and gyro-bias seed from a static data window.
 
     Roll/pitch come from the gate-passing accelerometer average, yaw
@@ -95,7 +96,7 @@ def initial_alignment(records: Sequence[SensorRecord],
         raise AlignmentError("averaged magnetometer is zero or not finite; "
                              "heading unobservable")
     gyro_mean = np.mean([r.gyro for r in records], axis=0)
-    return euler_to_quat(EulerAngles(rp[0], rp[1], yaw)), gyro_mean
+    return euler_to_quat(EulerAngles(rp[0], rp[1], yaw)), tuple(gyro_mean.tolist())
 
 
 def run_pipeline(records: Sequence[SensorRecord], cfg: PipelineConfig,
@@ -131,7 +132,6 @@ def run_pipeline(records: Sequence[SensorRecord], cfg: PipelineConfig,
     mag_period = 1.0 / cfg.mag_rate_hz
     next_mag = rest[0].t
     estimates = []
-    bias = gyro_bias = None
     try:
         for i, rec in enumerate(rest, n_align):
             dt = rec.t - t_prev
@@ -143,11 +143,8 @@ def run_pipeline(records: Sequence[SensorRecord], cfg: PipelineConfig,
                 # one period per step, or one jump over the epochs a gap missed
                 next_mag += ((rec.t - next_mag) // mag_period + 1.0) * mag_period
             prop = step(rec, dt, mag_due)
-            if prop.bias is not bias:  # one array per bias the step returns
-                bias = prop.bias
-                gyro_bias = np.array(bias)
             estimates.append(AttitudeEstimate(rec.t, quat_to_euler(prop.q),
-                                              prop.q, gyro_bias))
+                                              prop.q, prop.bias))
             t_prev = rec.t
     except ValueError as exc:
         raise ValueError(f"sample {i} (t={rec.t}): {exc}") from exc
@@ -155,7 +152,7 @@ def run_pipeline(records: Sequence[SensorRecord], cfg: PipelineConfig,
 
 
 def _dlkf_step(cfg, q0, bias_seed, on_epoch):
-    prop = PropagatorState(q0, tuple(map(float, bias_seed)))
+    prop = PropagatorState(q0, bias_seed)
     fs = FilterState.initial()
     (r00, r01), (r10, r11) = cfg.noise.Ra_nominal.tolist()
 

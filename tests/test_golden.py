@@ -197,8 +197,8 @@ class NoNumPy:
 @pytest.mark.parametrize("algorithm", sorted(GOLDEN))
 def test_hot_path_builds_no_array(records, monkeypatch, algorithm):
     """Every estimator steps on Python floats: a run reaches NumPy through
-    none of the modules below, and the driver builds at most one gyro-bias
-    array per estimate (one per run for gyro-only, whose bias is fixed)."""
+    none of the modules below, the driver builds no array per estimate,
+    and every estimate carries its bias as a tuple of three Python floats."""
     cfg = PipelineConfig(algorithm=algorithm, noise=matched_noise_config(RATE))
     for module in (geometry, propagation, fasteuler, dlkf, complementary):
         monkeypatch.setattr(module, "np", NoNumPy(), raising=False)
@@ -217,10 +217,9 @@ def test_hot_path_builds_no_array(records, monkeypatch, algorithm):
 
     monkeypatch.setattr(pipeline, "np", CountedArrays())
     estimates = run_pipeline(records, cfg)
-    assert len(built) <= len(estimates)
-    assert all(type(e.gyro_bias) is np.ndarray for e in estimates)
-    if algorithm == "gyro-only":
-        assert len(built) == 1
+    assert built == []
+    assert all(type(e.gyro_bias) is tuple and len(e.gyro_bias) == 3
+               and all(type(b) is float for b in e.gyro_bias) for e in estimates)
 
 
 def test_cf_hot_path_calls(records, monkeypatch):

@@ -155,6 +155,18 @@ class TestDeterminism:
             np.testing.assert_array_equal(ea.gyro_bias, eb.gyro_bias)
 
 
+@pytest.mark.parametrize("algorithm", ["dlkf", "cf", "gyro-only"])
+def test_estimate_bias_cannot_be_written_into(algorithm):
+    # estimates whose bias did not change share one bias object, so a
+    # write into one would reach every other
+    estimates = run_pipeline(static_records(duration=4.0, seed=1),
+                             PipelineConfig(algorithm=algorithm))
+    before = [list(e.gyro_bias) for e in estimates]
+    with pytest.raises(TypeError):
+        estimates[0].gyro_bias[0] = 1.0
+    assert [list(e.gyro_bias) for e in estimates] == before
+
+
 HANG_CHILD = """
 import sys
 import numpy as np
