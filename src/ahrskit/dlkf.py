@@ -14,7 +14,9 @@ packed floats, exploits the block structure of the transition and the
 sparsity of the measurement matrices, and computes each covariance entry
 once. Storing one triangle keeps P exactly symmetric, which removes the
 usual weakness of the standard form P - K H P that both measurement
-layers use.
+layers use. Neither layer inverts a matrix: the magnetometer gain is one
+division, and the accelerometer layer works through a triangular
+factorisation of its 2x2 innovation covariance.
 
 Measurements follow the convention ``z = measured - estimated``, so the
 converged state is the correction to add to the current estimate.
@@ -263,11 +265,16 @@ def accel_update(fs: FilterState, z1, Ra) -> FilterState:
     """First measurement layer: roll/pitch error observation.
 
     z1 is the 2-vector (measured - estimated) of roll and pitch, rad.
-    With H selecting the roll/pitch states, P H^T is columns 0 and 1 of
-    the packed P and S = P[:2, :2] + Ra, so the gain K = P H^T S^-1
-    comes from the closed-form inverse of the 2x2 S. The covariance
-    takes the standard form P - K (P H^T)^T, a rank-2 update computed
-    on the packed upper triangle. Ra is any 2x2 array or nested sequence.
+    With H selecting the roll/pitch states, M = P H^T is columns 0 and 1
+    of the packed P and S = P[:2, :2] + Ra. The update is the standard
+    form P - M S^-1 M^T, computed on the packed upper triangle through
+    S = L D U, with L and U unit triangular and D = diag(s00, det / s00):
+    M S^-1 M^T = M0 M0^T / s00 + A1 B1^T / d1, where A1 = M1 - u01 M0 and
+    B1 = M1 - l10 M0. That is one scalar update on roll and one on what
+    is left of pitch. The cancellation of a strongly correlated P falls
+    in A1 and B1, where it costs only the rounding of M; the product
+    K M^T with K = M S^-1 would multiply that rounding by the condition
+    number of S. Ra is any 2x2 array or nested sequence.
     """
     try:
         (r00, r01), (r10, r11) = Ra
@@ -276,18 +283,22 @@ def accel_update(fs: FilterState, z1, Ra) -> FilterState:
         raise ValueError(f"Ra must be a 2x2 matrix, got {Ra!r}") from None
     _require_pd_2x2(r00, r10, r11)
     x, p = fs._x, fs._p
-    h0, h1 = _column0(p), _column1(p)
-    s00, s01, s10, s11 = h0[0] + r00, h0[1] + r01, h1[0] + r10, h1[1] + r11
+    m0, m1 = _column0(p), _column1(p)
+    s00, s01, s10, s11 = m0[0] + r00, m0[1] + r01, m1[0] + r10, m1[1] + r11
     det = s00 * s11 - s01 * s10
     if det == 0.0:
         raise ValueError("innovation covariance is singular")
-    inv_det = 1.0 / det
-    i00, i01, i10, i11 = s11 * inv_det, -s01 * inv_det, -s10 * inv_det, s00 * inv_det
-    k0 = [a * i00 + b * i10 for a, b in zip(h0, h1)]
-    k1 = [a * i01 + b * i11 for a, b in zip(h0, h1)]
+    if s00 == 0.0:
+        # only a P that is not positive semi-definite gets here
+        raise ValueError("innovation covariance has a zero roll variance")
+    u01, l10, d1 = s01 / s00, s10 / s00, det / s00
+    # the gain K = M S^-1 has columns v0 - l10 k1 and k1
+    v0 = [a / s00 for a in m0]
+    k1 = [(b - u01 * a) / d1 for a, b in zip(m0, m1)]
+    b1 = [b - l10 * a for a, b in zip(m0, m1)]
     e0, e1 = float(z1[0]) - x[0], float(z1[1]) - x[1]
-    x = tuple([xi + (a * e0 + b * e1) for xi, a, b in zip(x, k0, k1)])
-    p = tuple([pij - (k0[i] * h0[j] + k1[i] * h1[j])
+    x = tuple([xi + ((v - l10 * k) * e0 + k * e1) for xi, v, k in zip(x, v0, k1)])
+    p = tuple([pij - (m0[i] * v0[j] + k1[i] * b1[j])
                for pij, i, j in zip(p, _ROWS, _COLS)])
     return _packed(x, p)
 

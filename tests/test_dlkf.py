@@ -237,6 +237,16 @@ class TestAccelUpdate:
         with pytest.raises(ValueError, match="singular"):
             accel_update(FilterState(np.zeros(6), P), (0.0, 0.0), ra)
 
+    def test_rejects_zero_roll_innovation_variance(self):
+        # S = [[0, 1], [1, 6]] is regular, but the factorisation the
+        # layer divides by needs s00 != 0; only a P that is not PSD does this
+        ra = np.diag([0.5, 5.0])
+        P = np.eye(6)
+        P[0, 0] = -0.5
+        P[0, 1] = P[1, 0] = 1.0
+        with pytest.raises(ValueError, match="zero roll variance"):
+            accel_update(FilterState(np.zeros(6), P), (0.0, 0.0), ra)
+
     def test_gain_sanity_under_inflated_noise(self):
         # de-weighted measurements never move the state more
         rng = np.random.default_rng(32)
