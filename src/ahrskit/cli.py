@@ -9,23 +9,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from . import configio, logio
 from .metrics import evaluate, format_comparison, format_report
 from .pipeline import run_pipeline
-from .simulate import simulate, truth_array
-
-
-def _angles(estimates):
-    return (np.array([e.t for e in estimates]),
-            np.array([[e.euler.roll, e.euler.pitch, e.euler.yaw]
-                      for e in estimates]))
-
-
-def _truth(records):
-    # read_log yields truth for every record or for none
-    return np.array([r.t for r in records]), truth_array(records)
+from .simulate import simulate
 
 
 def _emit(report: str, path) -> int:
@@ -60,9 +47,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    estimates = logio.read_estimates(args.estimates)
-    t_truth, truth = _truth(logio.read_log(args.truth))
-    t_est, est = _angles(estimates)
+    t_est, est = logio._estimated_angles(args.estimates)
+    t_truth, truth = logio._truth_angles(args.truth)
     result = evaluate(t_est, est, t_truth, truth,
                       algorithm=args.name or "run",
                       config_hash=configio.config_hash(args.config)
@@ -71,10 +57,10 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    t_truth, truth = _truth(logio.read_log(args.truth))
+    t_truth, truth = logio._truth_angles(args.truth)
     results = []
     for path, name in ((args.baseline, "baseline"), (args.candidate, "candidate")):
-        t_est, est = _angles(logio.read_estimates(path))
+        t_est, est = logio._estimated_angles(path)
         results.append(evaluate(t_est, est, t_truth, truth, algorithm=name))
     return _emit(format_comparison(results[0], results[1]), args.report)
 

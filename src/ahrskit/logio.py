@@ -83,6 +83,14 @@ def read_log(path) -> List[SensorRecord]:
             for t, row, e in zip(data[:, 0].tolist(), data, truth)]
 
 
+def _truth_angles(path):
+    """(t, (N, 3) roll/pitch/yaw truth) columns of a log with truth columns."""
+    header, data = _read_table(path, (LOG_HEADER, LOG_TRUTH_HEADER), "log")
+    if header != LOG_TRUTH_HEADER:
+        raise ValueError(f"{path}: log has no truth columns")
+    return data[:, 0], data[:, 10:]
+
+
 def write_estimates(path, estimates: Sequence[AttitudeEstimate]) -> None:
     if not estimates:
         raise ValueError("refusing to write an empty estimate file")
@@ -95,3 +103,9 @@ def read_estimates(path) -> List[AttitudeEstimate]:
     return [AttitudeEstimate(v[0], EulerAngles(*v[1:4]), Quaternion(*v[4:8]),
                              tuple(v[8:]))
             for v in map(np.ndarray.tolist, data)]  # one row's floats at a time
+
+
+def _estimated_angles(path):
+    """(t, (N, 3) roll/pitch/yaw) columns of an estimates CSV."""
+    _, data = _read_table(path, (EST_HEADER,), "estimate")
+    return data[:, 0], data[:, 1:4]

@@ -2,6 +2,7 @@ import copy
 import math
 import pickle
 from dataclasses import replace
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -10,10 +11,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ahrskit.benchmark import static_records
-from ahrskit.dlkf import (FilterState, NoiseConfig, accel_update,
-                          apply_correction, mag_update, time_update)
+from ahrskit.dlkf import (_COLS, _ROWS, _UNPACK, FilterState, NoiseConfig, _packed,
+                          accel_update, apply_correction, mag_update, time_update)
 from ahrskit.fasteuler import accel_roll_pitch, mag_yaw
-from ahrskit.geometry import (Quaternion, euler_to_quat, EulerAngles,
+from ahrskit.geometry import (Quaternion, _dcm_entries, euler_to_quat, EulerAngles,
                               quat_to_euler, wrap_pi)
 from ahrskit.propagation import PropagatorState, propagate
 
@@ -377,6 +378,113 @@ class TestNoiseConfig:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             NoiseConfig(**kwargs)
+
+
+# The layers as they were written before being spelled out over named
+# floats: loops over the packed entries, with the same operations in the
+# same order, so the written-out layers must match them bit for bit.
+_column0, _column1, _column2 = (itemgetter(*_UNPACK[k].tolist()) for k in range(3))
+
+
+def loop_time_update(fs, q, dt, cfg):
+    c20, c21, c22 = _dcm_entries(*q)[6:]
+    sin_pitch = -c20
+    cos_pitch = math.hypot(c21, c22)
+    if cos_pitch < 1e-6:
+        cos_pitch = 1e-6
+    sin_roll = c21 / cos_pitch
+    cos_roll = c22 / cos_pitch
+    tan_pitch = sin_pitch / cos_pitch
+    g00, g01, g02 = -dt, -sin_roll * tan_pitch * dt, -cos_roll * tan_pitch * dt
+    g11, g12 = -cos_roll * dt, sin_roll * dt
+    g21, g22 = -sin_roll / cos_pitch * dt, -cos_roll / cos_pitch * dt
+    d = 1.0 - dt / cfg.tau_g
+
+    x0, x1, x2, x3, x4, x5 = fs._x
+    (a00, a01, a02, b00, b01, b02, a11, a12, b10, b11, b12,
+     a22, b20, b21, b22, c00, c01, c02, c11, c12, c22) = fs._p
+    m00 = b00 + g00 * c00 + g01 * c01 + g02 * c02
+    m01 = b01 + g00 * c01 + g01 * c11 + g02 * c12
+    m02 = b02 + g00 * c02 + g01 * c12 + g02 * c22
+    m10 = b10 + g11 * c01 + g12 * c02
+    m11 = b11 + g11 * c11 + g12 * c12
+    m12 = b12 + g11 * c12 + g12 * c22
+    m20 = b20 + g21 * c01 + g22 * c02
+    m21 = b21 + g21 * c11 + g22 * c12
+    m22 = b22 + g21 * c12 + g22 * c22
+    x = (x0 + g00 * x3 + g01 * x4 + g02 * x5, x1 + g11 * x4 + g12 * x5,
+         x2 + g21 * x4 + g22 * x5, d * x3, d * x4, d * x5)
+    p = tuple([pij + qij for pij, qij in zip((
+        a00 + g00 * b00 + g01 * b01 + g02 * b02 + m00 * g00 + m01 * g01 + m02 * g02,
+        a01 + g00 * b10 + g01 * b11 + g02 * b12 + m01 * g11 + m02 * g12,
+        a02 + g00 * b20 + g01 * b21 + g02 * b22 + m01 * g21 + m02 * g22,
+        d * m00, d * m01, d * m02,
+        a11 + g11 * b11 + g12 * b12 + m11 * g11 + m12 * g12,
+        a12 + g11 * b21 + g12 * b22 + m11 * g21 + m12 * g22,
+        d * m10, d * m11, d * m12,
+        a22 + g21 * b21 + g22 * b22 + m21 * g21 + m22 * g22,
+        d * m20, d * m21, d * m22,
+        d * c00 * d, d * c01 * d, d * c02 * d, d * c11 * d, d * c12 * d, d * c22 * d,
+    ), cfg._Q_packed)])
+    return _packed(x, p)
+
+
+def loop_accel_update(fs, z1, Ra):
+    (r00, r01), (r10, r11) = Ra.tolist()
+    x, p = fs._x, fs._p
+    m0, m1 = _column0(p), _column1(p)
+    s00, s01, s10, s11 = m0[0] + r00, m0[1] + r01, m1[0] + r10, m1[1] + r11
+    det = s00 * s11 - s01 * s10
+    u01, l10, d1 = s01 / s00, s10 / s00, det / s00
+    v0 = [a / s00 for a in m0]
+    k1 = [(b - u01 * a) / d1 for a, b in zip(m0, m1)]
+    b1 = [b - l10 * a for a, b in zip(m0, m1)]
+    e0, e1 = float(z1[0]) - x[0], float(z1[1]) - x[1]
+    x = tuple([xi + ((v - l10 * k) * e0 + k * e1) for xi, v, k in zip(x, v0, k1)])
+    p = tuple([pij - (m0[i] * v0[j] + k1[i] * b1[j])
+               for pij, i, j in zip(p, _ROWS, _COLS)])
+    return _packed(x, p)
+
+
+def loop_mag_update(fs, z2, Rm):
+    x, p = fs._x, fs._p
+    h = _column2(p)
+    s = h[2] + Rm
+    gain = [hi / s for hi in h]
+    innov = wrap_pi(float(z2) - x[2])
+    x = tuple([xi + ki * innov for xi, ki in zip(x, gain)])
+    p = tuple([pij - gain[i] * h[j] for pij, i, j in zip(p, _ROWS, _COLS)])
+    return _packed(x, p)
+
+
+def assert_same_state(out, ref):
+    np.testing.assert_array_equal(out.x, ref.x)
+    np.testing.assert_array_equal(out.P, ref.P)
+
+
+factors = arrays(np.float64, (6, 6), elements=st.floats(-1.0, 1.0))
+nonzero = st.one_of(st.floats(-0.1, -1e-9), st.floats(1e-9, 0.1))
+
+
+@settings(deadline=None)
+@given(arrays(np.float64, 6, elements=nonzero), factors, st.floats(-8.0, -2.0),
+       factors, st.floats(1.0, 100.0), st.floats(0.1, 10.0),
+       st.tuples(*[st.floats(-0.5, 0.5)] * 3),
+       st.builds(EulerAngles, st.floats(-3.1, 3.1), st.floats(-1.5, 1.5),
+                 st.floats(0.0, 6.28)),
+       st.floats(1e-4, 0.1))
+def test_layers_match_loop_forms_bit_for_bit(x, a, exponent, f, gamma2, rm_factor, z,
+                                             e, dt):
+    # random SPD P and a full random Q, so that every entry of P and Q
+    # differs from the others and a swapped index changes the result
+    fs = FilterState(x, (a @ a.T + 0.01 * np.eye(6)) * 10.0 ** exponent)
+    cfg = NoiseConfig(Q=(f @ f.T + 0.01 * np.eye(6)) * 1e-8)
+    ra = gamma2 * cfg.Ra_nominal
+    rm = rm_factor * cfg.Rm
+    q = euler_to_quat(e)
+    assert_same_state(time_update(fs, q, dt, cfg), loop_time_update(fs, q, dt, cfg))
+    assert_same_state(accel_update(fs, z[:2], ra), loop_accel_update(fs, z[:2], ra))
+    assert_same_state(mag_update(fs, z[2], rm), loop_mag_update(fs, z[2], rm))
 
 
 def test_closed_loop_bias_observability():

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -76,6 +76,9 @@ def test_time_update_matches_textbook(x, a, scale, e, dt):
 
 @settings(deadline=None)
 @given(states, factors, scales, st.floats(1.0, 100.0), innovations, innovations)
+# a rank-one factor: the standard form through S^-1 cancels here
+@example(x=np.zeros(6), a=np.ones((6, 6)), scale=10.0 ** -2.0078125, gamma2=1.0,
+         z0=0.0, z1=0.0)
 def test_accel_update_matches_textbook(x, a, scale, gamma2, z0, z1):
     P = spd(a, scale)
     Ra = gamma2 * CFG.Ra_nominal
