@@ -24,14 +24,14 @@ estimates = run_pipeline(records, config)
 
 print("\n  time    bias estimate (rad/s)              error (%)")
 for mark in (5.0, 10.0, 20.0, 30.0, 45.0, 60.0):
-    est = next(e for e in reversed(estimates) if e.t <= mark)
-    err = 100.0 * (est.gyro_bias - INJECTED) / INJECTED
-    print(f"  {mark:4.0f} s  [{est.gyro_bias[0]: .6f} {est.gyro_bias[1]: .6f} "
-          f"{est.gyro_bias[2]: .6f}]  [{err[0]: 5.2f} {err[1]: 5.2f} {err[2]: 5.2f}]")
+    # the last estimate at or before the mark
+    bias = estimates.gyro_bias[np.searchsorted(estimates.t, mark, side="right") - 1]
+    err = 100.0 * (bias - INJECTED) / INJECTED
+    print(f"  {mark:4.0f} s  [{bias[0]: .6f} {bias[1]: .6f} "
+          f"{bias[2]: .6f}]  [{err[0]: 5.2f} {err[1]: 5.2f} {err[2]: 5.2f}]")
 
 # attitude stays put while the bias is being learned
-angles = np.array([[e.euler.roll, e.euler.pitch] for e in estimates
-                   if e.t >= 30.0])
+angles = estimates.euler[estimates.t >= 30.0, :2]
 rms = np.degrees(np.sqrt(np.mean(angles ** 2, axis=0)))
 print(f"\nroll/pitch RMS after convergence: {rms[0]:.3f} / {rms[1]:.3f} deg")
 

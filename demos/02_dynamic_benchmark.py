@@ -27,10 +27,7 @@ config = PipelineConfig(noise=replace(matched_noise_config(250.0), lambda_a=50.0
 results = {}
 for algorithm in ("cf", "dlkf"):
     estimates = run_pipeline(records, replace(config, algorithm=algorithm))
-    t_est = np.array([e.t for e in estimates])
-    angles = np.array([[e.euler.roll, e.euler.pitch, e.euler.yaw]
-                       for e in estimates])
-    results[algorithm] = evaluate(t_est, angles, t_rec, truth,
+    results[algorithm] = evaluate(estimates.t, estimates.euler, t_rec, truth,
                                   algorithm=algorithm)
     print(f"{algorithm:>5}: per-angle RMSE "
           f"{np.round(results[algorithm].rmse_deg, 4)} deg")

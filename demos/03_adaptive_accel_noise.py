@@ -40,10 +40,8 @@ for label, lam in (("adaptive", noise.lambda_a), ("fixed", 0.0)):
     cfg = PipelineConfig(noise=replace(noise, lambda_a=lam))
     estimates = run_pipeline(records, cfg)
     n_skip = len(records) - len(estimates)
-    angles = np.array([[e.euler.roll, e.euler.pitch, e.euler.yaw]
-                       for e in estimates])
     in_push = (t_rec[n_skip:] >= PUSH[0]) & (t_rec[n_skip:] <= PUSH[1])
-    r = rmse(angles[in_push], truth[n_skip:][in_push])
+    r = rmse(estimates.euler[in_push], truth[n_skip:][in_push])
     results[label] = r
     print(f"{label:<12}{r[0]:>12.3f}{r[1]:>12.3f}")
 

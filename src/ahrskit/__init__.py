@@ -15,8 +15,8 @@ from .geometry import (EulerAngles, Quaternion, euler_to_quat, quat_multiply,
                        quat_to_dcm, quat_to_euler, rotvec_to_quat, wrap_pi,
                        wrap_yaw)
 from .metrics import RunResult, align_series, evaluate, improvement, rmse
-from .pipeline import (AlignmentError, AttitudeEstimate, PipelineConfig,
-                       initial_alignment, run_pipeline)
+from .pipeline import (AlignmentError, AttitudeEstimate, Estimates,
+                       PipelineConfig, initial_alignment, run_pipeline)
 from .propagation import PropagatorState, propagate
 from .simulate import (AccelModel, GyroModel, MagModel, Segment, SensorRecord,
                        TrajectorySpec, simulate)
@@ -24,10 +24,10 @@ from .simulate import (AccelModel, GyroModel, MagModel, Segment, SensorRecord,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AccelModel", "AlignmentError", "AttitudeEstimate", "EulerAngles",
-    "FilterState", "GyroModel", "MagModel", "NoiseConfig", "PipelineConfig",
-    "PropagatorState", "Quaternion", "RunResult", "Segment", "SensorRecord",
-    "TrajectorySpec",
+    "AccelModel", "AlignmentError", "AttitudeEstimate", "Estimates",
+    "EulerAngles", "FilterState", "GyroModel", "MagModel", "NoiseConfig",
+    "PipelineConfig", "PropagatorState", "Quaternion", "RunResult", "Segment",
+    "SensorRecord", "TrajectorySpec",
     "accel_roll_pitch", "accel_update", "align_series", "apply_correction",
     "cf_update", "euler_to_quat", "evaluate", "improvement",
     "initial_alignment", "mag_update", "mag_yaw", "propagate",

@@ -47,9 +47,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    t_est, est = logio._estimated_angles(args.estimates)
+    est = logio.read_estimates(args.estimates)
     t_truth, truth = logio._truth_angles(args.truth)
-    result = evaluate(t_est, est, t_truth, truth,
+    result = evaluate(est.t, est.euler, t_truth, truth,
                       algorithm=args.name or "run",
                       config_hash=configio.config_hash(args.config)
                       if args.config else "")
@@ -60,8 +60,8 @@ def _cmd_compare(args) -> int:
     t_truth, truth = logio._truth_angles(args.truth)
     results = []
     for path, name in ((args.baseline, "baseline"), (args.candidate, "candidate")):
-        t_est, est = logio._estimated_angles(path)
-        results.append(evaluate(t_est, est, t_truth, truth, algorithm=name))
+        est = logio.read_estimates(path)
+        results.append(evaluate(est.t, est.euler, t_truth, truth, algorithm=name))
     return _emit(format_comparison(results[0], results[1]), args.report)
 
 

@@ -11,7 +11,7 @@ Conventions used everywhere in this library:
   [-pi/2, pi/2], yaw in [0, 2*pi).
 * Vectors are anything indexable of length 3: sensor samples are numpy
   arrays; the gyro bias is a tuple of three floats from the alignment
-  seed through every estimator to each emitted estimate.
+  seed through every estimator, and in each `AttitudeEstimate`.
 
 All operations are pure functions on immutable values and are safe to
 share between threads.

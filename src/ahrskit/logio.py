@@ -10,6 +10,8 @@ present either for every row or for none. Floats are written with
 repr(), which round-trips exactly, so a write/read cycle is lossless and
 rewriting produces bit-identical files. Readers skip blank and
 whitespace-only lines, accept CRLF, and name the file in every error.
+Estimates are read into, and written from, the (N, 11) table of an
+`Estimates` without building an object per row.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .geometry import EulerAngles, Quaternion
-from .pipeline import AttitudeEstimate
+from .geometry import EulerAngles
+from .pipeline import AttitudeEstimate, Estimates
 from .simulate import SensorRecord
 
 LOG_HEADER = "t,gx,gy,gz,ax,ay,az,mx,my,mz"
@@ -92,20 +94,14 @@ def _truth_angles(path):
 
 
 def write_estimates(path, estimates: Sequence[AttitudeEstimate]) -> None:
+    """Write estimates; an `Estimates` is written from its table."""
     if not estimates:
         raise ValueError("refusing to write an empty estimate file")
-    _write_table(path, EST_HEADER, ((e.t, *e.euler, *e.q, *e.gyro_bias)
-                                    for e in estimates))
+    rows = estimates.rows() if isinstance(estimates, Estimates) else \
+        ((e.t, *e.euler, *e.q, *e.gyro_bias) for e in estimates)
+    _write_table(path, EST_HEADER, rows)
 
 
-def read_estimates(path) -> List[AttitudeEstimate]:
-    _, data = _read_table(path, (EST_HEADER,), "estimate")
-    return [AttitudeEstimate(v[0], EulerAngles(*v[1:4]), Quaternion(*v[4:8]),
-                             tuple(v[8:]))
-            for v in map(np.ndarray.tolist, data)]  # one row's floats at a time
-
-
-def _estimated_angles(path):
-    """(t, (N, 3) roll/pitch/yaw) columns of an estimates CSV."""
-    _, data = _read_table(path, (EST_HEADER,), "estimate")
-    return data[:, 0], data[:, 1:4]
+def read_estimates(path) -> Estimates:
+    """The estimates of a CSV, as one table parsed in a single pass."""
+    return Estimates(_read_table(path, (EST_HEADER,), "estimate")[1])

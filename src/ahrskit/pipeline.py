@@ -1,7 +1,10 @@
 """End-to-end fusion loop: alignment, per-sample estimation, emission.
 
 One driver serves every algorithm: it owns the clock, the mag-epoch
-schedule, the per-sample error context and the emitted estimates. Each
+schedule, the per-sample error context and the emitted estimates. It
+packs each sample's 11 floats (t, Euler angles, quaternion, gyro bias)
+into one `array("d")` and returns the whole run as `Estimates`, one
+read-only table, so no per-sample object outlives its step. Each
 algorithm is a factory in `_STEPS` returning
 `step(rec, dt, mag_due) -> PropagatorState`, a closure over its own
 estimator state. All three integrate the gyro with `propagate` and
@@ -16,8 +19,12 @@ covariance flows on.
 from __future__ import annotations
 
 import math
+import operator
+import struct
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -62,13 +69,94 @@ class PipelineConfig:
 
 
 class AttitudeEstimate(NamedTuple):
-    """One output sample: Euler angles, quaternion, and the accumulated
-    gyro bias as the step's own tuple of three floats (rad/s)."""
+    """One output sample of Python floats: time, Euler angles,
+    quaternion, and the accumulated gyro bias as a tuple of three floats
+    (rad/s). `Estimates` builds these on demand from its table."""
 
     t: float
     euler: EulerAngles
     q: Quaternion
     gyro_bias: Tuple[float, float, float]
+
+
+_ROW = struct.Struct("11d")  # one estimate: t, roll..yaw, qw..qz, bgx..bgz
+_CHUNK = 1024  # table rows converted to Python floats at a time
+_new = tuple.__new__  # builds a NamedTuple without its Python-level __new__
+
+
+class Estimates(Sequence):
+    """A run's estimates: an immutable sequence of `AttitudeEstimate`
+    over a read-only (N, 11) float64 table.
+
+    The columns are t, roll, pitch, yaw, qw, qx, qy, qz, bgx, bgy, bgz,
+    the order of `logio.EST_HEADER`. `t`, `euler`, `q` and `gyro_bias`
+    are read-only views of the table. An index or iteration builds each
+    `AttitudeEstimate` of Python floats on demand, so holding a run
+    holds one array and no per-sample object; a slice is an `Estimates`
+    over a view. `==` compares element by element with any sequence.
+    """
+
+    __slots__ = ("_table",)
+
+    def __init__(self, table: np.ndarray):
+        if table.dtype != np.float64 or table.ndim != 2 or table.shape[1] != 11:
+            raise ValueError(f"expected an (N, 11) float64 table, "
+                             f"got {table.dtype} {table.shape}")
+        self._table = table.view()
+        self._table.flags.writeable = False
+
+    @property
+    def table(self) -> np.ndarray:
+        """The (N, 11) table itself, read-only."""
+        return self._table
+
+    @property
+    def t(self) -> np.ndarray:
+        """(N,) sample times, s."""
+        return self._table[:, 0]
+
+    @property
+    def euler(self) -> np.ndarray:
+        """(N, 3) roll, pitch, yaw, rad."""
+        return self._table[:, 1:4]
+
+    @property
+    def q(self) -> np.ndarray:
+        """(N, 4) quaternions, scalar first."""
+        return self._table[:, 4:8]
+
+    @property
+    def gyro_bias(self) -> np.ndarray:
+        """(N, 3) accumulated gyro bias, rad/s."""
+        return self._table[:, 8:11]
+
+    def rows(self) -> Iterator[List[float]]:
+        """Each row as a list of 11 Python floats, converted in chunks."""
+        table = self._table
+        for start in range(0, len(table), _CHUNK):
+            yield from table[start:start + _CHUNK].tolist()
+
+    def __len__(self) -> int:
+        return len(self._table)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Estimates(self._table[index])
+        return _estimate(self._table[operator.index(index)].tolist())
+
+    def __iter__(self) -> Iterator[AttitudeEstimate]:
+        return map(_estimate, self.rows())
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+
+def _estimate(row: List[float]) -> AttitudeEstimate:
+    t, roll, pitch, yaw, qw, qx, qy, qz, bx, by, bz = row
+    return _new(AttitudeEstimate, (t, _new(EulerAngles, (roll, pitch, yaw)),
+                                   _new(Quaternion, (qw, qx, qy, qz)), (bx, by, bz)))
 
 
 def initial_alignment(records: Sequence[SensorRecord], cfg: NoiseConfig,
@@ -101,12 +189,13 @@ def initial_alignment(records: Sequence[SensorRecord], cfg: NoiseConfig,
 
 def run_pipeline(records: Sequence[SensorRecord], cfg: PipelineConfig,
                  on_epoch: Optional[Callable[[float, FilterState], None]] = None,
-                 ) -> List[AttitudeEstimate]:
+                 ) -> Estimates:
     """Run the configured estimator over a time-ordered record stream.
 
     Estimates are emitted at the IMU rate for every sample after the
-    alignment window. `on_epoch`, if given, receives (t, FilterState)
-    after each dlkf epoch (diagnostics; ignored by other algorithms).
+    alignment window, as one `Estimates` table. `on_epoch`, if given,
+    receives (t, FilterState) after each dlkf epoch (diagnostics;
+    ignored by other algorithms).
     """
     if not records:
         raise ValueError("no records to process")
@@ -131,7 +220,8 @@ def run_pipeline(records: Sequence[SensorRecord], cfg: PipelineConfig,
     step = _STEPS[cfg.algorithm](cfg, q0, bias_seed, on_epoch)
     mag_period = 1.0 / cfg.mag_rate_hz
     next_mag = rest[0].t
-    estimates = []
+    table = array("d")
+    emit, pack = table.frombytes, _ROW.pack
     try:
         for i, rec in enumerate(rest, n_align):
             dt = rec.t - t_prev
@@ -143,12 +233,13 @@ def run_pipeline(records: Sequence[SensorRecord], cfg: PipelineConfig,
                 # one period per step, or one jump over the epochs a gap missed
                 next_mag += ((rec.t - next_mag) // mag_period + 1.0) * mag_period
             prop = step(rec, dt, mag_due)
-            estimates.append(AttitudeEstimate(rec.t, quat_to_euler(prop.q),
-                                              prop.q, prop.bias))
+            roll, pitch, yaw = quat_to_euler(prop.q)
+            (qw, qx, qy, qz), (bx, by, bz) = prop
+            emit(pack(rec.t, roll, pitch, yaw, qw, qx, qy, qz, bx, by, bz))
             t_prev = rec.t
     except ValueError as exc:
         raise ValueError(f"sample {i} (t={rec.t}): {exc}") from exc
-    return estimates
+    return Estimates(np.frombuffer(table).reshape(-1, 11))
 
 
 def _dlkf_step(cfg, q0, bias_seed, on_epoch):

@@ -7,7 +7,8 @@ from ahrskit.benchmark import static_records
 from ahrskit.geometry import EulerAngles, Quaternion
 from ahrskit.logio import (EST_HEADER, LOG_HEADER, read_estimates, read_log,
                            write_estimates, write_log)
-from ahrskit.pipeline import AttitudeEstimate, PipelineConfig, run_pipeline
+from ahrskit.pipeline import (AttitudeEstimate, Estimates, PipelineConfig,
+                              run_pipeline)
 
 # a reader that warns (e.g. NumPy on a file without data rows) is a failure
 pytestmark = pytest.mark.filterwarnings("error")
@@ -98,6 +99,21 @@ def test_estimates_round_trip(tmp_path, records):
     path = tmp_path / "est.csv"
     write_estimates(path, estimates)
     assert read_estimates(path) == estimates
+
+
+@pytest.mark.parametrize("algorithm", ["dlkf", "cf", "gyro-only"])
+def test_estimates_table_writes_as_its_rows(tmp_path, algorithm):
+    # the table path writes the same bytes as the per-estimate path
+    estimates = run_pipeline(static_records(duration=8.0, noisy=True, seed=5),
+                             PipelineConfig(algorithm=algorithm))
+    write_estimates(tmp_path / "table.csv", estimates)
+    write_estimates(tmp_path / "rows.csv", list(estimates))
+    assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+    back = read_estimates(tmp_path / "table.csv")
+    assert isinstance(back, Estimates)
+    np.testing.assert_array_equal(back.table, estimates.table)
+    write_estimates(tmp_path / "again.csv", back)
+    assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "table.csv").read_bytes()
 
 
 def test_estimates_single_row(tmp_path):

@@ -1,3 +1,4 @@
+import gc
 import math
 import os
 import re
@@ -12,8 +13,8 @@ import ahrskit
 
 from ahrskit.benchmark import matched_noise_config, mems_models, static_records
 from ahrskit.dlkf import NoiseConfig
-from ahrskit.geometry import EulerAngles, quat_to_euler, wrap_pi
-from ahrskit.pipeline import (AlignmentError, PipelineConfig,
+from ahrskit.geometry import EulerAngles, Quaternion, quat_to_euler, wrap_pi
+from ahrskit.pipeline import (AlignmentError, Estimates, PipelineConfig,
                               initial_alignment, run_pipeline)
 from ahrskit.simulate import (Segment, SensorRecord, TrajectorySpec,
                               simulate, truth_array)
@@ -157,14 +158,103 @@ class TestDeterminism:
 
 @pytest.mark.parametrize("algorithm", ["dlkf", "cf", "gyro-only"])
 def test_estimate_bias_cannot_be_written_into(algorithm):
-    # estimates whose bias did not change share one bias object, so a
-    # write into one would reach every other
+    # the bias is a tuple, and the table it is read from is read-only
     estimates = run_pipeline(static_records(duration=4.0, seed=1),
                              PipelineConfig(algorithm=algorithm))
     before = [list(e.gyro_bias) for e in estimates]
     with pytest.raises(TypeError):
         estimates[0].gyro_bias[0] = 1.0
     assert [list(e.gyro_bias) for e in estimates] == before
+
+
+@pytest.mark.parametrize("algorithm", ["dlkf", "cf", "gyro-only"])
+def test_run_keeps_no_object_per_sample(algorithm):
+    """Holding a run's result holds a few GC-tracked objects whatever the
+    log length, not an estimate, Euler angles and quaternion per sample."""
+    cfg = PipelineConfig(algorithm=algorithm)
+    run_pipeline(static_records(duration=3.0, seed=1), cfg)  # warm-up
+    growth = {}
+    for duration in (3.0, 6.0):
+        records = static_records(duration=duration, seed=1)
+        gc.collect()
+        before = len(gc.get_objects())
+        estimates = run_pipeline(records, cfg)
+        gc.collect()
+        growth[len(estimates)] = len(gc.get_objects()) - before
+        del estimates
+    assert min(growth) > 200
+    assert max(growth.values()) <= 10, growth
+
+
+class TestEstimates:
+    """`Estimates`: a read-only table that reads as a sequence of
+    `AttitudeEstimate`s of Python floats."""
+
+    @pytest.fixture(scope="class")
+    def estimates(self):
+        # longer than one conversion chunk, so iteration crosses chunks
+        return run_pipeline(static_records(duration=8.0, gyro_bias=(0.01, 0.0, 0.0),
+                                           noisy=True, seed=3), PipelineConfig())
+
+    def test_columns_are_read_only_views(self, estimates):
+        columns = (estimates.table, estimates.t, estimates.euler, estimates.q,
+                   estimates.gyro_bias)
+        for column in columns:
+            assert np.shares_memory(column, estimates.table)
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 1.0
+
+    def test_columns_follow_the_elements(self, estimates):
+        listed = list(estimates)
+        assert estimates.t.tolist() == [e.t for e in listed]
+        assert estimates.euler.tolist() == [list(e.euler) for e in listed]
+        assert estimates.q.tolist() == [list(e.q) for e in listed]
+        assert estimates.gyro_bias.tolist() == [list(e.gyro_bias) for e in listed]
+
+    def test_index_matches_iteration(self, estimates):
+        listed = list(estimates)
+        n = len(listed)
+        assert n == len(estimates) > 1024
+        for i in (0, 1, 1023, 1024, n - 1, -1, -n):
+            assert estimates[i] == listed[i]
+        assert estimates[-1] == listed[-1] == listed[n - 1]
+        for i in (n, -n - 1):
+            with pytest.raises(IndexError):
+                estimates[i]
+        with pytest.raises(TypeError):
+            estimates[1.0]
+
+    @pytest.mark.parametrize("part", [slice(None, 5), slice(-3, None), slice(1, 1500, 7),
+                                      slice(None, None, -1), slice(5, 5)])
+    def test_slices(self, estimates, part):
+        listed = list(estimates)
+        sliced = estimates[part]
+        assert isinstance(sliced, Estimates)
+        assert list(sliced) == listed[part]
+        assert sliced == listed[part]
+        assert len(sliced) == len(listed[part])
+
+    def test_elements_are_python_floats(self, estimates):
+        for e in (*estimates, estimates[0], estimates[-1]):
+            assert type(e.t) is float
+            assert type(e.euler) is EulerAngles and type(e.q) is Quaternion
+            assert type(e.gyro_bias) is tuple and len(e.gyro_bias) == 3
+            assert all(type(v) is float for v in (*e.euler, *e.q, *e.gyro_bias))
+
+    def test_equality_is_element_by_element(self, estimates):
+        listed = list(estimates)
+        assert estimates == listed and listed == estimates
+        assert estimates == tuple(listed)
+        assert estimates == Estimates(estimates.table.copy())
+        assert estimates != listed[:-1]
+        changed = listed[:-1] + [listed[-1]._replace(t=listed[-1].t + 1.0)]
+        assert estimates != changed
+
+    def test_table_shape_is_checked(self):
+        with pytest.raises(ValueError, match=r"\(N, 11\) float64"):
+            Estimates(np.zeros((3, 10)))
+        with pytest.raises(ValueError, match=r"\(N, 11\) float64"):
+            Estimates(np.zeros((3, 11), dtype=np.float32))
 
 
 HANG_CHILD = """
