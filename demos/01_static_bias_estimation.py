@@ -14,13 +14,12 @@ from ahrskit.pipeline import PipelineConfig, run_pipeline
 
 INJECTED = np.array([0.02, -0.01, 0.015])  # rad/s
 
-records = static_records(duration=60.0, gyro_bias=tuple(INJECTED), noisy=True,
-                         seed=7)
-print(f"simulated {len(records)} samples at 250 Hz, injected gyro bias "
+log = static_records(duration=60.0, gyro_bias=tuple(INJECTED), noisy=True, seed=7)
+print(f"simulated {len(log)} samples at 250 Hz, injected gyro bias "
       f"{INJECTED} rad/s")
 
 config = PipelineConfig(noise=matched_noise_config(250.0))
-estimates = run_pipeline(records, config)
+estimates = run_pipeline(log, config)
 
 print("\n  time    bias estimate (rad/s)              error (%)")
 for mark in (5.0, 10.0, 20.0, 30.0, 45.0, 60.0):
@@ -36,6 +35,6 @@ rms = np.degrees(np.sqrt(np.mean(angles ** 2, axis=0)))
 print(f"\nroll/pitch RMS after convergence: {rms[0]:.3f} / {rms[1]:.3f} deg")
 
 # contrast: integrate the same gyros without any correction
-open_loop = run_pipeline(records, PipelineConfig(algorithm="gyro-only"))
+open_loop = run_pipeline(log, PipelineConfig(algorithm="gyro-only"))
 drift = np.degrees(abs(open_loop[-1].euler.roll))
 print(f"open-loop roll drift over the same minute: {drift:.1f} deg")

@@ -14,20 +14,17 @@ import numpy as np
 from ahrskit.benchmark import benchmark_records, matched_noise_config
 from ahrskit.metrics import evaluate, format_comparison
 from ahrskit.pipeline import PipelineConfig, run_pipeline
-from ahrskit.simulate import truth_array
 
-records = benchmark_records(seed=11)
-truth = truth_array(records)
-t_rec = np.array([r.t for r in records])
-print(f"benchmark: {len(records)} samples, {t_rec[-1]:.0f} s, maneuvers + "
+log = benchmark_records(seed=11)  # a SensorLog: read-only t, gyro, ... and truth columns
+print(f"benchmark: {len(log)} samples, {log.t[-1]:.0f} s, maneuvers + "
       "constant gyro bias (0.01, -0.008, 0.006) rad/s")
 
 config = PipelineConfig(noise=replace(matched_noise_config(250.0), lambda_a=50.0))
 
 results = {}
 for algorithm in ("cf", "dlkf"):
-    estimates = run_pipeline(records, replace(config, algorithm=algorithm))
-    results[algorithm] = evaluate(estimates.t, estimates.euler, t_rec, truth,
+    estimates = run_pipeline(log, replace(config, algorithm=algorithm))
+    results[algorithm] = evaluate(estimates.t, estimates.euler, log.t, log.truth,
                                   algorithm=algorithm)
     print(f"{algorithm:>5}: per-angle RMSE "
           f"{np.round(results[algorithm].rmse_deg, 4)} deg")

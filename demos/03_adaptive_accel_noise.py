@@ -16,7 +16,7 @@ from ahrskit.benchmark import matched_noise_config, mems_models
 from ahrskit.fasteuler import accel_roll_pitch
 from ahrskit.metrics import rmse
 from ahrskit.pipeline import PipelineConfig, run_pipeline
-from ahrskit.simulate import Segment, TrajectorySpec, simulate, truth_array
+from ahrskit.simulate import Segment, TrajectorySpec, simulate
 
 PUSH = (15.0, 25.0)
 results = {}
@@ -24,24 +24,22 @@ segments = (Segment(PUSH[0], (0.0, 0.0, 0.0)),
             Segment(PUSH[1] - PUSH[0], (0.0, 0.0, 0.0), (3.0, 0.0, 0.0)),
             Segment(10.0, (0.0, 0.0, 0.0)))
 gm, am, mm = mems_models(noisy=True)
-records = simulate(TrajectorySpec(segments), gm, am, mm, 250.0, 5)
+log = simulate(TrajectorySpec(segments), gm, am, mm, 250.0, 5)
 
 noise = replace(matched_noise_config(250.0), lambda_a=50.0)
-sample = next(r for r in records if PUSH[0] + 1.0 < r.t < PUSH[1])
+sample = next(r for r in log if PUSH[0] + 1.0 < r.t < PUSH[1])
 print("specific-force norm during the push: "
       f"{np.linalg.norm(sample.accel):.2f} m/s^2 (gravity 9.81)")
 print(f"adaptive noise factor for that sample: "
       f"{accel_roll_pitch(sample.accel, noise)[2]:.1f}x nominal")
 
-truth = truth_array(records)
-t_rec = np.array([r.t for r in records])
 print(f"\n{'setting':<12}{'roll RMSE':>12}{'pitch RMSE':>12}   (deg, during the push)")
 for label, lam in (("adaptive", noise.lambda_a), ("fixed", 0.0)):
     cfg = PipelineConfig(noise=replace(noise, lambda_a=lam))
-    estimates = run_pipeline(records, cfg)
-    n_skip = len(records) - len(estimates)
-    in_push = (t_rec[n_skip:] >= PUSH[0]) & (t_rec[n_skip:] <= PUSH[1])
-    r = rmse(estimates.euler[in_push], truth[n_skip:][in_push])
+    estimates = run_pipeline(log, cfg)
+    n_skip = len(log) - len(estimates)
+    in_push = (log.t[n_skip:] >= PUSH[0]) & (log.t[n_skip:] <= PUSH[1])
+    r = rmse(estimates.euler[in_push], log.truth[n_skip:][in_push])
     results[label] = r
     print(f"{label:<12}{r[0]:>12.3f}{r[1]:>12.3f}")
 

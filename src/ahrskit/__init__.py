@@ -18,8 +18,8 @@ from .metrics import RunResult, align_series, evaluate, improvement, rmse
 from .pipeline import (AlignmentError, AttitudeEstimate, Estimates,
                        PipelineConfig, initial_alignment, run_pipeline)
 from .propagation import PropagatorState, propagate
-from .simulate import (AccelModel, GyroModel, MagModel, Segment, SensorRecord,
-                       TrajectorySpec, simulate)
+from .simulate import (AccelModel, GyroModel, MagModel, Segment, SensorLog,
+                       SensorRecord, TrajectorySpec, simulate)
 
 __version__ = "0.1.0"
 
@@ -27,7 +27,7 @@ __all__ = [
     "AccelModel", "AlignmentError", "AttitudeEstimate", "Estimates",
     "EulerAngles", "FilterState", "GyroModel", "MagModel", "NoiseConfig",
     "PipelineConfig", "PropagatorState", "Quaternion", "RunResult", "Segment",
-    "SensorRecord", "TrajectorySpec",
+    "SensorLog", "SensorRecord", "TrajectorySpec",
     "accel_roll_pitch", "accel_update", "align_series", "apply_correction",
     "cf_update", "euler_to_quat", "evaluate", "improvement",
     "initial_alignment", "mag_update", "mag_yaw", "propagate",

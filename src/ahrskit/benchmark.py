@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import math
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .dlkf import NoiseConfig
 from .geometry import EulerAngles
-from .simulate import (AccelModel, GyroModel, MagModel, Segment, SensorRecord,
+from .simulate import (AccelModel, GyroModel, MagModel, Segment, SensorLog,
                        TrajectorySpec, simulate)
 
 # MPU6050-class datasheet white noise densities: 0.005 deg/s/sqrt(Hz)
@@ -100,13 +100,13 @@ BENCHMARK_GYRO_BIAS = (0.01, -0.008, 0.006)  # rad/s
 def static_records(duration: float = 60.0, rate: float = 250.0,
                    gyro_bias=(0.0, 0.0, 0.0), noisy: bool = True,
                    seed: int = 7, attitude: EulerAngles = EulerAngles(0.0, 0.0, 0.0),
-                   ) -> List[SensorRecord]:
+                   ) -> SensorLog:
     gm, am, mm = mems_models(gyro_bias=gyro_bias, noisy=noisy)
     return simulate(static_trajectory(duration, attitude), gm, am, mm, rate, seed)
 
 
 def benchmark_records(rate: float = 250.0, seed: int = 11,
-                      gyro_bias=BENCHMARK_GYRO_BIAS) -> List[SensorRecord]:
+                      gyro_bias=BENCHMARK_GYRO_BIAS) -> SensorLog:
     """The dynamic comparison scenario with datasheet noise and a
     constant gyro bias (the disturbance the filter exists to remove)."""
     gm, am, mm = mems_models(gyro_bias=gyro_bias, noisy=True)

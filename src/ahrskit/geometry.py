@@ -9,9 +9,9 @@ Conventions used everywhere in this library:
 * Euler angles use the aerospace Z-Y-X sequence (yaw about Z, then pitch
   about Y, then roll about X). Roll lies in (-pi, pi], pitch in
   [-pi/2, pi/2], yaw in [0, 2*pi).
-* Vectors are anything indexable of length 3: sensor samples are numpy
-  arrays; the gyro bias is a tuple of three floats from the alignment
-  seed through every estimator, and in each `AttitudeEstimate`.
+* Vectors are anything indexable of length 3: the estimators read sensor
+  samples as Python floats from the rows of a `SensorLog`; the gyro bias
+  is a tuple of three floats from alignment through every estimate.
 
 All operations are pure functions on immutable values and are safe to
 share between threads.

@@ -10,22 +10,21 @@ present either for every row or for none. Floats are written with
 repr(), which round-trips exactly, so a write/read cycle is lossless and
 rewriting produces bit-identical files. Readers skip blank and
 whitespace-only lines, accept CRLF, and name the file in every error.
-Estimates are read into, and written from, the (N, 11) table of an
-`Estimates` without building an object per row.
+A log is read into, and written from, the tables of a `SensorLog`, and
+estimates the (N, 11) table of an `Estimates`, without an object per row.
 """
 
 from __future__ import annotations
 
+import operator
 import warnings
-from itertools import repeat
 from pathlib import Path
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .geometry import EulerAngles
 from .pipeline import AttitudeEstimate, Estimates
-from .simulate import SensorRecord
+from .simulate import SensorLog, SensorRecord, _table_rows
 
 LOG_HEADER = "t,gx,gy,gz,ax,ay,az,mx,my,mz"
 LOG_TRUTH_HEADER = LOG_HEADER + ",troll,tpitch,tyaw"
@@ -60,37 +59,33 @@ def _write_table(path, header: str, rows) -> None:
 
 
 def write_log(path, records: Sequence[SensorRecord]) -> None:
-    """Write sensor records; truth columns appear iff records carry truth."""
-    if not records:
+    """Write sensor records from the tables of their `SensorLog`; truth
+    columns appear iff the records carry truth."""
+    log = SensorLog.of(records)
+    if not log:
         raise ValueError("refusing to write an empty log")
-    with_truth = records[0].truth is not None
-
-    def rows():
-        for rec in records:
-            if (rec.truth is not None) != with_truth:
-                raise ValueError(f"record at t={rec.t}: truth must be present for "
-                                 "all records or none")
-            yield (rec.t, *rec.gyro.tolist(), *rec.accel.tolist(), *rec.mag.tolist(),
-                   *(rec.truth or ()))
-
-    _write_table(path, LOG_TRUTH_HEADER if with_truth else LOG_HEADER, rows())
+    if log.truth is None and log is not records and \
+            any(r.truth is not None for r in records):
+        raise ValueError("truth must be present for all records or none")
+    rows = log.rows()
+    if log.truth is not None:
+        rows = map(operator.add, rows, _table_rows(log.truth))
+    _write_table(path, LOG_HEADER if log.truth is None else LOG_TRUTH_HEADER, rows)
 
 
-def read_log(path) -> List[SensorRecord]:
-    """Read a sensor log; accepts both schema variants."""
+def read_log(path) -> SensorLog:
+    """Read a sensor log, as the tables of one `SensorLog`; accepts both
+    schema variants."""
     header, data = _read_table(path, (LOG_HEADER, LOG_TRUTH_HEADER), "log")
-    truth = map(EulerAngles._make, data[:, 10:].tolist()) \
-        if header == LOG_TRUTH_HEADER else repeat(None)
-    return [SensorRecord(t, row[1:4], row[4:7], row[7:10], e)
-            for t, row, e in zip(data[:, 0].tolist(), data, truth)]
+    return SensorLog(data[:, :10], data[:, 10:] if header == LOG_TRUTH_HEADER else None)
 
 
 def _truth_angles(path):
     """(t, (N, 3) roll/pitch/yaw truth) columns of a log with truth columns."""
-    header, data = _read_table(path, (LOG_HEADER, LOG_TRUTH_HEADER), "log")
-    if header != LOG_TRUTH_HEADER:
+    log = read_log(path)
+    if log.truth is None:
         raise ValueError(f"{path}: log has no truth columns")
-    return data[:, 0], data[:, 10:]
+    return log.t, log.truth
 
 
 def write_estimates(path, estimates: Sequence[AttitudeEstimate]) -> None:

@@ -2,18 +2,19 @@
 
 One driver serves every algorithm: it owns the clock, the mag-epoch
 schedule, the per-sample error context and the emitted estimates. It
-packs each sample's 11 floats (t, Euler angles, quaternion, gyro bias)
-into one `array("d")` and returns the whole run as `Estimates`, one
-read-only table, so no per-sample object outlives its step. Each
-algorithm is a factory in `_STEPS` returning
-`step(rec, dt, mag_due) -> PropagatorState`, a closure over its own
-estimator state. All three integrate the gyro with `propagate` and
-differ only in the correction: none for gyro-only, the PI feedback of
-`cf_update` for cf. The dlkf step converts accel/mag into measured
-angles, runs the filter time update and whichever measurement layers
-have valid data this epoch, then feeds the corrections back. A gated
-accelerometer or an off-epoch magnetometer simply skips its layer; the
-covariance flows on.
+reads the samples of a `SensorLog` as rows of Python floats, packs each
+sample's 11 floats (t, Euler angles, quaternion, gyro bias) into one
+`array("d")` and returns the whole run as `Estimates`, one read-only
+table, so no per-sample object outlives its step. Each algorithm is a
+factory in `_STEPS` returning `step(row, dt, mag_due) -> PropagatorState`,
+a closure over its own estimator state; `row` is the sample's 10 floats
+in `logio.LOG_HEADER` order. All three integrate the gyro with
+`propagate` and differ only in the correction: none for gyro-only, the
+PI feedback of `cf_update` for cf. The dlkf step converts accel/mag into
+measured angles, runs the filter time update and whichever measurement
+layers have valid data this epoch, then feeds the corrections back. A
+gated accelerometer or an off-epoch magnetometer simply skips its layer;
+the covariance flows on.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import struct
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Callable, Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -35,7 +36,8 @@ from .fasteuler import accel_roll_pitch, mag_yaw
 from .geometry import (EulerAngles, Quaternion, euler_to_quat, quat_to_euler,
                        wrap_pi)
 from .propagation import PropagatorState, propagate
-from .simulate import SensorRecord
+from .simulate import (SensorLog, SensorRecord, _column, _readonly_table,
+                       _table_rows)
 
 class AlignmentError(ValueError):
     """Raised when the initial-alignment window is unusable."""
@@ -80,7 +82,6 @@ class AttitudeEstimate(NamedTuple):
 
 
 _ROW = struct.Struct("11d")  # one estimate: t, roll..yaw, qw..qz, bgx..bgz
-_CHUNK = 1024  # table rows converted to Python floats at a time
 _new = tuple.__new__  # builds a NamedTuple without its Python-level __new__
 
 
@@ -99,42 +100,17 @@ class Estimates(Sequence):
     __slots__ = ("_table",)
 
     def __init__(self, table: np.ndarray):
-        if table.dtype != np.float64 or table.ndim != 2 or table.shape[1] != 11:
-            raise ValueError(f"expected an (N, 11) float64 table, "
-                             f"got {table.dtype} {table.shape}")
-        self._table = table.view()
-        self._table.flags.writeable = False
+        self._table = _readonly_table(table, 11)
 
-    @property
-    def table(self) -> np.ndarray:
-        """The (N, 11) table itself, read-only."""
-        return self._table
+    table = _column(slice(None), "The (N, 11) table, read-only.")
+    t = _column(0, "(N,) sample times, s.")
+    euler = _column(slice(1, 4), "(N, 3) roll, pitch, yaw, rad.")
+    q = _column(slice(4, 8), "(N, 4) quaternions, scalar first.")
+    gyro_bias = _column(slice(8, 11), "(N, 3) accumulated gyro bias, rad/s.")
 
-    @property
-    def t(self) -> np.ndarray:
-        """(N,) sample times, s."""
-        return self._table[:, 0]
-
-    @property
-    def euler(self) -> np.ndarray:
-        """(N, 3) roll, pitch, yaw, rad."""
-        return self._table[:, 1:4]
-
-    @property
-    def q(self) -> np.ndarray:
-        """(N, 4) quaternions, scalar first."""
-        return self._table[:, 4:8]
-
-    @property
-    def gyro_bias(self) -> np.ndarray:
-        """(N, 3) accumulated gyro bias, rad/s."""
-        return self._table[:, 8:11]
-
-    def rows(self) -> Iterator[List[float]]:
-        """Each row as a list of 11 Python floats, converted in chunks."""
-        table = self._table
-        for start in range(0, len(table), _CHUNK):
-            yield from table[start:start + _CHUNK].tolist()
+    def rows(self) -> Iterator[Tuple[float, ...]]:
+        """Each row as a tuple of 11 Python floats, converted in chunks."""
+        return _table_rows(self._table)
 
     def __len__(self) -> int:
         return len(self._table)
@@ -153,7 +129,7 @@ class Estimates(Sequence):
         return len(self) == len(other) and all(map(operator.eq, self, other))
 
 
-def _estimate(row: List[float]) -> AttitudeEstimate:
+def _estimate(row: Sequence[float]) -> AttitudeEstimate:
     t, roll, pitch, yaw, qw, qx, qy, qz, bx, by, bz = row
     return _new(AttitudeEstimate, (t, _new(EulerAngles, (roll, pitch, yaw)),
                                    _new(Quaternion, (qw, qx, qy, qz)), (bx, by, bz)))
@@ -167,23 +143,23 @@ def initial_alignment(records: Sequence[SensorRecord], cfg: NoiseConfig,
     from the magnetometer average, and the mean gyro rate seeds the bias
     accumulator (valid because the vehicle is assumed static).
     """
-    if not records:
+    log = SensorLog.of(records)
+    if not log:
         raise AlignmentError("alignment window is empty")
-    passing = [r.accel for r in records if accel_roll_pitch(r.accel, cfg) is not None]
-    if len(passing) * 2 < len(records):
+    passing = [accel_roll_pitch(a, cfg) is not None for a in _table_rows(log.accel)]
+    n_pass = sum(passing)
+    if n_pass * 2 < len(log):
         raise AlignmentError(
-            f"accel gate rejected {len(records) - len(passing)} of "
-            f"{len(records)} alignment samples; vehicle not static enough")
-    accel_mean = np.mean(passing, axis=0)
-    rp = accel_roll_pitch(accel_mean, cfg)
+            f"accel gate rejected {len(log) - n_pass} of "
+            f"{len(log)} alignment samples; vehicle not static enough")
+    rp = accel_roll_pitch(np.mean(log.accel[passing], axis=0), cfg)
     if rp is None:
         raise AlignmentError("averaged accelerometer failed the norm gate")
-    mag_mean = np.mean([r.mag for r in records], axis=0)
-    yaw = mag_yaw(mag_mean, rp[0], rp[1])
+    yaw = mag_yaw(np.mean(log.mag, axis=0), rp[0], rp[1])
     if yaw is None:
         raise AlignmentError("averaged magnetometer is zero or not finite; "
                              "heading unobservable")
-    gyro_mean = np.mean([r.gyro for r in records], axis=0)
+    gyro_mean = np.mean(log.gyro, axis=0)
     return euler_to_quat(EulerAngles(rp[0], rp[1], yaw)), tuple(gyro_mean.tolist())
 
 
@@ -192,53 +168,54 @@ def run_pipeline(records: Sequence[SensorRecord], cfg: PipelineConfig,
                  ) -> Estimates:
     """Run the configured estimator over a time-ordered record stream.
 
-    Estimates are emitted at the IMU rate for every sample after the
-    alignment window, as one `Estimates` table. `on_epoch`, if given,
-    receives (t, FilterState) after each dlkf epoch (diagnostics;
-    ignored by other algorithms).
+    `records` is a `SensorLog` or any sequence of `SensorRecord`s, which
+    is converted to one first. Estimates are emitted at the IMU rate for
+    every sample after the alignment window, as one `Estimates` table.
+    `on_epoch`, if given, receives (t, FilterState) after each dlkf epoch
+    (diagnostics; ignored by other algorithms).
     """
-    if not records:
+    log = SensorLog.of(records)
+    if not log:
         raise ValueError("no records to process")
-    if not math.isfinite(records[0].t):
-        raise ValueError(f"sample 0 (t={records[0].t}): timestamp not finite")
+    t_prev = float(log.t[0])
+    if not math.isfinite(t_prev):
+        raise ValueError(f"sample 0 (t={t_prev}): timestamp not finite")
 
     n_align = 1  # without alignment the first sample only sets the clock
     q0, bias_seed = Quaternion.identity(), (0.0, 0.0, 0.0)
     if cfg.align_duration_s > 0.0:
-        align_end = records[0].t + cfg.align_duration_s
-        n_align = 0
-        while n_align < len(records) and records[n_align].t <= align_end:
-            n_align += 1
-        if n_align == 0:
-            raise AlignmentError("alignment window contains no samples")
-        q0, bias_seed = initial_alignment(records[:n_align], cfg.noise)
-    t_prev = records[n_align - 1].t
-    rest = records[n_align:]
+        # the window ends at the first sample past its end, or at a NaN
+        beyond = ~(log.t <= t_prev + cfg.align_duration_s)
+        n_align = int(beyond.argmax()) if beyond.any() else len(log)
+        q0, bias_seed = initial_alignment(log[:n_align], cfg.noise)
+        t_prev = float(log.t[n_align - 1])
+    rest = log[n_align:]
     if not rest:
         raise ValueError("no records left after the alignment window")
 
     step = _STEPS[cfg.algorithm](cfg, q0, bias_seed, on_epoch)
     mag_period = 1.0 / cfg.mag_rate_hz
-    next_mag = rest[0].t
+    next_mag = float(rest.t[0])
     table = array("d")
     emit, pack = table.frombytes, _ROW.pack
     try:
-        for i, rec in enumerate(rest, n_align):
-            dt = rec.t - t_prev
+        for i, row in enumerate(rest.rows(), n_align):
+            t = row[0]
+            dt = t - t_prev
             if not 0.0 < dt < math.inf:
                 fault = "not finite" if dt == math.inf else "not strictly increasing"
                 raise ValueError(f"timestamps {fault} (previous t={t_prev})")
-            mag_due = rec.t >= next_mag
+            mag_due = t >= next_mag
             if mag_due:
                 # one period per step, or one jump over the epochs a gap missed
-                next_mag += ((rec.t - next_mag) // mag_period + 1.0) * mag_period
-            prop = step(rec, dt, mag_due)
+                next_mag += ((t - next_mag) // mag_period + 1.0) * mag_period
+            prop = step(row, dt, mag_due)
             roll, pitch, yaw = quat_to_euler(prop.q)
             (qw, qx, qy, qz), (bx, by, bz) = prop
-            emit(pack(rec.t, roll, pitch, yaw, qw, qx, qy, qz, bx, by, bz))
-            t_prev = rec.t
+            emit(pack(t, roll, pitch, yaw, qw, qx, qy, qz, bx, by, bz))
+            t_prev = t
     except ValueError as exc:
-        raise ValueError(f"sample {i} (t={rec.t}): {exc}") from exc
+        raise ValueError(f"sample {i} (t={row[0]}): {exc}") from exc
     return Estimates(np.frombuffer(table).reshape(-1, 11))
 
 
@@ -247,19 +224,19 @@ def _dlkf_step(cfg, q0, bias_seed, on_epoch):
     fs = FilterState.initial()
     (r00, r01), (r10, r11) = cfg.noise.Ra_nominal.tolist()
 
-    def step(rec, dt, mag_due):
+    def step(row, dt, mag_due):
         nonlocal prop, fs
-        prop = propagate(prop, rec.gyro, dt)
+        prop = propagate(prop, row[1:4], dt)
         est = quat_to_euler(prop.q)
 
-        meas = accel_roll_pitch(rec.accel, cfg.noise)
+        meas = accel_roll_pitch(row[4:7], cfg.noise)
         yaw_meas = None
         if mag_due:
             # tilt-compensate with the accel angles only while the
             # accel is fully trusted; a gated or de-weighted sample
             # would leak its linear-acceleration error into heading
             tilt = meas if meas is not None and meas[2] <= 1.0 else (est.roll, est.pitch)
-            yaw_meas = mag_yaw(rec.mag, tilt[0], tilt[1])
+            yaw_meas = mag_yaw(row[7:10], tilt[0], tilt[1])
 
         fs = time_update(fs, prop.q, dt, cfg.noise)
         if meas is not None:
@@ -271,7 +248,7 @@ def _dlkf_step(cfg, q0, bias_seed, on_epoch):
             fs = mag_update(fs, yaw_meas - est.yaw, cfg.noise.Rm)
         prop, fs = apply_correction(prop, fs, est)
         if on_epoch is not None:
-            on_epoch(rec.t, fs)
+            on_epoch(row[0], fs)
         return prop
 
     return step
@@ -284,11 +261,10 @@ def _cf_step(cfg, q0, bias_seed, on_epoch):
     # the bias is the PI integral, so it starts at zero, not at the seed
     prop = PropagatorState(q0, (0.0, 0.0, 0.0))
 
-    def step(rec, dt, mag_due):
+    def step(row, dt, mag_due):
         nonlocal prop
-        prop = cf_update(prop, rec.gyro, rec.accel,
-                         rec.mag if mag_due else _NO_MAG, dt,
-                         cfg.cf_kp, cfg.cf_ki)
+        prop = cf_update(prop, row[1:4], row[4:7], row[7:10] if mag_due else _NO_MAG,
+                         dt, cfg.cf_kp, cfg.cf_ki)
         return prop
 
     return step
@@ -299,9 +275,9 @@ def _gyro_only_step(cfg, q0, bias_seed, on_epoch):
     # the filters must remove
     prop = PropagatorState(q0, (0.0, 0.0, 0.0))
 
-    def step(rec, dt, mag_due):
+    def step(row, dt, mag_due):
         nonlocal prop
-        prop = propagate(prop, rec.gyro, dt)
+        prop = propagate(prop, row[1:4], dt)
         return prop
 
     return step

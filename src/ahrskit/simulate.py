@@ -11,16 +11,18 @@ Only the recursions run per sample, on Python floats: the attitude, one
 `quat_multiply` per step, with its truth angles (NumPy's arcsin and
 arctan2 round differently from `math`'s), and the Markov drift. The DCMs
 and sensor columns are computed over the whole log at once, bit for bit
-equal to computing them one sample at a time.
+equal to computing them one sample at a time, and written straight into
+the tables of a `SensorLog`, which builds a `SensorRecord` only when read.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import accumulate
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from itertools import accumulate, chain, repeat
+from typing import Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -126,7 +128,8 @@ class MagModel:
 
 
 class SensorRecord(NamedTuple):
-    """One timestamped sample; truth is None in replayed logs."""
+    """One timestamped sample; truth is None in replayed logs. A
+    `SensorLog` builds these with gyro, accel and mag as its table's rows."""
 
     t: float
     gyro: np.ndarray
@@ -135,9 +138,96 @@ class SensorRecord(NamedTuple):
     truth: Optional[EulerAngles] = None
 
 
+_CHUNK = 1024  # table rows converted to Python floats at a time
+
+
+def _readonly_table(table: np.ndarray, width: int) -> np.ndarray:
+    """`table`, checked to be (N, width) float64, viewed through a
+    read-only buffer: no copy, and the flag cannot be set back."""
+    if table.dtype != np.float64 or table.ndim != 2 or table.shape[1] != width:
+        raise ValueError(f"expected an (N, {width}) float64 table, "
+                         f"got {table.dtype} {table.shape}")
+    return np.asarray(memoryview(table).toreadonly())
+
+
+def _table_rows(table: np.ndarray) -> Iterator[Tuple[float, ...]]:
+    """Each row of a table as a tuple of Python floats, converted in chunks.
+    A chunk's columns become lists and `zip` builds one row at a time, so
+    no chunk of GC-tracked rows is allocated at once."""
+    return chain.from_iterable(zip(*table[start:start + _CHUNK].T.tolist())
+                               for start in range(0, len(table), _CHUNK))
+
+
+def _column(columns, doc: str) -> property:
+    """A read-only view of some columns of the instance's `_table`."""
+    return property(lambda self: self._table[:, columns], doc=doc)
+
+
+class SensorLog(Sequence):
+    """A sensor log: an immutable sequence of `SensorRecord` over a
+    read-only (N, 10) float64 table of t, gx, gy, gz, ax, ay, az, mx, my,
+    mz (the order of `logio.LOG_HEADER`) and a read-only (N, 3) table of
+    true roll, pitch and yaw, or None. The columns are views of the
+    tables. An index or iteration builds each record on demand and a
+    slice is a `SensorLog` over views, so a log holds no per-sample object.
+    """
+
+    __slots__ = ("_table", "_truth")
+
+    def __init__(self, table: np.ndarray, truth: Optional[np.ndarray] = None):
+        self._table = _readonly_table(table, 10)
+        self._truth = None if truth is None else _readonly_table(truth, 3)
+        if truth is not None and len(truth) != len(table):
+            raise ValueError(f"{len(truth)} truth rows for {len(table)} samples")
+
+    @classmethod
+    def of(cls, records: Sequence[SensorRecord]) -> "SensorLog":
+        """`records` itself if it is a `SensorLog`, else a new log of their
+        values, with truth only if every record carries it."""
+        if isinstance(records, SensorLog):
+            return records
+        if not records:
+            return cls(np.empty((0, 10)))
+        t, gyro, accel, mag, truth = zip(*records)
+        return cls(np.column_stack((t, gyro, accel, mag)).astype(float, copy=False),
+                   None if any(e is None for e in truth) else np.array(truth, dtype=float))
+
+    t = _column(0, "(N,) sample times, s.")
+    gyro = _column(slice(1, 4), "(N, 3) body angular rate, rad/s.")
+    accel = _column(slice(4, 7), "(N, 3) specific force, m/s^2.")
+    mag = _column(slice(7, 10), "(N, 3) magnetic field, unit-normalized.")
+    truth = property(lambda self: self._truth,
+                     doc="(N, 3) true roll, pitch and yaw, rad, or None.")
+
+    def rows(self) -> Iterator[Tuple[float, ...]]:
+        """Each sample's 10 table values as a tuple of Python floats."""
+        return _table_rows(self._table)
+
+    def __len__(self) -> int:
+        return len(self._table)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return SensorLog(self._table[index],
+                             None if self._truth is None else self._truth[index])
+        i = range(len(self))[index]
+        return next(iter(self[i:i + 1]))
+
+    def __iter__(self) -> Iterator[SensorRecord]:
+        return chain.from_iterable(map(self._records, range(0, len(self), _CHUNK)))
+
+    def _records(self, start: int) -> Iterator[SensorRecord]:
+        # tuple.__new__ builds each NamedTuple without its Python-level __new__
+        part = self[start:start + _CHUNK]
+        truth = repeat(None) if part._truth is None else \
+            map(tuple.__new__, repeat(EulerAngles), _table_rows(part._truth))
+        return map(tuple.__new__, repeat(SensorRecord),
+                   zip(part.t.tolist(), part.gyro, part.accel, part.mag, truth))
+
+
 def simulate(traj: TrajectorySpec, gyro_model: GyroModel, accel_model: AccelModel,
-             mag_model: MagModel, rate: float, seed: int) -> List[SensorRecord]:
-    """Generate sensor records at `rate` Hz along a trajectory.
+             mag_model: MagModel, rate: float, seed: int) -> SensorLog:
+    """Generate a sensor log with truth at `rate` Hz along a trajectory.
 
     Record k carries the gyro rate over the step ending at its timestamp
     and the accelerometer/magnetometer/truth values at that timestamp,
@@ -166,13 +256,13 @@ def simulate(traj: TrajectorySpec, gyro_model: GyroModel, accel_model: AccelMode
     # per sample, on floats: the attitude with its truth angles
     rates = np.array([seg.rate for seg in traj.segments], dtype=float)
     q = euler_to_quat(traj.initial_attitude)
-    quats, truth = array("d"), []
+    quats, truth = array("d"), array("d")
     for seg_rate, n_steps in zip(rates, steps_per_seg):
         step_quat = rotvec_to_quat(seg_rate * dt)
         for _ in range(n_steps):
             q = quat_multiply(q, step_quat)
             quats.extend(q)
-            truth.append(quat_to_euler(q))
+            truth.extend(quat_to_euler(q))
     # and the Markov drift; sample k carries the state before its update
     markov_decay = 1.0 - dt / gyro_model.tau
     drift = np.zeros((n_total, 3))
@@ -184,22 +274,19 @@ def simulate(traj: TrajectorySpec, gyro_model: GyroModel, accel_model: AccelMode
     omega = np.repeat(rates, steps_per_seg, axis=0)
     lin_acc = np.repeat(np.array([seg.accel for seg in traj.segments], dtype=float),
                         steps_per_seg, axis=0)
-    gyro = omega + np.asarray(gyro_model.bias, dtype=float) + drift + gyro_w
-    accel = -accel_model.gravity * cbn[:, 2, :] + lin_acc + accel_w
+    table = np.empty((n_total, 10))
+    table[:, 0] = np.arange(1, n_total + 1) * dt
+    table[:, 1:4] = omega + np.asarray(gyro_model.bias, dtype=float) + drift + gyro_w
+    table[:, 4:7] = -accel_model.gravity * cbn[:, 2, :] + lin_acc + accel_w
     # matmul on the contiguous stack runs BLAS per sample, as `cbn.T @ field`
     # did, so the bits match; einsum or a strided stack round differently
-    mag = np.asarray(mag_model.field_ned, dtype=float) @ cbn + mag_w
-    # free the work arrays before the N records are built: this sets the peak
-    del cbn, quats, omega, lin_acc, drift, markov_w, gyro_w, accel_w, mag_w
-    t = (np.arange(1, n_total + 1) * dt).tolist()
-    return list(map(SensorRecord, t, gyro, accel, mag, truth))
+    table[:, 7:10] = np.asarray(mag_model.field_ned, dtype=float) @ cbn + mag_w
+    return SensorLog(table, np.frombuffer(truth).reshape(n_total, 3))
 
 
 def truth_array(records: Sequence[SensorRecord]) -> np.ndarray:
-    """(N, 3) roll/pitch/yaw truth matrix; raises if any record lacks truth."""
-    out = np.empty((len(records), 3))
-    for i, rec in enumerate(records):
-        if rec.truth is None:
-            raise ValueError(f"record at t={rec.t} has no ground truth")
-        out[i] = rec.truth
-    return out
+    """A copy of a log's (N, 3) roll/pitch/yaw truth; raises without truth."""
+    truth = SensorLog.of(records).truth
+    if truth is None:
+        raise ValueError("log has no ground truth")
+    return truth.copy()

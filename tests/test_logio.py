@@ -1,3 +1,4 @@
+import gc
 import hashlib
 
 import numpy as np
@@ -9,6 +10,7 @@ from ahrskit.logio import (EST_HEADER, LOG_HEADER, read_estimates, read_log,
                            write_estimates, write_log)
 from ahrskit.pipeline import (AttitudeEstimate, Estimates, PipelineConfig,
                               run_pipeline)
+from ahrskit.simulate import SensorLog
 
 # a reader that warns (e.g. NumPy on a file without data rows) is a failure
 pytestmark = pytest.mark.filterwarnings("error")
@@ -51,6 +53,62 @@ def test_log_without_truth(tmp_path, records):
     assert path.read_text().splitlines()[0] == "t,gx,gy,gz,ax,ay,az,mx,my,mz"
     back = read_log(path)
     assert all(r.truth is None for r in back)
+
+
+@pytest.mark.parametrize("truth", [True, False], ids=["truth", "bare"])
+def test_log_table_writes_as_its_records(tmp_path, truth):
+    # the table path writes the same bytes as the per-record path, across
+    # several conversion chunks
+    log = static_records(duration=10.0, noisy=True, seed=5)
+    if not truth:
+        write_log(tmp_path / "bare.csv", [r._replace(truth=None) for r in log])
+        log = read_log(tmp_path / "bare.csv")
+        assert log.truth is None
+    write_log(tmp_path / "table.csv", log)
+    write_log(tmp_path / "rows.csv", list(log))
+    assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+    back = read_log(tmp_path / "table.csv")
+    assert isinstance(back, SensorLog)
+    for a, b in ((back.t, log.t), (back.gyro, log.gyro), (back.accel, log.accel),
+                 (back.mag, log.mag)):
+        np.testing.assert_array_equal(a, b)
+    assert (back.truth is None) == (not truth)
+
+
+def test_read_tables_cannot_be_made_writable(tmp_path, records):
+    write_log(tmp_path / "log.csv", records)
+    write_estimates(tmp_path / "est.csv", run_pipeline(records, PipelineConfig(
+        align_duration_s=0.5)))
+    log, est = read_log(tmp_path / "log.csv"), read_estimates(tmp_path / "est.csv")
+    for column in (log.t, log.gyro, log.accel, log.mag, log.truth, est.table, est.q):
+        with pytest.raises(ValueError):
+            column.flags.writeable = True
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 1.0
+
+
+@pytest.mark.parametrize("source", ["simulate", "read_log"])
+def test_log_keeps_no_object_per_sample(tmp_path, source):
+    """Holding a log holds a few GC-tracked objects whatever its length,
+    not a record and its truth angles per sample."""
+    def make(duration):
+        if source == "simulate":
+            return static_records(duration=duration, seed=1)
+        return read_log(tmp_path / f"{duration}.csv")
+
+    for duration in (3.0, 6.0):
+        write_log(tmp_path / f"{duration}.csv", static_records(duration=duration, seed=1))
+    make(3.0)  # warm-up
+    growth = {}
+    for duration in (3.0, 6.0):
+        gc.collect()
+        before = len(gc.get_objects())
+        log = make(duration)
+        gc.collect()
+        growth[len(log)] = len(gc.get_objects()) - before
+        del log
+    assert min(growth) > 200
+    assert max(growth.values()) <= 10, growth
 
 
 def test_written_bytes_are_pinned(tmp_path, records):

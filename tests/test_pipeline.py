@@ -11,7 +11,8 @@ import pytest
 
 import ahrskit
 
-from ahrskit.benchmark import matched_noise_config, mems_models, static_records
+from ahrskit.benchmark import (benchmark_records, matched_noise_config, mems_models,
+                               static_records)
 from ahrskit.dlkf import NoiseConfig
 from ahrskit.geometry import EulerAngles, Quaternion, quat_to_euler, wrap_pi
 from ahrskit.pipeline import (AlignmentError, Estimates, PipelineConfig,
@@ -186,6 +187,18 @@ def test_run_keeps_no_object_per_sample(algorithm):
     assert max(growth.values()) <= 10, growth
 
 
+@pytest.mark.parametrize("algorithm", ["dlkf", "cf", "gyro-only"])
+def test_record_list_runs_as_its_log(algorithm):
+    """A plain list of records is converted once on entry, and runs bit
+    for bit as the `SensorLog` it came from (here a slice of one: the
+    benchmark's hover and roll doublet)."""
+    log = benchmark_records(seed=11)[:4500]
+    cfg = PipelineConfig(algorithm=algorithm, noise=MATCHED)
+    direct, listed = run_pipeline(log, cfg), run_pipeline(list(log), cfg)
+    assert listed == direct
+    assert listed.table.tobytes() == direct.table.tobytes()
+
+
 class TestEstimates:
     """`Estimates`: a read-only table that reads as a sequence of
     `AttitudeEstimate`s of Python floats."""
@@ -203,6 +216,12 @@ class TestEstimates:
             assert np.shares_memory(column, estimates.table)
             with pytest.raises(ValueError, match="read-only"):
                 column[0] = 1.0
+
+    def test_table_cannot_be_made_writable(self, estimates):
+        for column in (estimates.table, estimates.t, estimates[3:9].euler):
+            with pytest.raises(ValueError):
+                column.flags.writeable = True
+        assert estimates[5].t == estimates.t[5]
 
     def test_columns_follow_the_elements(self, estimates):
         listed = list(estimates)
@@ -263,7 +282,7 @@ import numpy as np
 from ahrskit.benchmark import static_records
 from ahrskit.pipeline import PipelineConfig, run_pipeline
 algorithm, last_t = sys.argv[1], float(sys.argv[2])
-records = static_records(duration=4.0, seed=1)
+records = list(static_records(duration=4.0, seed=1))
 records[-1] = records[-1]._replace(t=last_t)
 try:
     estimates = run_pipeline(records, PipelineConfig(algorithm=algorithm))

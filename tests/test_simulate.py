@@ -15,7 +15,7 @@ import ahrskit
 from ahrskit.geometry import (EulerAngles, euler_to_quat, quat_multiply,
                               quat_to_dcm, quat_to_euler, rotvec_to_quat)
 from ahrskit.simulate import (AccelModel, GyroModel, MagModel, Segment,
-                              SensorRecord, TrajectorySpec, simulate,
+                              SensorLog, SensorRecord, TrajectorySpec, simulate,
                               truth_array)
 
 from test_golden import golden_records
@@ -251,6 +251,98 @@ def test_truth_array_helper():
     assert out.shape == (10, 3)
     with pytest.raises(ValueError):
         truth_array([SensorRecord(0.0, np.zeros(3), np.zeros(3), np.zeros(3))])
+
+
+def assert_same_record(a, b):
+    assert type(a) is type(b) is SensorRecord
+    assert a.t == b.t and a.truth == b.truth
+    for field in ("gyro", "accel", "mag"):
+        np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
+
+
+class TestSensorLog:
+    """`SensorLog`: read-only tables that read as a sequence of `SensorRecord`s."""
+
+    @pytest.fixture(scope="class")
+    def log(self):
+        # 3 250 rows: iteration crosses the 1 024-row conversion chunks
+        return golden_records()
+
+    def test_simulate_returns_a_log(self, log):
+        assert isinstance(log, SensorLog) and len(log) == 3250
+        assert ahrskit.SensorLog is SensorLog and "SensorLog" in ahrskit.__all__
+
+    def test_columns_are_read_only_for_good(self, log):
+        for column in (log.t, log.gyro, log.accel, log.mag, log.truth, log[5].gyro):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 1.0
+            with pytest.raises(ValueError):
+                column.flags.writeable = True
+
+    def test_index_matches_iteration(self, log):
+        listed = list(log)
+        n = len(listed)
+        for i in (0, 1, 1023, 1024, 1025, 2048, n - 1, -1, -n):
+            assert_same_record(log[i], listed[i])
+        assert_same_record(log[-1], listed[n - 1])
+        for i in (n, -n - 1):
+            with pytest.raises(IndexError):
+                log[i]
+        with pytest.raises(TypeError):
+            log[1.0]
+
+    @pytest.mark.parametrize("part", [slice(None, 5), slice(-3, None), slice(1, 3000, 7),
+                                      slice(None, None, -1), slice(5, 5)])
+    def test_slices_are_logs(self, log, part):
+        listed = list(log)
+        sliced = log[part]
+        assert isinstance(sliced, SensorLog)
+        assert len(sliced) == len(listed[part])
+        for a, b in zip(sliced, listed[part], strict=True):
+            assert_same_record(a, b)
+        assert np.shares_memory(sliced.gyro, log.gyro) or not len(sliced)
+
+    def test_elements_follow_the_columns(self, log):
+        listed = list(log)
+        assert log.t.tolist() == [r.t for r in listed]
+        for field in ("gyro", "accel", "mag"):
+            np.testing.assert_array_equal(getattr(log, field),
+                                          [getattr(r, field) for r in listed])
+        assert log.truth.tolist() == [list(r.truth) for r in listed]
+        for r in (*listed[:3], log[1500], log[-1]):
+            assert type(r.t) is float and type(r.truth) is EulerAngles
+            assert all(type(v) is float for v in r.truth)
+            assert type(r.gyro) is np.ndarray and r.gyro.shape == (3,)
+
+    def test_tables_are_checked(self):
+        with pytest.raises(ValueError, match=r"\(N, 10\) float64"):
+            SensorLog(np.zeros((3, 9)))
+        with pytest.raises(ValueError, match=r"\(N, 10\) float64"):
+            SensorLog(np.zeros((3, 10), dtype=np.float32))
+        with pytest.raises(ValueError, match=r"\(N, 10\) float64"):
+            SensorLog(np.zeros(10))
+        with pytest.raises(ValueError, match=r"\(N, 3\) float64"):
+            SensorLog(np.zeros((3, 10)), np.zeros((3, 4)))
+        with pytest.raises(ValueError, match="truth rows"):
+            SensorLog(np.zeros((3, 10)), np.zeros((2, 3)))
+
+    def test_of_records_round_trips_bit_for_bit(self, log):
+        assert SensorLog.of(log) is log
+        back = SensorLog.of(list(log))
+        assert records_digest(back) == records_digest(log)
+        for a, b in ((back.t, log.t), (back.gyro, log.gyro), (back.accel, log.accel),
+                     (back.mag, log.mag), (back.truth, log.truth)):
+            assert a.tobytes() == b.tobytes()
+        bare = SensorLog.of([r._replace(truth=None) for r in log])
+        assert bare.truth is None and bare.t.tobytes() == log.t.tobytes()
+        assert len(SensorLog.of([])) == 0
+
+    def test_of_keeps_truth_only_if_every_record_has_it(self, log):
+        mixed = list(log[:10])
+        mixed[3] = mixed[3]._replace(truth=None)
+        assert SensorLog.of(mixed).truth is None
+        with pytest.raises(ValueError):
+            truth_array(mixed)
 
 
 class TestValidation:
