@@ -10,13 +10,13 @@ present either for every row or for none. Floats are written with
 repr(), which round-trips exactly, so a write/read cycle is lossless and
 rewriting produces bit-identical files. Readers skip blank and
 whitespace-only lines, accept CRLF, and name the file in every error.
-A log is read into, and written from, the tables of a `SensorLog`, and
-estimates the (N, 11) table of an `Estimates`, without an object per row.
+A log is read into, and written from, the one table of a `SensorLog` in
+the column order of its header, and estimates the (N, 11) table of an
+`Estimates`, without an object per row.
 """
 
 from __future__ import annotations
 
-import operator
 import warnings
 from pathlib import Path
 from typing import Sequence
@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .pipeline import AttitudeEstimate, Estimates
-from .simulate import SensorLog, SensorRecord, _table_rows
+from .simulate import SensorLog, SensorRecord
 
 LOG_HEADER = "t,gx,gy,gz,ax,ay,az,mx,my,mz"
 LOG_TRUTH_HEADER = LOG_HEADER + ",troll,tpitch,tyaw"
@@ -32,7 +32,7 @@ EST_HEADER = "t,roll,pitch,yaw,qw,qx,qy,qz,bgx,bgy,bgz"
 
 
 def _read_table(path, headers, kind):
-    """(header, (N, k) float array) of a CSV whose header is one of `headers`."""
+    """The (N, k) float array of a CSV whose header is one of `headers`."""
     try:
         with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
             header = fh.readline().strip()
@@ -49,7 +49,7 @@ def _read_table(path, headers, kind):
             raise ValueError(f"expected {n_cols} columns, got {data.shape[1]}")
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    return header, data
+    return data
 
 
 def _write_table(path, header: str, rows) -> None:
@@ -59,7 +59,7 @@ def _write_table(path, header: str, rows) -> None:
 
 
 def write_log(path, records: Sequence[SensorRecord]) -> None:
-    """Write sensor records from the tables of their `SensorLog`; truth
+    """Write sensor records from the table of their `SensorLog`; truth
     columns appear iff the records carry truth."""
     log = SensorLog.of(records)
     if not log:
@@ -67,17 +67,13 @@ def write_log(path, records: Sequence[SensorRecord]) -> None:
     if log.truth is None and log is not records and \
             any(r.truth is not None for r in records):
         raise ValueError("truth must be present for all records or none")
-    rows = log.rows()
-    if log.truth is not None:
-        rows = map(operator.add, rows, _table_rows(log.truth))
-    _write_table(path, LOG_HEADER if log.truth is None else LOG_TRUTH_HEADER, rows)
+    _write_table(path, LOG_HEADER if log.truth is None else LOG_TRUTH_HEADER, log.rows())
 
 
 def read_log(path) -> SensorLog:
-    """Read a sensor log, as the tables of one `SensorLog`; accepts both
+    """Read a sensor log, as the one table of a `SensorLog`; accepts both
     schema variants."""
-    header, data = _read_table(path, (LOG_HEADER, LOG_TRUTH_HEADER), "log")
-    return SensorLog(data[:, :10], data[:, 10:] if header == LOG_TRUTH_HEADER else None)
+    return SensorLog(_read_table(path, (LOG_HEADER, LOG_TRUTH_HEADER), "log"))
 
 
 def _truth_angles(path):
@@ -99,4 +95,4 @@ def write_estimates(path, estimates: Sequence[AttitudeEstimate]) -> None:
 
 def read_estimates(path) -> Estimates:
     """The estimates of a CSV, as one table parsed in a single pass."""
-    return Estimates(_read_table(path, (EST_HEADER,), "estimate")[1])
+    return Estimates(_read_table(path, (EST_HEADER,), "estimate"))

@@ -2,19 +2,19 @@
 
 One driver serves every algorithm: it owns the clock, the mag-epoch
 schedule, the per-sample error context and the emitted estimates. It
-reads the samples of a `SensorLog` as rows of Python floats, packs each
+reads the rows of a `SensorLog`'s table as Python floats, packs each
 sample's 11 floats (t, Euler angles, quaternion, gyro bias) into one
 `array("d")` and returns the whole run as `Estimates`, one read-only
-table, so no per-sample object outlives its step. Each algorithm is a
-factory in `_STEPS` returning `step(row, dt, mag_due) -> PropagatorState`,
-a closure over its own estimator state; `row` is the sample's 10 floats
-in `logio.LOG_HEADER` order. All three integrate the gyro with
-`propagate` and differ only in the correction: none for gyro-only, the
-PI feedback of `cf_update` for cf. The dlkf step converts accel/mag into
-measured angles, runs the filter time update and whichever measurement
-layers have valid data this epoch, then feeds the corrections back. A
-gated accelerometer or an off-epoch magnetometer simply skips its layer;
-the covariance flows on.
+(N, 11) table, so no per-sample object outlives its step. Each algorithm
+is a factory in `_STEPS` returning `step(row, dt, mag_due) ->
+PropagatorState`, a closure over its own estimator state; `row` is the
+sample's floats in log-CSV column order (t, gyro, accel, mag[, truth]).
+All three integrate the gyro with `propagate` and differ only in the
+correction: none for gyro-only, the PI feedback of `cf_update` for cf.
+The dlkf step converts accel/mag into measured angles, runs the filter
+time update and whichever measurement layers have valid data this epoch,
+then feeds the corrections back. A gated accelerometer or an off-epoch
+magnetometer simply skips its layer; the covariance flows on.
 """
 
 from __future__ import annotations
@@ -36,8 +36,7 @@ from .fasteuler import accel_roll_pitch, mag_yaw
 from .geometry import (EulerAngles, Quaternion, euler_to_quat, quat_to_euler,
                        wrap_pi)
 from .propagation import PropagatorState, propagate
-from .simulate import (SensorLog, SensorRecord, _column, _readonly_table,
-                       _table_rows)
+from .simulate import SensorLog, SensorRecord, _column, _Table
 
 class AlignmentError(ValueError):
     """Raised when the initial-alignment window is unusable."""
@@ -85,42 +84,24 @@ _ROW = struct.Struct("11d")  # one estimate: t, roll..yaw, qw..qz, bgx..bgz
 _new = tuple.__new__  # builds a NamedTuple without its Python-level __new__
 
 
-class Estimates(Sequence):
-    """A run's estimates: an immutable sequence of `AttitudeEstimate`
-    over a read-only (N, 11) float64 table.
-
-    The columns are t, roll, pitch, yaw, qw, qx, qy, qz, bgx, bgy, bgz,
-    the order of `logio.EST_HEADER`. `t`, `euler`, `q` and `gyro_bias`
-    are read-only views of the table. An index or iteration builds each
-    `AttitudeEstimate` of Python floats on demand, so holding a run
-    holds one array and no per-sample object; a slice is an `Estimates`
-    over a view. `==` compares element by element with any sequence.
+class Estimates(_Table):
+    """A run's estimates: a `_Table` of `AttitudeEstimate`s of Python
+    floats over one (N, 11) table in the estimate-CSV column order: t,
+    roll, pitch, yaw, qw, qx, qy, qz, bgx, bgy, bgz (`logio.EST_HEADER`).
+    `t`, `euler`, `q` and `gyro_bias` are read-only views of the table,
+    so holding a run holds one array and no per-sample object. `==`
+    compares element by element with any sequence.
     """
 
-    __slots__ = ("_table",)
+    __slots__ = ()
+    _WIDTHS = (11,)
 
-    def __init__(self, table: np.ndarray):
-        self._table = _readonly_table(table, 11)
-
-    table = _column(slice(None), "The (N, 11) table, read-only.")
     t = _column(0, "(N,) sample times, s.")
     euler = _column(slice(1, 4), "(N, 3) roll, pitch, yaw, rad.")
     q = _column(slice(4, 8), "(N, 4) quaternions, scalar first.")
     gyro_bias = _column(slice(8, 11), "(N, 3) accumulated gyro bias, rad/s.")
 
-    def rows(self) -> Iterator[Tuple[float, ...]]:
-        """Each row as a tuple of 11 Python floats, converted in chunks."""
-        return _table_rows(self._table)
-
-    def __len__(self) -> int:
-        return len(self._table)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return Estimates(self._table[index])
-        return _estimate(self._table[operator.index(index)].tolist())
-
-    def __iter__(self) -> Iterator[AttitudeEstimate]:
+    def _elements(self) -> Iterator[AttitudeEstimate]:
         return map(_estimate, self.rows())
 
     def __eq__(self, other):
@@ -141,12 +122,13 @@ def initial_alignment(records: Sequence[SensorRecord], cfg: NoiseConfig,
 
     Roll/pitch come from the gate-passing accelerometer average, yaw
     from the magnetometer average, and the mean gyro rate seeds the bias
-    accumulator (valid because the vehicle is assumed static).
+    accumulator (valid because the vehicle is assumed static). A sample
+    that is not finite is left out of its sensor's average.
     """
     log = SensorLog.of(records)
     if not log:
         raise AlignmentError("alignment window is empty")
-    passing = [accel_roll_pitch(a, cfg) is not None for a in _table_rows(log.accel)]
+    passing = [accel_roll_pitch(a, cfg) is not None for a in log.accel.tolist()]
     n_pass = sum(passing)
     if n_pass * 2 < len(log):
         raise AlignmentError(
@@ -155,12 +137,20 @@ def initial_alignment(records: Sequence[SensorRecord], cfg: NoiseConfig,
     rp = accel_roll_pitch(np.mean(log.accel[passing], axis=0), cfg)
     if rp is None:
         raise AlignmentError("averaged accelerometer failed the norm gate")
-    yaw = mag_yaw(np.mean(log.mag, axis=0), rp[0], rp[1])
+    yaw = mag_yaw(_finite_mean(log.mag, "magnetometer"), rp[0], rp[1])
     if yaw is None:
         raise AlignmentError("averaged magnetometer is zero or not finite; "
                              "heading unobservable")
-    gyro_mean = np.mean(log.gyro, axis=0)
+    gyro_mean = _finite_mean(log.gyro, "gyro")
     return euler_to_quat(EulerAngles(rp[0], rp[1], yaw)), tuple(gyro_mean.tolist())
+
+
+def _finite_mean(columns: np.ndarray, sensor: str) -> np.ndarray:
+    """Mean of the finite rows of (N, 3) `columns`, masked only if one is not."""
+    finite = np.isfinite(columns).all(axis=1)
+    if not finite.any():
+        raise AlignmentError(f"no finite {sensor} sample in the alignment window")
+    return np.mean(columns if finite.all() else columns[finite], axis=0)
 
 
 def run_pipeline(records: Sequence[SensorRecord], cfg: PipelineConfig,

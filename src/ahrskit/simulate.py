@@ -11,8 +11,9 @@ Only the recursions run per sample, on Python floats: the attitude, one
 `quat_multiply` per step, with its truth angles (NumPy's arcsin and
 arctan2 round differently from `math`'s), and the Markov drift. The DCMs
 and sensor columns are computed over the whole log at once, bit for bit
-equal to computing them one sample at a time, and written straight into
-the tables of a `SensorLog`, which builds a `SensorRecord` only when read.
+equal to computing them one sample at a time, and joined with the truth
+into the one table of a `SensorLog` (a `_Table`, as a run's `Estimates`
+is), which builds a `SensorRecord` only when read.
 """
 
 from __future__ import annotations
@@ -128,7 +129,7 @@ class MagModel:
 
 
 class SensorRecord(NamedTuple):
-    """One timestamped sample; truth is None in replayed logs. A
+    """One timestamped sample; truth is None in logs without truth. A
     `SensorLog` builds these with gyro, accel and mag as its table's rows."""
 
     t: float
@@ -141,44 +142,60 @@ class SensorRecord(NamedTuple):
 _CHUNK = 1024  # table rows converted to Python floats at a time
 
 
-def _readonly_table(table: np.ndarray, width: int) -> np.ndarray:
-    """`table`, checked to be (N, width) float64, viewed through a
-    read-only buffer: no copy, and the flag cannot be set back."""
-    if table.dtype != np.float64 or table.ndim != 2 or table.shape[1] != width:
-        raise ValueError(f"expected an (N, {width}) float64 table, "
-                         f"got {table.dtype} {table.shape}")
-    return np.asarray(memoryview(table).toreadonly())
-
-
-def _table_rows(table: np.ndarray) -> Iterator[Tuple[float, ...]]:
-    """Each row of a table as a tuple of Python floats, converted in chunks.
-    A chunk's columns become lists and `zip` builds one row at a time, so
-    no chunk of GC-tracked rows is allocated at once."""
-    return chain.from_iterable(zip(*table[start:start + _CHUNK].T.tolist())
-                               for start in range(0, len(table), _CHUNK))
-
-
 def _column(columns, doc: str) -> property:
     """A read-only view of some columns of the instance's `_table`."""
     return property(lambda self: self._table[:, columns], doc=doc)
 
 
-class SensorLog(Sequence):
-    """A sensor log: an immutable sequence of `SensorRecord` over a
-    read-only (N, 10) float64 table of t, gx, gy, gz, ax, ay, az, mx, my,
-    mz (the order of `logio.LOG_HEADER`) and a read-only (N, 3) table of
-    true roll, pitch and yaw, or None. The columns are views of the
-    tables. An index or iteration builds each record on demand and a
-    slice is a `SensorLog` over views, so a log holds no per-sample object.
-    """
+class _Table(Sequence):
+    """An immutable sequence over one (N, width) float64 table, width in
+    the subclass's `_WIDTHS`, held through a read-only buffer: no copy,
+    and the flag cannot be set back. Iteration and indexing build the
+    elements on demand through the subclass's `_elements()`, a chunk of
+    at most `_CHUNK` rows at a time; a slice is a table over a view."""
 
-    __slots__ = ("_table", "_truth")
+    __slots__ = ("_table",)
 
-    def __init__(self, table: np.ndarray, truth: Optional[np.ndarray] = None):
-        self._table = _readonly_table(table, 10)
-        self._truth = None if truth is None else _readonly_table(truth, 3)
-        if truth is not None and len(truth) != len(table):
-            raise ValueError(f"{len(truth)} truth rows for {len(table)} samples")
+    def __init__(self, table: np.ndarray):
+        if table.dtype != np.float64 or table.ndim != 2 or \
+                table.shape[1] not in self._WIDTHS:
+            widths = " or ".join(f"(N, {w})" for w in self._WIDTHS)
+            raise ValueError(f"expected an {widths} float64 table, "
+                             f"got {table.dtype} {table.shape}")
+        self._table = np.asarray(memoryview(table).toreadonly())
+
+    table = _column(slice(None), "The whole table, read-only.")
+
+    def rows(self) -> Iterator[Tuple[float, ...]]:
+        """Each row as a tuple of Python floats. A chunk's columns become
+        lists and `zip` builds one row at a time, so no chunk of
+        GC-tracked rows is allocated at once."""
+        return chain.from_iterable(zip(*self._table[start:start + _CHUNK].T.tolist())
+                                   for start in range(0, len(self), _CHUNK))
+
+    def __len__(self) -> int:
+        return len(self._table)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return type(self)(self._table[index])
+        i = range(len(self))[index]
+        return next(self[i:i + 1]._elements())
+
+    def __iter__(self) -> Iterator:
+        return chain.from_iterable(self[start:start + _CHUNK]._elements()
+                                   for start in range(0, len(self), _CHUNK))
+
+
+class SensorLog(_Table):
+    """A sensor log: a `_Table` of `SensorRecord` in the log-CSV column
+    order, (N, 10) for t, gx, gy, gz, ax, ay, az, mx, my, mz
+    (`logio.LOG_HEADER`) or (N, 13) with true roll, pitch and yaw after
+    them (`logio.LOG_TRUTH_HEADER`). The columns are views of the table;
+    `truth` is None for 10 columns."""
+
+    __slots__ = ()
+    _WIDTHS = (10, 13)
 
     @classmethod
     def of(cls, records: Sequence[SensorRecord]) -> "SensorLog":
@@ -188,41 +205,24 @@ class SensorLog(Sequence):
             return records
         if not records:
             return cls(np.empty((0, 10)))
-        t, gyro, accel, mag, truth = zip(*records)
-        return cls(np.column_stack((t, gyro, accel, mag)).astype(float, copy=False),
-                   None if any(e is None for e in truth) else np.array(truth, dtype=float))
+        *columns, truth = zip(*records)
+        if not any(e is None for e in truth):
+            columns.append(truth)
+        return cls(np.column_stack(columns).astype(float, copy=False))
 
     t = _column(0, "(N,) sample times, s.")
     gyro = _column(slice(1, 4), "(N, 3) body angular rate, rad/s.")
     accel = _column(slice(4, 7), "(N, 3) specific force, m/s^2.")
     mag = _column(slice(7, 10), "(N, 3) magnetic field, unit-normalized.")
-    truth = property(lambda self: self._truth,
-                     doc="(N, 3) true roll, pitch and yaw, rad, or None.")
+    truth = property(lambda self: self._table[:, 10:] if self._table.shape[1] == 13
+                     else None, doc="(N, 3) true roll, pitch and yaw, rad, or None.")
 
-    def rows(self) -> Iterator[Tuple[float, ...]]:
-        """Each sample's 10 table values as a tuple of Python floats."""
-        return _table_rows(self._table)
-
-    def __len__(self) -> int:
-        return len(self._table)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return SensorLog(self._table[index],
-                             None if self._truth is None else self._truth[index])
-        i = range(len(self))[index]
-        return next(iter(self[i:i + 1]))
-
-    def __iter__(self) -> Iterator[SensorRecord]:
-        return chain.from_iterable(map(self._records, range(0, len(self), _CHUNK)))
-
-    def _records(self, start: int) -> Iterator[SensorRecord]:
+    def _elements(self) -> Iterator[SensorRecord]:
         # tuple.__new__ builds each NamedTuple without its Python-level __new__
-        part = self[start:start + _CHUNK]
-        truth = repeat(None) if part._truth is None else \
-            map(tuple.__new__, repeat(EulerAngles), _table_rows(part._truth))
+        truth = repeat(None) if self.truth is None else \
+            map(tuple.__new__, repeat(EulerAngles), zip(*self.truth.T.tolist()))
         return map(tuple.__new__, repeat(SensorRecord),
-                   zip(part.t.tolist(), part.gyro, part.accel, part.mag, truth))
+                   zip(self.t.tolist(), self.gyro, self.accel, self.mag, truth))
 
 
 def simulate(traj: TrajectorySpec, gyro_model: GyroModel, accel_model: AccelModel,
@@ -281,7 +281,7 @@ def simulate(traj: TrajectorySpec, gyro_model: GyroModel, accel_model: AccelMode
     # matmul on the contiguous stack runs BLAS per sample, as `cbn.T @ field`
     # did, so the bits match; einsum or a strided stack round differently
     table[:, 7:10] = np.asarray(mag_model.field_ned, dtype=float) @ cbn + mag_w
-    return SensorLog(table, np.frombuffer(truth).reshape(n_total, 3))
+    return SensorLog(np.column_stack((table, np.frombuffer(truth).reshape(n_total, 3))))
 
 
 def truth_array(records: Sequence[SensorRecord]) -> np.ndarray:

@@ -80,7 +80,8 @@ def test_read_tables_cannot_be_made_writable(tmp_path, records):
     write_estimates(tmp_path / "est.csv", run_pipeline(records, PipelineConfig(
         align_duration_s=0.5)))
     log, est = read_log(tmp_path / "log.csv"), read_estimates(tmp_path / "est.csv")
-    for column in (log.t, log.gyro, log.accel, log.mag, log.truth, est.table, est.q):
+    for column in (log.table, log.t, log.gyro, log.accel, log.mag, log.truth, est.table,
+                   est.q):
         with pytest.raises(ValueError):
             column.flags.writeable = True
         with pytest.raises(ValueError, match="read-only"):

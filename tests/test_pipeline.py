@@ -111,6 +111,20 @@ class TestInitialAlignment:
         with pytest.raises(AlignmentError):
             initial_alignment([], NoiseConfig())
 
+    @pytest.mark.parametrize("field, sensor", [("gyro", "gyro"), ("mag", "magnetometer")])
+    def test_non_finite_samples_left_out(self, field, sensor):
+        records = list(static_records(duration=2.0, gyro_bias=(0.02, -0.01, 0.015),
+                                      noisy=True, seed=5))
+        clean = initial_alignment(records, NoiseConfig())
+        records[7] = records[7]._replace(**{field: np.full(3, math.nan)})
+        records[9] = records[9]._replace(**{field: np.array([0.1, math.inf, 0.2])})
+        q0, bias_seed = initial_alignment(records, NoiseConfig())
+        assert np.isfinite([*q0, *bias_seed]).all()
+        np.testing.assert_allclose([*q0, *bias_seed], [*clean[0], *clean[1]], atol=1e-4)
+        bad = [r._replace(**{field: np.full(3, math.nan)}) for r in records]
+        with pytest.raises(AlignmentError, match=f"no finite {sensor} sample"):
+            initial_alignment(bad, NoiseConfig())
+
 
 class TestMultiRate:
     @pytest.mark.parametrize("mag_rate", [10.0, 50.0])
@@ -401,3 +415,14 @@ class TestBadSamples:
         k = index - FIRST_ESTIMATE
         assert [e.q for e in faulty[:k]] == [e.q for e in clean[:k]]
         assert faulty[k].q != clean[k].q
+
+    @pytest.mark.parametrize("algorithm", ["dlkf", "cf"])
+    @pytest.mark.parametrize("field", ["gyro", "mag"])
+    def test_nan_sample_in_alignment_window_is_left_out(self, field, algorithm):
+        # one bad sample inside the window must neither abort the alignment
+        # (mag) nor seed a NaN bias that fails the run's first sample (gyro)
+        records = list(static_records(duration=6.0, seed=1))
+        records[200] = records[200]._replace(**{field: np.full(3, math.nan)})
+        estimates = run_pipeline(records, PipelineConfig(algorithm=algorithm, noise=MATCHED))
+        assert len(estimates) == len(records) - FIRST_ESTIMATE
+        assert np.isfinite(estimates.table).all()

@@ -273,7 +273,8 @@ class TestSensorLog:
         assert ahrskit.SensorLog is SensorLog and "SensorLog" in ahrskit.__all__
 
     def test_columns_are_read_only_for_good(self, log):
-        for column in (log.t, log.gyro, log.accel, log.mag, log.truth, log[5].gyro):
+        for column in (log.table, log.t, log.gyro, log.accel, log.mag, log.truth,
+                       log[5].gyro):
             with pytest.raises(ValueError, match="read-only"):
                 column[0] = 1.0
             with pytest.raises(ValueError):
@@ -315,16 +316,22 @@ class TestSensorLog:
             assert type(r.gyro) is np.ndarray and r.gyro.shape == (3,)
 
     def test_tables_are_checked(self):
-        with pytest.raises(ValueError, match=r"\(N, 10\) float64"):
-            SensorLog(np.zeros((3, 9)))
-        with pytest.raises(ValueError, match=r"\(N, 10\) float64"):
-            SensorLog(np.zeros((3, 10), dtype=np.float32))
-        with pytest.raises(ValueError, match=r"\(N, 10\) float64"):
-            SensorLog(np.zeros(10))
-        with pytest.raises(ValueError, match=r"\(N, 3\) float64"):
-            SensorLog(np.zeros((3, 10)), np.zeros((3, 4)))
-        with pytest.raises(ValueError, match="truth rows"):
-            SensorLog(np.zeros((3, 10)), np.zeros((2, 3)))
+        for width in (10, 13):
+            log = SensorLog(np.zeros((3, width)))
+            assert len(log) == 3 and log.table.shape == (3, width)
+            assert (log.truth is None) == (width == 10)
+        for table in (np.zeros((3, 9)), np.zeros((3, 11)), np.zeros((3, 12)),
+                      np.zeros((3, 10), dtype=np.float32), np.zeros(10)):
+            with pytest.raises(ValueError, match=r"\(N, 10\) or \(N, 13\) float64"):
+                SensorLog(table)
+
+    def test_one_table_in_csv_column_order(self, log):
+        assert log.table.shape == (3250, 13)
+        columns = (log.t[:, None], log.gyro, log.accel, log.mag, log.truth)
+        for column in columns:
+            assert np.shares_memory(column, log.table)
+        assert np.hstack(columns).tobytes() == log.table.tobytes()
+        assert log[100:200].table.tobytes() == log.table[100:200].tobytes()
 
     def test_of_records_round_trips_bit_for_bit(self, log):
         assert SensorLog.of(log) is log
