@@ -148,11 +148,8 @@ def euler_to_quat(e: EulerAngles) -> Quaternion:
 
 
 def quat_to_dcm(q: Quaternion) -> np.ndarray:
-    """Body-to-navigation rotation matrix of a unit quaternion: 3x3 for float
-    components; for (N,) array components a contiguous (N, 3, 3) stack,
-    bit for bit the matrices of the N quaternions."""
-    return np.ascontiguousarray(np.array(_dcm_entries(*q)).T).reshape(
-        np.shape(q[0]) + (3, 3))
+    """Body-to-navigation rotation matrix of a unit quaternion, 3x3."""
+    return np.array(_dcm_entries(*q)).reshape(3, 3)
 
 
 def _dcm_entries(w, x, y, z):

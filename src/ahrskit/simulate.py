@@ -9,11 +9,12 @@ unit magnetic field. Output is bit-reproducible for a given seed.
 
 Only the recursions run per sample, on Python floats: the attitude, one
 `quat_multiply` per step, with its truth angles (NumPy's arcsin and
-arctan2 round differently from `math`'s), and the Markov drift. The DCMs
-and sensor columns are computed over the whole log at once, bit for bit
-equal to computing them one sample at a time, and joined with the truth
-into the one table of a `SensorLog` (a `_Table`, as a run's `Estimates`
-is), which builds a `SensorRecord` only when read.
+arctan2 round differently from `math`'s), and the Markov drift. The DCM
+entries and sensor columns are computed over the whole log at once with
+elementwise NumPy arithmetic, no BLAS product, so they are bit for bit
+the plain float arithmetic of one sample at a time. They are joined with
+the truth into the one table of a `SensorLog` (a `_Table`, as a run's
+`Estimates` is), which builds a `SensorRecord` only when read.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .geometry import (EulerAngles, euler_to_quat, quat_multiply, quat_to_dcm,
+from .geometry import (EulerAngles, _dcm_entries, euler_to_quat, quat_multiply,
                        quat_to_euler, rotvec_to_quat)
 
 
@@ -110,20 +111,21 @@ def _default_field() -> Tuple[float, float, float]:
 
 @dataclass(frozen=True)
 class MagModel:
-    """Navigation-frame field direction and white noise (1/sqrt(Hz))."""
+    """Navigation-frame field direction and white noise (1/sqrt(Hz)). The
+    direction is stored normalised, as Python floats."""
 
     field_ned: Tuple[float, float, float] = field(default_factory=_default_field)
     sigma_white: float = 0.0
 
     def __post_init__(self):
-        f = np.asarray(self.field_ned, dtype=float)
-        norm = np.linalg.norm(f)
+        x, y, z = map(float, self.field_ned)
+        norm = math.sqrt(x * x + y * y + z * z)
         if not 0.0 < norm < math.inf:
             raise ValueError("magnetic field direction must be finite and non-zero")
-        f = f / norm
-        if np.hypot(f[0], f[1]) <= 1e-9:
+        x, y, z = x / norm, y / norm, z / norm
+        if math.hypot(x, y) <= 1e-9:
             raise ValueError("magnetic field needs a horizontal component for heading")
-        object.__setattr__(self, "field_ned", tuple(f))
+        object.__setattr__(self, "field_ned", (x, y, z))
         if not 0.0 <= self.sigma_white < math.inf:
             raise ValueError("sigma_white must be finite and >= 0")
 
@@ -270,17 +272,17 @@ def simulate(traj: TrajectorySpec, gyro_model: GyroModel, accel_model: AccelMode
         drift = np.array([list(accumulate(w, lambda d, w: markov_decay * d + w, initial=0.0))
                           for w in markov_w[:-1].T.tolist()]).T
 
-    cbn = quat_to_dcm(np.frombuffer(quats).reshape(n_total, 4).T)
+    c = _dcm_entries(*np.frombuffer(quats).reshape(n_total, 4).T)  # nine (N,) columns
+    f0, f1, f2 = mag_model.field_ned
     omega = np.repeat(rates, steps_per_seg, axis=0)
     lin_acc = np.repeat(np.array([seg.accel for seg in traj.segments], dtype=float),
                         steps_per_seg, axis=0)
     table = np.empty((n_total, 10))
     table[:, 0] = np.arange(1, n_total + 1) * dt
     table[:, 1:4] = omega + np.asarray(gyro_model.bias, dtype=float) + drift + gyro_w
-    table[:, 4:7] = -accel_model.gravity * cbn[:, 2, :] + lin_acc + accel_w
-    # matmul on the contiguous stack runs BLAS per sample, as `cbn.T @ field`
-    # did, so the bits match; einsum or a strided stack round differently
-    table[:, 7:10] = np.asarray(mag_model.field_ned, dtype=float) @ cbn + mag_w
+    table[:, 4:7] = -accel_model.gravity * np.column_stack(c[6:]) + lin_acc + accel_w
+    table[:, 7:10] = np.column_stack([f0 * c[j] + f1 * c[3 + j] + f2 * c[6 + j]
+                                      for j in range(3)]) + mag_w
     return SensorLog(np.column_stack((table, np.frombuffer(truth).reshape(n_total, 3))))
 
 

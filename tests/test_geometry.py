@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from ahrskit.geometry import (EulerAngles, Quaternion, euler_to_quat,
                               quat_multiply, quat_to_dcm, quat_to_euler,
@@ -156,21 +154,6 @@ class TestDcm:
         for e in random_attitudes(200, rng):
             np.testing.assert_allclose(quat_to_dcm(euler_to_quat(e)),
                                        rotation_zyx(*e), atol=1e-12)
-
-    @settings(deadline=None, max_examples=200)
-    @given(st.lists(st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(
-                        lambda c: sum(x * x for x in c) > 1e-6),
-                    min_size=1, max_size=40),
-           st.tuples(*[st.floats(-1.0, 1.0)] * 3))
-    def test_component_arrays_give_the_stack_bit_for_bit(self, components, field):
-        quats = [Quaternion(*c).normalized() for c in components]
-        stack = quat_to_dcm(Quaternion(*np.array(quats).T))
-        assert stack.shape == (len(quats), 3, 3) and stack.flags.c_contiguous
-        assert stack.tobytes() == np.array([quat_to_dcm(q) for q in quats]).tobytes()
-        # the simulator's magnetometer synthesis
-        f = np.array(field)
-        assert (f @ stack).tobytes() == np.array([quat_to_dcm(q).T @ f
-                                                  for q in quats]).tobytes()
 
     def test_orthonormality(self):
         rng = np.random.default_rng(8)

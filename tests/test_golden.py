@@ -41,10 +41,13 @@ each block product in the order of the full product F P F^T, as
 (A + G B^T) + M G^T, and scales the bias block as (d C) d; both
 measurement layers take the standard form P - K H P. Against
 `data/golden_dlkf.npy`: 1.4e-14 rad on the Euler angles, 6.9e-15 on
-the quaternion and 6.1e-15 rad/s on the bias. With the filter's
-arithmetic off BLAS, the dlkf digest depends on BLAS only through the
-simulated mag column of the log, which `simulate` forms as a matrix
-product.
+the quaternion and 6.1e-15 rad/s on the bias.
+
+No digest depends on the BLAS build: no arithmetic that reaches one,
+in `simulate` (which forms its mag column elementwise) or in the
+filters, goes through BLAS. The digests still depend on CPython's
+`math` (libm), NumPy's elementwise ufuncs and its axis-0 `np.mean` (the
+alignment window), and `default_rng`.
 
 The dlkf digest was re-pinned when the accelerometer layer began to
 evaluate P - M S^-1 M^T through an LDU factorisation of the 2x2 S, as a
@@ -241,7 +244,10 @@ def test_cf_hot_path_calls(records, monkeypatch):
 
     monkeypatch.setattr(np, "cross", forbidden)
     monkeypatch.setattr(np.linalg, "norm", forbidden)
-    monkeypatch.setattr(complementary, "quat_to_dcm", forbidden, raising=False)
+    # `cf_update` writes the DCM out from `_dcm_entries`; no cf module may
+    # bind `quat_to_dcm`, and a call through `geometry` fails the run
+    assert not any(hasattr(m, "quat_to_dcm") for m in (complementary, pipeline, propagation))
+    monkeypatch.setattr(geometry, "quat_to_dcm", forbidden)
     assert run_pipeline(records, cfg)
 
 

@@ -8,11 +8,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ahrskit
-from ahrskit.geometry import (EulerAngles, euler_to_quat, quat_multiply,
+from ahrskit.geometry import (EulerAngles, _dcm_entries, euler_to_quat, quat_multiply,
                               quat_to_dcm, quat_to_euler, rotvec_to_quat)
 from ahrskit.simulate import (AccelModel, GyroModel, MagModel, Segment,
                               SensorLog, SensorRecord, TrajectorySpec, simulate,
@@ -55,15 +55,16 @@ def records_digest(records):
     return h.hexdigest()
 
 
-# Digests of the per-sample simulator (one DCM and one `cbn.T @ field`
-# per sample), which the column form must reproduce bit for bit.
+# Digests of the simulator's output. `test_matches_per_sample_reference`
+# holds that output bit for bit to the per-sample float arithmetic of
+# `reference_simulate`, so they pin that arithmetic as well.
 SIMULATED = {
     "golden": (golden_records,
                "7d62584fa714656c80f8abf30a0b2f251bf8fd0e1ebc9d7ae1c605415b23c291"),
     "markov": (markov_records,
-               "791724dd66ee572fb8ab5384006344cdbb208c54305893fc1452a7f84e6b5853"),
+               "a1b265e343b3c42147e5bd179e3390524fa7acfeb2eed03c91fe17d6c12ce589"),
     "field": (field_records,
-              "3d44a522fa83cb68bface785d52be80fc0882dafe78ceb7ae6a56debd9a804a5"),
+              "26141c0c0bcf01b3624f6a36b4c06a284635fd11067e3cfbad94b15d1ebec25d"),
 }
 
 
@@ -74,8 +75,9 @@ def test_output_bit_identical(name):
 
 
 def reference_simulate(traj, gyro_model, accel_model, mag_model, rate, seed):
-    """The simulator one sample at a time: one DCM, one `cbn.T @ field`
-    and three new arrays per sample."""
+    """The simulator one sample at a time, in plain float arithmetic: one
+    DCM per sample, each mag component its field-weighted sum of a DCM
+    column, summed left to right, and no BLAS product."""
     dt = 1.0 / rate
     steps_per_seg = [round(seg.duration * rate) for seg in traj.segments]
     n_total = sum(steps_per_seg)
@@ -85,7 +87,7 @@ def reference_simulate(traj, gyro_model, accel_model, mag_model, rate, seed):
     accel_w = rng.normal(0.0, accel_model.sigma_white * math.sqrt(rate), (n_total, 3))
     mag_w = rng.normal(0.0, mag_model.sigma_white * math.sqrt(rate), (n_total, 3))
     bias0 = np.asarray(gyro_model.bias, dtype=float)
-    field_n = np.asarray(mag_model.field_ned, dtype=float)
+    f0, f1, f2 = mag_model.field_ned
     markov_decay = 1.0 - dt / gyro_model.tau
     q = euler_to_quat(traj.initial_attitude)
     drift = np.zeros(3)
@@ -101,7 +103,7 @@ def reference_simulate(traj, gyro_model, accel_model, mag_model, rate, seed):
             gyro = omega + bias0 + drift + gyro_w[k]
             drift = markov_decay * drift + markov_w[k]
             accel = -accel_model.gravity * cbn[2, :] + lin_acc + accel_w[k]
-            mag = cbn.T @ field_n + mag_w[k]
+            mag = f0 * cbn[0] + f1 * cbn[1] + f2 * cbn[2] + mag_w[k]
             records.append(SensorRecord((k + 1) * dt, gyro, accel, mag, quat_to_euler(q)))
     return records
 
@@ -133,12 +135,12 @@ def test_one_dcm_call_per_simulate(monkeypatch):
     """The DCM, accel and mag synthesis runs over the whole log at once."""
     calls = []
 
-    def counted(q):
+    def counted(*q):
         calls.append(q)
-        return quat_to_dcm(q)
+        return _dcm_entries(*q)
 
     # the package exports the function `simulate` under its module's name
-    monkeypatch.setattr(importlib.import_module("ahrskit.simulate"), "quat_to_dcm", counted)
+    monkeypatch.setattr(importlib.import_module("ahrskit.simulate"), "_dcm_entries", counted)
     assert len(golden_records()) > 1
     assert len(calls) <= 1
 
@@ -242,6 +244,19 @@ def test_mag_follows_attitude():
     m = MagModel().field_ned
     # at yaw 90 deg the body x axis points east: north component moves to -y
     np.testing.assert_allclose(records[0].mag, [m[1], -m[0], m[2]], atol=1e-12)
+
+
+@settings(deadline=None)
+@given(triples.filter(lambda f: math.hypot(f[0], f[1]) > 0.1))
+@example((-0.59, -0.48, 0.5))
+def test_field_is_normalised_on_floats(f):
+    """The stored field is the plain-float normalisation of the given one,
+    bit for bit, with no BLAS norm."""
+    x, y, z = f
+    norm = math.sqrt(x * x + y * y + z * z)
+    field_ned = MagModel(f).field_ned
+    assert [v.hex() for v in field_ned] == [v.hex() for v in (x / norm, y / norm, z / norm)]
+    assert all(type(v) is float for v in field_ned)
 
 
 def test_truth_array_helper():
