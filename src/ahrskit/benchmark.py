@@ -20,26 +20,23 @@ MAG_NOISE_DENSITY = 0.002                  # 1/sqrt(Hz), on a unit field
 
 
 def mems_models(gyro_bias=(0.0, 0.0, 0.0), noisy: bool = True,
-                sigma_markov: float = 0.0,
                 ) -> Tuple[GyroModel, AccelModel, MagModel]:
-    """Datasheet-level sensor models, optionally noise-free."""
-    gm = GyroModel(bias=gyro_bias,
-                   sigma_markov=sigma_markov if noisy else 0.0,
-                   sigma_white=GYRO_NOISE_DENSITY if noisy else 0.0)
+    """Datasheet-level sensor models without Markov drift, optionally noise-free."""
+    gm = GyroModel(bias=gyro_bias, sigma_white=GYRO_NOISE_DENSITY if noisy else 0.0)
     am = AccelModel(sigma_white=ACCEL_NOISE_DENSITY if noisy else 0.0)
     mm = MagModel(sigma_white=MAG_NOISE_DENSITY if noisy else 0.0)
     return gm, am, mm
 
 
-def matched_noise_config(rate: float, gravity: float = 9.81,
-                         horizontal_field: float = 0.5) -> NoiseConfig:
+def matched_noise_config(rate: float) -> NoiseConfig:
     """Filter tuning derived from the benchmark sensor densities.
 
     Process noise matches the gyro white noise per step, with a
     near-zero bias block (the scenarios inject a constant bias);
     measurement noises match the per-sample angle noise the accel and
-    mag densities produce at the given rate.
+    mag densities produce at the given rate under the default sensor models.
     """
+    gravity, horizontal_field = 9.81, 0.5  # cos(60 deg) is 0.5000000000000001
     dt = 1.0 / rate
     q_att = GYRO_NOISE_DENSITY ** 2 * dt
     q_bias = 1e-12
@@ -52,12 +49,6 @@ def matched_noise_config(rate: float, gravity: float = 9.81,
     rm = mag_term ** 2 + tilt_term ** 2
     return NoiseConfig(Q=np.diag([q_att] * 3 + [q_bias] * 3),
                        Ra_nominal=np.diag([ra, ra]), Rm=rm, gravity=gravity)
-
-
-def static_trajectory(duration: float = 60.0,
-                      attitude: EulerAngles = EulerAngles(0.0, 0.0, 0.0),
-                      ) -> TrajectorySpec:
-    return TrajectorySpec((Segment(duration, (0.0, 0.0, 0.0)),), attitude)
 
 
 def dynamic_trajectory() -> TrajectorySpec:
@@ -102,12 +93,12 @@ def static_records(duration: float = 60.0, rate: float = 250.0,
                    seed: int = 7, attitude: EulerAngles = EulerAngles(0.0, 0.0, 0.0),
                    ) -> SensorLog:
     gm, am, mm = mems_models(gyro_bias=gyro_bias, noisy=noisy)
-    return simulate(static_trajectory(duration, attitude), gm, am, mm, rate, seed)
+    traj = TrajectorySpec((Segment(duration, (0.0, 0.0, 0.0)),), attitude)
+    return simulate(traj, gm, am, mm, rate, seed)
 
 
-def benchmark_records(rate: float = 250.0, seed: int = 11,
-                      gyro_bias=BENCHMARK_GYRO_BIAS) -> SensorLog:
-    """The dynamic comparison scenario with datasheet noise and a
-    constant gyro bias (the disturbance the filter exists to remove)."""
-    gm, am, mm = mems_models(gyro_bias=gyro_bias, noisy=True)
+def benchmark_records(rate: float = 250.0, seed: int = 11) -> SensorLog:
+    """The dynamic comparison scenario with datasheet noise and the gyro
+    bias BENCHMARK_GYRO_BIAS (the disturbance the filter exists to remove)."""
+    gm, am, mm = mems_models(gyro_bias=BENCHMARK_GYRO_BIAS, noisy=True)
     return simulate(dynamic_trajectory(), gm, am, mm, rate, seed)

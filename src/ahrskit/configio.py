@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import math
 from pathlib import Path
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
@@ -39,64 +39,69 @@ def parse_kv_lines(text: str, source: str = "<config>") -> List[Tuple[str, str]]
     return pairs
 
 
-def _floats(value: str, n: int, key: str) -> List[float]:
+def _floats(value: str, n: int) -> List[float]:
     parts = [p.strip() for p in value.split(",")]
     if len(parts) != n:
-        raise ValueError(f"key {key!r}: expected {n} comma-separated values, "
-                         f"got {len(parts)}")
+        raise ValueError(f"expected {n} comma-separated values, got {len(parts)}")
     return [float(p) for p in parts]
+
+
+def _read(text: str, source: str, keys: dict, kind: str, build: Callable,
+          repeated: str = ""):
+    """`build` of {owner: {field name: value}} read from `text` by `keys`;
+    `repeated`'s values become a tuple. Errors name the source (and key)."""
+    fields: Dict[object, dict] = {owner: {} for owner, _, _ in keys.values()}
+    for key, value in parse_kv_lines(text, source):
+        if key not in keys:
+            raise ValueError(f"{source}: unknown {kind} key {key!r}")
+        owner, name, parse = keys[key]
+        if name in fields[owner] and key != repeated:
+            raise ValueError(f"{source}: duplicate {kind} key {key!r}")
+        try:
+            value = parse(value)
+        except ValueError as exc:
+            raise ValueError(f"{source}: key {key!r}: {exc}") from exc
+        fields[owner][name] = fields[owner].get(name, ()) + (value,) \
+            if key == repeated else value
+    try:
+        return build(fields)
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
 # pipeline config files
 
-def _text(value: str, key: str) -> str:
-    return value
-
-
-def _number(value: str, key: str) -> float:
-    return float(value)
-
-
-def _deg2(value: str, key: str) -> float:
+def _deg2(value: str) -> float:
     return float(value) * _DEG2RAD_SQ
 
 
 def _deg2_diag(n: int):
-    return lambda value, key: np.diag(_floats(value, n, key)) * _DEG2RAD_SQ
+    return lambda value: np.diag(_floats(value, n)) * _DEG2RAD_SQ
 
 
 # key -> (owner class, field name, parser): each key sets one field of
 # PipelineConfig or its NoiseConfig; an absent key keeps the default.
 _PIPELINE_KEYS = {
-    "algorithm": (PipelineConfig, "algorithm", _text),
-    "imu_rate_hz": (PipelineConfig, "imu_rate_hz", _number),
-    "mag_rate_hz": (PipelineConfig, "mag_rate_hz", _number),
-    "align_s": (PipelineConfig, "align_duration_s", _number),
-    "cf_kp": (PipelineConfig, "cf_kp", _number),
-    "cf_ki": (PipelineConfig, "cf_ki", _number),
-    "gravity": (NoiseConfig, "gravity", _number),
-    "accel_gate": (NoiseConfig, "accel_gate", _number),
+    "algorithm": (PipelineConfig, "algorithm", str),
+    "mag_rate_hz": (PipelineConfig, "mag_rate_hz", float),
+    "align_s": (PipelineConfig, "align_duration_s", float),
+    "cf_kp": (PipelineConfig, "cf_kp", float),
+    "cf_ki": (PipelineConfig, "cf_ki", float),
+    "gravity": (NoiseConfig, "gravity", float),
+    "accel_gate": (NoiseConfig, "accel_gate", float),
     "q_diag_deg2": (NoiseConfig, "Q", _deg2_diag(6)),
     "ra_diag_deg2": (NoiseConfig, "Ra_nominal", _deg2_diag(2)),
     "rm_deg2": (NoiseConfig, "Rm", _deg2),
-    "tau_g_s": (NoiseConfig, "tau_g", _number),
-    "lambda_a": (NoiseConfig, "lambda_a", _number),
-    "gamma2_max": (NoiseConfig, "gamma2_max", _number),
+    "tau_g_s": (NoiseConfig, "tau_g", float),
+    "lambda_a": (NoiseConfig, "lambda_a", float),
+    "gamma2_max": (NoiseConfig, "gamma2_max", float),
 }
 
 
 def pipeline_config_from_text(text: str, source: str = "<config>") -> PipelineConfig:
-    fields: Dict[type, dict] = {PipelineConfig: {}, NoiseConfig: {}}
-    for key, value in parse_kv_lines(text, source):
-        if key not in _PIPELINE_KEYS:
-            raise ValueError(f"{source}: unknown config key {key!r}")
-        owner, name, parse = _PIPELINE_KEYS[key]
-        if name in fields[owner]:
-            raise ValueError(f"{source}: duplicate config key {key!r}")
-        fields[owner][name] = parse(value, key)
-    return PipelineConfig(noise=NoiseConfig(**fields[NoiseConfig]),
-                          **fields[PipelineConfig])
+    return _read(text, source, _PIPELINE_KEYS, "config", lambda fields: PipelineConfig(
+        noise=NoiseConfig(**fields[NoiseConfig]), **fields[PipelineConfig]))
 
 
 def load_pipeline_config(path) -> PipelineConfig:
@@ -112,31 +117,45 @@ def config_hash(path) -> str:
 # ---------------------------------------------------------------------------
 # scenario files for the simulator
 
-def _vector3(value: str, key: str) -> Tuple[float, float, float]:
-    return tuple(_floats(value, 3, key))
+def _vector3(value: str) -> Tuple[float, float, float]:
+    return tuple(_floats(value, 3))
 
 
-def _rpy_deg(value: str, key: str) -> EulerAngles:
-    return EulerAngles(*(math.radians(a) for a in _floats(value, 3, key)))
+def _rpy_deg(value: str) -> EulerAngles:
+    return EulerAngles(*(math.radians(a) for a in _floats(value, 3)))
+
+
+def _segment(value: str) -> Segment:
+    v = _floats(value, 7)
+    return Segment(v[0], tuple(math.radians(x) for x in v[1:4]), tuple(v[4:7]))
 
 
 # key -> (owner, field name, parser): each key sets one field of the
 # trajectory or a sensor model, and an absent key keeps its default;
 # rate_hz and seed belong to the run, whose defaults are _RUN_DEFAULTS.
 _SCENARIO_KEYS = {
-    "rate_hz": ("run", "rate_hz", _number),
-    "seed": ("run", "seed", lambda value, key: int(value)),
+    "rate_hz": ("run", "rate_hz", float),
+    "seed": ("run", "seed", int),
     "initial_rpy_deg": (TrajectorySpec, "initial_attitude", _rpy_deg),
     "gyro_bias_rps": (GyroModel, "bias", _vector3),
-    "gyro_tau_s": (GyroModel, "tau", _number),
-    "gyro_sigma_markov": (GyroModel, "sigma_markov", _number),
-    "gyro_sigma_white": (GyroModel, "sigma_white", _number),
-    "accel_sigma_white": (AccelModel, "sigma_white", _number),
-    "gravity": (AccelModel, "gravity", _number),
+    "gyro_tau_s": (GyroModel, "tau", float),
+    "gyro_sigma_markov": (GyroModel, "sigma_markov", float),
+    "gyro_sigma_white": (GyroModel, "sigma_white", float),
+    "accel_sigma_white": (AccelModel, "sigma_white", float),
+    "gravity": (AccelModel, "gravity", float),
     "mag_field_ned": (MagModel, "field_ned", _vector3),
-    "mag_sigma_white": (MagModel, "sigma_white", _number),
+    "mag_sigma_white": (MagModel, "sigma_white", float),
 }
 _RUN_DEFAULTS = {"rate_hz": 250.0, "seed": 0}
+
+
+def _scenario(fields: dict):
+    if "segments" not in fields[TrajectorySpec]:
+        raise ValueError("scenario needs at least one 'segment' line")
+    run = {**_RUN_DEFAULTS, **fields["run"]}
+    return (TrajectorySpec(**fields[TrajectorySpec]), GyroModel(**fields[GyroModel]),
+            AccelModel(**fields[AccelModel]), MagModel(**fields[MagModel]),
+            run["rate_hz"], run["seed"])
 
 
 def scenario_from_text(text: str, source: str = "<scenario>"):
@@ -146,26 +165,8 @@ def scenario_from_text(text: str, source: str = "<scenario>"):
     ``segment`` lines repeat, in order, each holding
     ``duration_s, wx_dps, wy_dps, wz_dps, ax, ay, az``.
     """
-    fields: Dict[object, dict] = {owner: {} for owner, _, _ in _SCENARIO_KEYS.values()}
-    segments: List[Segment] = []
-    for key, value in parse_kv_lines(text, source):
-        if key == "segment":
-            v = _floats(value, 7, "segment")
-            segments.append(Segment(v[0], tuple(math.radians(x) for x in v[1:4]),
-                                    tuple(v[4:7])))
-            continue
-        if key not in _SCENARIO_KEYS:
-            raise ValueError(f"{source}: unknown scenario key {key!r}")
-        owner, name, parse = _SCENARIO_KEYS[key]
-        if name in fields[owner]:
-            raise ValueError(f"{source}: duplicate scenario key {key!r}")
-        fields[owner][name] = parse(value, key)
-    if not segments:
-        raise ValueError(f"{source}: scenario needs at least one 'segment' line")
-    run = {**_RUN_DEFAULTS, **fields["run"]}
-    return (TrajectorySpec(tuple(segments), **fields[TrajectorySpec]),
-            GyroModel(**fields[GyroModel]), AccelModel(**fields[AccelModel]),
-            MagModel(**fields[MagModel]), run["rate_hz"], run["seed"])
+    keys = {**_SCENARIO_KEYS, "segment": (TrajectorySpec, "segments", _segment)}
+    return _read(text, source, keys, "scenario", _scenario, repeated="segment")
 
 
 def load_scenario(path):

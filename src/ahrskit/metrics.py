@@ -59,9 +59,10 @@ def improvement(baseline_rmse: float, candidate_rmse: float) -> float:
 def align_series(t_est, est, t_truth, truth):
     """Pair estimate and truth samples by nearest timestamp.
 
-    Each truth sample is matched to the nearest estimate; pairs further
-    apart than half the median estimate period are dropped (none, with a
-    single estimate). Returns (t, est_matched, truth_matched).
+    Each truth sample is matched to the nearest estimate, the earlier on
+    a tie; pairs further apart than half the median estimate period are
+    dropped (none, with a single estimate). Returns (t, est_matched,
+    truth_matched).
     """
     t_est = np.asarray(t_est, dtype=float)
     est = np.asarray(est, dtype=float)
@@ -71,13 +72,11 @@ def align_series(t_est, est, t_truth, truth):
         raise ValueError("cannot align empty series")
     max_gap = 0.5 * np.median(np.diff(t_est)) if len(t_est) > 1 else np.inf
 
-    if len(t_est) > 1:
-        idx = np.clip(np.searchsorted(t_est, t_truth), 1, len(t_est) - 1)
-        left = np.abs(t_truth - t_est[idx - 1])
-        right = np.abs(t_truth - t_est[idx])
-        idx = np.where(left <= right, idx - 1, idx)
-    else:
-        idx = np.zeros(len(t_truth), dtype=int)
+    # the estimates either side of each truth time; before t_est[0], the first twice
+    after = np.minimum(np.searchsorted(t_est, t_truth), len(t_est) - 1)
+    before = np.maximum(after - 1, 0)
+    idx = np.where(np.abs(t_truth - t_est[before]) <= np.abs(t_truth - t_est[after]),
+                   before, after)
     gap = np.abs(t_truth - t_est[idx])
     keep = gap <= max_gap
     if not np.any(keep):

@@ -44,13 +44,12 @@ class AlignmentError(ValueError):
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Everything a run needs: algorithm choice, tuning, sensor rates."""
+    """Everything a run needs: algorithm choice, tuning, mag rate."""
 
     algorithm: str = "dlkf"
     noise: NoiseConfig = field(default_factory=NoiseConfig)
     cf_kp: float = 1.0
     cf_ki: float = 0.05
-    imu_rate_hz: float = 250.0
     mag_rate_hz: float = 10.0
     align_duration_s: float = 2.0
 
@@ -58,11 +57,8 @@ class PipelineConfig:
         if self.algorithm not in _STEPS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}, "
                              f"expected one of {tuple(_STEPS)}")
-        if not (0.0 < self.imu_rate_hz < math.inf and 0.0 < self.mag_rate_hz < math.inf):
-            raise ValueError("sensor rates must be finite and > 0")
-        if self.mag_rate_hz > self.imu_rate_hz:
-            raise ValueError(f"mag rate {self.mag_rate_hz} Hz cannot exceed "
-                             f"IMU rate {self.imu_rate_hz} Hz")
+        if not 0.0 < self.mag_rate_hz < math.inf:
+            raise ValueError("mag rate must be finite and > 0")
         if not 0.0 <= self.align_duration_s < math.inf:
             raise ValueError("alignment duration must be finite and >= 0")
         if not (0.0 <= self.cf_kp < math.inf and 0.0 <= self.cf_ki < math.inf):
@@ -146,11 +142,11 @@ def initial_alignment(records: Sequence[SensorRecord], cfg: NoiseConfig,
 
 
 def _finite_mean(columns: np.ndarray, sensor: str) -> np.ndarray:
-    """Mean of the finite rows of (N, 3) `columns`, masked only if one is not."""
+    """Mean of the finite rows of (N, 3) `columns`."""
     finite = np.isfinite(columns).all(axis=1)
     if not finite.any():
         raise AlignmentError(f"no finite {sensor} sample in the alignment window")
-    return np.mean(columns if finite.all() else columns[finite], axis=0)
+    return np.mean(columns[finite], axis=0)
 
 
 def run_pipeline(records: Sequence[SensorRecord], cfg: PipelineConfig,
@@ -167,21 +163,25 @@ def run_pipeline(records: Sequence[SensorRecord], cfg: PipelineConfig,
     log = SensorLog.of(records)
     if not log:
         raise ValueError("no records to process")
-    t_prev = float(log.t[0])
-    if not math.isfinite(t_prev):
-        raise ValueError(f"sample 0 (t={t_prev}): timestamp not finite")
+    bad = ~np.isfinite(log.t)  # each t finite and greater than the one before
+    bad[1:] |= ~(log.t[1:] > log.t[:-1])
+    if bad.any():
+        i = int(bad.argmax())
+        t, t_prev = float(log.t[i]), float(log.t[i - 1])
+        if i == 0:
+            raise ValueError(f"sample 0 (t={t}): timestamp not finite")
+        fault = "not strictly increasing" if math.isfinite(t) else "not finite"
+        raise ValueError(f"sample {i} (t={t}): timestamps {fault} (previous t={t_prev})")
 
     n_align = 1  # without alignment the first sample only sets the clock
     q0, bias_seed = Quaternion.identity(), (0.0, 0.0, 0.0)
     if cfg.align_duration_s > 0.0:
-        # the window ends at the first sample past its end, or at a NaN
-        beyond = ~(log.t <= t_prev + cfg.align_duration_s)
-        n_align = int(beyond.argmax()) if beyond.any() else len(log)
+        n_align = int(np.searchsorted(log.t, log.t[0] + cfg.align_duration_s, "right"))
         q0, bias_seed = initial_alignment(log[:n_align], cfg.noise)
-        t_prev = float(log.t[n_align - 1])
     rest = log[n_align:]
     if not rest:
         raise ValueError("no records left after the alignment window")
+    t_prev = float(log.t[n_align - 1])
 
     step = _STEPS[cfg.algorithm](cfg, q0, bias_seed, on_epoch)
     mag_period = 1.0 / cfg.mag_rate_hz
@@ -192,9 +192,6 @@ def run_pipeline(records: Sequence[SensorRecord], cfg: PipelineConfig,
         for i, row in enumerate(rest.rows(), n_align):
             t = row[0]
             dt = t - t_prev
-            if not 0.0 < dt < math.inf:
-                fault = "not finite" if dt == math.inf else "not strictly increasing"
-                raise ValueError(f"timestamps {fault} (previous t={t_prev})")
             mag_due = t >= next_mag
             if mag_due:
                 # one period per step, or one jump over the epochs a gap missed

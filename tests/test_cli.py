@@ -110,6 +110,17 @@ class TestDiagnostics:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "not_a_key" in err
 
+    def test_bad_config_value_names_file_and_key(self, workspace, capsys):
+        cfg = workspace / "bad.cfg"
+        cfg.write_text("cf_kp = 1.o\n")
+        log = workspace / "log.csv"
+        main(["sim", "--scenario", str(workspace / "hover.scn"), "--out", str(log)])
+        code = main(["run", "--log", str(log), "--config", str(cfg),
+                     "--out", str(workspace / "x.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == (f"error: {cfg}: key 'cf_kp': "
+                                           "could not convert string to float: '1.o'\n")
+
     @pytest.mark.parametrize("line", ["segment = inf, 0, 0, 0, 0, 0, 0",
                                       "rate_hz = inf", "rate_hz = nan",
                                       "gravity = nan"])

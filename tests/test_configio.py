@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -14,7 +15,6 @@ from ahrskit.simulate import AccelModel, GyroModel, MagModel, simulate
 FULL_CONFIG = """
 # benchmark tuning
 algorithm = cf
-imu_rate_hz = 200
 mag_rate_hz = 20
 align_s = 1.5
 gravity = 9.80665
@@ -49,7 +49,6 @@ D2R2 = (math.pi / 180.0) ** 2
 # per config key: a value off its default, and the one field it must set
 ONE_KEY = {
     "algorithm": ("cf", "algorithm"),
-    "imu_rate_hz": ("200", "imu_rate_hz"),
     "mag_rate_hz": ("20", "mag_rate_hz"),
     "align_s": ("1.5", "align_duration_s"),
     "cf_kp": ("2", "cf_kp"),
@@ -121,7 +120,6 @@ class TestPipelineConfig:
     def test_full_config(self):
         cfg = pipeline_config_from_text(FULL_CONFIG)
         assert cfg.algorithm == "cf"
-        assert cfg.imu_rate_hz == 200.0
         assert cfg.mag_rate_hz == 20.0
         assert cfg.align_duration_s == 1.5
         assert cfg.noise.accel_gate == 0.3
@@ -139,7 +137,6 @@ class TestPipelineConfig:
     def test_empty_text_gives_defaults(self):
         cfg = pipeline_config_from_text("")
         assert cfg.algorithm == "dlkf"
-        assert cfg.imu_rate_hz == 250.0
         assert cfg.mag_rate_hz == 10.0
         assert changed_fields(cfg, PipelineConfig()) == []
 
@@ -245,3 +242,40 @@ class TestScenario:
         path.write_text(SCENARIO)
         traj, *_ = load_scenario(path)
         assert traj.duration == pytest.approx(4.5)
+
+
+class TestValueErrorsNameFileAndKey:
+    """A value a parser rejects names the source and the key; a value the
+    config or model class rejects names the source."""
+
+    @pytest.mark.parametrize("line, message", [
+        ("cf_kp = 1.o", "<config>: key 'cf_kp': could not convert string to float: '1.o'"),
+        ("ra_diag_deg2 = 1, 2, 3",
+         "<config>: key 'ra_diag_deg2': expected 2 comma-separated values, got 3"),
+        ("mag_rate_hz = 0", "<config>: mag rate must be finite and > 0"),
+        ("accel_gate = -1", "<config>: accel_gate must be finite and > 0, got -1.0"),
+    ])
+    def test_config(self, line, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            pipeline_config_from_text(line)
+
+    @pytest.mark.parametrize("line, message", [
+        ("seed = 1.5", "<scenario>: key 'seed': invalid literal for int() with base 10: '1.5'"),
+        ("gyro_tau_s = -3", "<scenario>: tau must be finite and > 0, got -3.0"),
+        ("segment = 1, 0, x, 0, 0, 0, 0",
+         "<scenario>: key 'segment': could not convert string to float: 'x'"),
+        ("mag_field_ned = 1, 0", "<scenario>: key 'mag_field_ned': "
+                                 "expected 3 comma-separated values, got 2"),
+    ])
+    def test_scenario(self, line, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            scenario_from_text(f"{SEGMENT}{line}\n")
+
+    def test_files(self, tmp_path):
+        cfg, scn = tmp_path / "run.cfg", tmp_path / "hover.scn"
+        cfg.write_text("cf_kp = 1.o\n")
+        scn.write_text(f"{SEGMENT}gyro_tau_s = -3\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(cfg))}: key 'cf_kp': "):
+            load_pipeline_config(cfg)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(scn))}: tau must be"):
+            load_scenario(scn)

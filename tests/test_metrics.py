@@ -110,6 +110,15 @@ class TestAlign:
         t_out, _, _ = align_series(t_est, est, t_truth, truth)
         assert len(t_out) == 2
 
+    def test_single_estimate_pairs_with_every_truth_sample(self):
+        est = np.array([[0.1, 0.2, 0.3]])
+        t_truth = np.array([-1.0, 0.5, 7.0])
+        truth = np.zeros((3, 3))
+        t_out, e_out, tr_out = align_series(np.array([0.5]), est, t_truth, truth)
+        np.testing.assert_array_equal(t_out, t_truth)
+        np.testing.assert_array_equal(e_out, np.repeat(est, 3, axis=0))
+        np.testing.assert_array_equal(tr_out, truth)
+
     def test_no_overlap_raises(self):
         with pytest.raises(ValueError):
             align_series(np.arange(5) * 0.1, np.zeros((5, 3)),

@@ -125,6 +125,20 @@ class TestInitialAlignment:
         with pytest.raises(AlignmentError, match=f"no finite {sensor} sample"):
             initial_alignment(bad, NoiseConfig())
 
+    def test_accel_average_failing_the_gate_rejected(self):
+        # every sample passes the norm gate, but half point up and half
+        # down, so their average is near zero
+        records = [r._replace(accel=-r.accel) if i % 2 else r
+                   for i, r in enumerate(static_records(duration=2.0, noisy=False, seed=0))]
+        with pytest.raises(AlignmentError, match="averaged accelerometer failed"):
+            initial_alignment(records, NoiseConfig())
+
+    def test_zero_mag_average_rejected(self):
+        records = [r._replace(mag=np.zeros(3))
+                   for r in static_records(duration=2.0, noisy=False, seed=0)]
+        with pytest.raises(AlignmentError, match="averaged magnetometer is zero"):
+            initial_alignment(records, NoiseConfig())
+
 
 class TestMultiRate:
     @pytest.mark.parametrize("mag_rate", [10.0, 50.0])
@@ -151,10 +165,6 @@ class TestMultiRate:
             estimates = run_pipeline(records, cfg)
             yaw[mag_rate] = np.array([e.euler.yaw for e in estimates])
         assert not np.array_equal(yaw[10.0], yaw[50.0])
-
-    def test_mag_rate_cannot_exceed_imu_rate(self):
-        with pytest.raises(ValueError):
-            PipelineConfig(imu_rate_hz=100.0, mag_rate_hz=200.0)
 
 
 class TestDeterminism:
@@ -329,6 +339,30 @@ class TestErrors:
         records[700] = records[700]._replace(t=math.nan)
         with pytest.raises(ValueError, match=r"sample 700 .*timestamps"):
             run_pipeline(records, PipelineConfig(algorithm=algorithm, noise=MATCHED))
+
+    @pytest.mark.parametrize("align_s", [2.0, 0.0], ids=["aligned", "unaligned"])
+    @pytest.mark.parametrize("t, fault", [(0.4, "not strictly increasing"),
+                                          (-5.0, "not strictly increasing"),
+                                          (math.nan, "not finite"),
+                                          (-math.inf, "not finite")],
+                             ids=["repeated", "backwards", "nan", "-inf"])
+    def test_bad_timestamp_in_alignment_window_reported(self, t, fault, align_s):
+        # sample 100 lies inside the 2 s window; its predecessor is at 0.4 s
+        records = list(static_records(duration=4.0, seed=1))
+        records[100] = records[100]._replace(t=t)
+        message = f"sample 100 (t={t}): timestamps {fault} (previous t=0.4)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_pipeline(records, PipelineConfig(align_duration_s=align_s))
+
+    def test_nan_timestamp_mid_log_reported_before_the_run(self):
+        records = list(static_records(duration=8.0, seed=1))
+        records[1500] = records[1500]._replace(t=math.nan)
+        epochs = []
+        with pytest.raises(ValueError, match=r"^sample 1500 \(t=nan\): timestamps "
+                                             r"not finite \(previous t=6\.0\)$"):
+            run_pipeline(records, PipelineConfig(noise=MATCHED),
+                         on_epoch=lambda t, fs: epochs.append(t))
+        assert epochs == []
 
     @pytest.mark.parametrize("align_s", [2.0, 0.0], ids=["aligned", "unaligned"])
     def test_nan_first_timestamp_reported_as_timestamp_fault(self, align_s):

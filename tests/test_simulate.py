@@ -381,6 +381,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             TrajectorySpec((Segment(0.0, (0.0, 0.0, 0.0)),))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["rate", "accel"])
+    def test_rejects_non_finite_segment_rate_or_accel(self, field, bad):
+        with pytest.raises(ValueError, match="rates and accelerations must be finite"):
+            TrajectorySpec((Segment(1.0, (0.0, 0.0, 0.0))._replace(**{field: (0.0, bad, 0.0)}),))
+
     def test_rejects_segment_shorter_than_sample(self):
         traj = TrajectorySpec((Segment(0.001, (0.0, 0.0, 0.0)),))
         with pytest.raises(ValueError):
