@@ -38,11 +38,11 @@ def _cmd_sim(args) -> int:
 def _cmd_run(args) -> int:
     cfg = configio.load_pipeline_config(args.config) if args.config \
         else configio.pipeline_config_from_text("")
-    records = logio.read_log(args.log)
-    estimates = run_pipeline(records, cfg)
+    estimates = run_pipeline(logio.read_log(args.log), cfg)
     logio.write_estimates(args.out, estimates)
+    t_first, t_last = estimates.t[[0, -1]].tolist()
     print(f"{cfg.algorithm}: {len(estimates)} estimates "
-          f"({records[0].t:.2f}..{records[-1].t:.2f} s) to {args.out}")
+          f"({t_first:.2f}..{t_last:.2f} s) to {args.out}")
     return 0
 
 

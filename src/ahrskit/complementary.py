@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 
-from .geometry import _dcm_entries
+from .geometry import _dcm_entries, _new
 from .propagation import PropagatorState, propagate
 
 
@@ -65,6 +65,5 @@ def cf_update(prop: PropagatorState, gyro, accel, mag, dt: float,
         by -= ki * ey * dt
         bz -= ki * ez * dt
         bias = (bx, by, bz)
-    q = propagate(PropagatorState(prop.q, (bx - kp * ex, by - kp * ey, bz - kp * ez)),
-                  gyro, dt).q
-    return PropagatorState(q, bias)
+    corrected = _new(PropagatorState, (prop.q, (bx - kp * ex, by - kp * ey, bz - kp * ez)))
+    return _new(PropagatorState, (propagate(corrected, gyro, dt).q, bias))

@@ -117,6 +117,20 @@ def config_hash(path) -> str:
 # ---------------------------------------------------------------------------
 # scenario files for the simulator
 
+def _seed(value: str) -> int:
+    seed = int(value)
+    if seed < 0:
+        raise ValueError(f"expected a non-negative integer, got {seed}")
+    return seed
+
+
+def _rate(value: str) -> float:
+    rate = float(value)
+    if not 0.0 < rate < math.inf:
+        raise ValueError(f"rate must be finite and > 0, got {rate}")
+    return rate
+
+
 def _vector3(value: str) -> Tuple[float, float, float]:
     return tuple(_floats(value, 3))
 
@@ -134,8 +148,8 @@ def _segment(value: str) -> Segment:
 # trajectory or a sensor model, and an absent key keeps its default;
 # rate_hz and seed belong to the run, whose defaults are _RUN_DEFAULTS.
 _SCENARIO_KEYS = {
-    "rate_hz": ("run", "rate_hz", float),
-    "seed": ("run", "seed", int),
+    "rate_hz": ("run", "rate_hz", _rate),
+    "seed": ("run", "seed", _seed),
     "initial_rpy_deg": (TrajectorySpec, "initial_attitude", _rpy_deg),
     "gyro_bias_rps": (GyroModel, "bias", _vector3),
     "gyro_tau_s": (GyroModel, "tau", float),

@@ -35,8 +35,8 @@ from typing import Tuple
 
 import numpy as np
 
-from .geometry import (EulerAngles, Quaternion, _dcm_entries, euler_to_quat, wrap_pi,
-                       wrap_yaw)
+from .geometry import (EulerAngles, Quaternion, _dcm_entries, _new, euler_to_quat,
+                       wrap_pi, wrap_yaw)
 from .propagation import PropagatorState
 
 N_STATES = 6
@@ -369,10 +369,8 @@ def apply_correction(prop: PropagatorState, fs: FilterState,
     dx = fs._x
     if not any(dx):
         return prop, fs
-    corrected = EulerAngles(wrap_pi(est.roll + dx[0]),
-                            est.pitch + dx[1],
-                            wrap_yaw(est.yaw + dx[2]))
-    q = euler_to_quat(corrected)
+    q = euler_to_quat((wrap_pi(est.roll + dx[0]), est.pitch + dx[1],
+                       wrap_yaw(est.yaw + dx[2])))
     bx, by, bz = prop.bias
     bias = (bx + dx[3], by + dx[4], bz + dx[5])
-    return PropagatorState(q, bias), _packed(_ZERO_X, fs._p)
+    return _new(PropagatorState, (q, bias)), _packed(_ZERO_X, fs._p)

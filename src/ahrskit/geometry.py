@@ -33,6 +33,10 @@ SMALL_ROTATION = 1e-6
 # |pitch| closer than this to pi/2 is treated as gimbal lock.
 GIMBAL_LOCK_TOL = 1e-6
 
+# _new(cls, values) builds a NamedTuple without its Python-level __new__:
+# the per-sample paths build their values with it
+_new = tuple.__new__
+
 
 class Quaternion(NamedTuple):
     """Unit quaternion, scalar first, body-to-navigation rotation."""
@@ -64,7 +68,7 @@ def _normalized(w: float, x: float, y: float, z: float) -> Quaternion:
     inv = 1.0 / n
     if w < 0.0:
         inv = -inv
-    return Quaternion(w * inv, x * inv, y * inv, z * inv)
+    return _new(Quaternion, (w * inv, x * inv, y * inv, z * inv))
 
 
 class EulerAngles(NamedTuple):
@@ -104,7 +108,7 @@ def rotvec_to_quat(rotvec) -> Quaternion:
         if not angle < math.inf:  # also NaN; a huge step overflows to inf
             raise ValueError(f"rotation angle is not finite, got {angle}")
         k = math.sin(0.5 * angle) / angle
-    return Quaternion(math.cos(0.5 * angle), rx * k, ry * k, rz * k)
+    return _new(Quaternion, (math.cos(0.5 * angle), rx * k, ry * k, rz * k))
 
 
 def quat_to_euler(q: Quaternion) -> EulerAngles:
@@ -126,11 +130,12 @@ def quat_to_euler(q: Quaternion) -> EulerAngles:
         cos_term = 2.0 * (x * z + w * y)
         if pitch < 0.0:
             cos_term = -cos_term
-        return EulerAngles(0.0, pitch, wrap_yaw(math.atan2(2.0 * (w * z - x * y), cos_term)))
+        yaw = math.atan2(2.0 * (w * z - x * y), cos_term)
+        return _new(EulerAngles, (0.0, pitch, wrap_yaw(yaw)))
 
     roll = math.atan2(2.0 * (w * x + y * z), 1.0 - 2.0 * (x * x + y * y))
     yaw = math.atan2(2.0 * (x * y + w * z), 1.0 - 2.0 * (y * y + z * z))
-    return EulerAngles(wrap_pi(roll), pitch, wrap_yaw(yaw))
+    return _new(EulerAngles, (wrap_pi(roll), pitch, wrap_yaw(yaw)))
 
 
 def euler_to_quat(e: EulerAngles) -> Quaternion:

@@ -13,18 +13,22 @@ whitespace-only lines, accept CRLF, and name the file in every error.
 A log is read into, and written from, the one table of a `SensorLog` in
 the column order of its header, and estimates the (N, 11) table of an
 `Estimates`, without an object per row.
+
+A writer turns its input into that float table before it opens the
+file, so a record or estimate that cannot become a row raises with
+nothing written. It then writes `_CHUNK` rows at a time: the text of the
+whole file is never held at once.
 """
 
 from __future__ import annotations
 
 import warnings
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .pipeline import AttitudeEstimate, Estimates
-from .simulate import SensorLog, SensorRecord
+from .simulate import _CHUNK, SensorLog, SensorRecord
 
 LOG_HEADER = "t,gx,gy,gz,ax,ay,az,mx,my,mz"
 LOG_TRUTH_HEADER = LOG_HEADER + ",troll,tpitch,tyaw"
@@ -52,10 +56,14 @@ def _read_table(path, headers, kind):
     return data
 
 
-def _write_table(path, header: str, rows) -> None:
-    """Write the header and one repr() row per item; nothing if a row raises."""
-    lines = [header, *(",".join(map(repr, map(float, row))) for row in rows)]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+def _write_table(path, header: str, table: np.ndarray) -> None:
+    """Write the header and one repr() line per row of a float table,
+    `_CHUNK` rows at a time."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        for start in range(0, len(table), _CHUNK):
+            rows = zip(*table[start:start + _CHUNK].T.tolist())
+            fh.write("".join([",".join(map(repr, row)) + "\n" for row in rows]))
 
 
 def write_log(path, records: Sequence[SensorRecord]) -> None:
@@ -67,7 +75,7 @@ def write_log(path, records: Sequence[SensorRecord]) -> None:
     if log.truth is None and log is not records and \
             any(r.truth is not None for r in records):
         raise ValueError("truth must be present for all records or none")
-    _write_table(path, LOG_HEADER if log.truth is None else LOG_TRUTH_HEADER, log.rows())
+    _write_table(path, LOG_HEADER if log.truth is None else LOG_TRUTH_HEADER, log.table)
 
 
 def read_log(path) -> SensorLog:
@@ -85,12 +93,15 @@ def _truth_angles(path):
 
 
 def write_estimates(path, estimates: Sequence[AttitudeEstimate]) -> None:
-    """Write estimates; an `Estimates` is written from its table."""
+    """Write estimates from the table of their `Estimates`, which any
+    other sequence becomes first: a malformed estimate raises there,
+    before the file is opened."""
     if not estimates:
         raise ValueError("refusing to write an empty estimate file")
-    rows = estimates.rows() if isinstance(estimates, Estimates) else \
-        ((e.t, *e.euler, *e.q, *e.gyro_bias) for e in estimates)
-    _write_table(path, EST_HEADER, rows)
+    if not isinstance(estimates, Estimates):
+        estimates = Estimates(np.array([(e.t, *e.euler, *e.q, *e.gyro_bias)
+                                        for e in estimates], dtype=float))
+    _write_table(path, EST_HEADER, estimates.table)
 
 
 def read_estimates(path) -> Estimates:

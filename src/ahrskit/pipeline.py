@@ -25,6 +25,7 @@ import struct
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable, Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -33,7 +34,7 @@ from .complementary import cf_update
 from .dlkf import (FilterState, NoiseConfig, accel_update, apply_correction,
                    mag_update, time_update)
 from .fasteuler import accel_roll_pitch, mag_yaw
-from .geometry import (EulerAngles, Quaternion, euler_to_quat, quat_to_euler,
+from .geometry import (EulerAngles, Quaternion, _new, euler_to_quat, quat_to_euler,
                        wrap_pi)
 from .propagation import PropagatorState, propagate
 from .simulate import SensorLog, SensorRecord, _column, _Table
@@ -77,7 +78,6 @@ class AttitudeEstimate(NamedTuple):
 
 
 _ROW = struct.Struct("11d")  # one estimate: t, roll..yaw, qw..qz, bgx..bgz
-_new = tuple.__new__  # builds a NamedTuple without its Python-level __new__
 
 
 class Estimates(_Table):
@@ -98,18 +98,16 @@ class Estimates(_Table):
     gyro_bias = _column(slice(8, 11), "(N, 3) accumulated gyro bias, rad/s.")
 
     def _elements(self) -> Iterator[AttitudeEstimate]:
-        return map(_estimate, self.rows())
+        t, roll, pitch, yaw, qw, qx, qy, qz, bx, by, bz = self._table.T.tolist()
+        return map(_new, repeat(AttitudeEstimate),
+                   zip(t, map(_new, repeat(EulerAngles), zip(roll, pitch, yaw)),
+                       map(_new, repeat(Quaternion), zip(qw, qx, qy, qz)),
+                       zip(bx, by, bz)))
 
     def __eq__(self, other):
         if not isinstance(other, Sequence):
             return NotImplemented
         return len(self) == len(other) and all(map(operator.eq, self, other))
-
-
-def _estimate(row: Sequence[float]) -> AttitudeEstimate:
-    t, roll, pitch, yaw, qw, qx, qy, qz, bx, by, bz = row
-    return _new(AttitudeEstimate, (t, _new(EulerAngles, (roll, pitch, yaw)),
-                                   _new(Quaternion, (qw, qx, qy, qz)), (bx, by, bz)))
 
 
 def initial_alignment(records: Sequence[SensorRecord], cfg: NoiseConfig,

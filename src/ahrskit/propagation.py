@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Tuple
 
-from .geometry import Quaternion, quat_multiply, rotvec_to_quat
+from .geometry import Quaternion, _new, quat_multiply, rotvec_to_quat
 
 
 class PropagatorState(NamedTuple):
@@ -36,4 +36,4 @@ def propagate(state: PropagatorState, gyro, dt: float) -> PropagatorState:
     bx, by, bz = state.bias
     step = ((gx - bx) * dt, (gy - by) * dt, (gz - bz) * dt)
     q = quat_multiply(state.q, rotvec_to_quat(step))
-    return PropagatorState(q, state.bias)
+    return _new(PropagatorState, (q, state.bias))

@@ -9,12 +9,20 @@ unit magnetic field. Output is bit-reproducible for a given seed.
 
 Only the recursions run per sample, on Python floats: the attitude, one
 `quat_multiply` per step, with its truth angles (NumPy's arcsin and
-arctan2 round differently from `math`'s), and the Markov drift. The DCM
-entries and sensor columns are computed over the whole log at once with
-elementwise NumPy arithmetic, no BLAS product, so they are bit for bit
-the plain float arithmetic of one sample at a time. They are joined with
-the truth into the one table of a `SensorLog` (a `_Table`, as a run's
-`Estimates` is), which builds a `SensorRecord` only when read.
+arctan2 round differently from `math`'s), and the Markov drift, folded
+in one gyro column at a time. The DCM entries and sensor columns are
+computed over the whole log at once with elementwise NumPy arithmetic,
+no BLAS product, so they are bit for bit the plain float arithmetic of
+one sample at a time.
+
+The log is one (N, 13) table, the table of the returned `SensorLog` (a
+`_Table`, as a run's `Estimates` is), written in place: time, the
+segment rates and accelerations and the truth angles first, then each
+sensor's terms added into its own columns. Each noise block is drawn
+just before it is added, in the order Markov, gyro, accel, mag, and the
+DCM entries are dropped before the mag noise is drawn, so no step holds
+a second copy of the table: the transient peak stays under three times
+the table's size.
 """
 
 from __future__ import annotations
@@ -28,8 +36,8 @@ from typing import Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .geometry import (EulerAngles, _dcm_entries, euler_to_quat, quat_multiply,
-                       quat_to_euler, rotvec_to_quat)
+from .geometry import (EulerAngles, _dcm_entries, _new, euler_to_quat,
+                       quat_multiply, quat_to_euler, rotvec_to_quat)
 
 
 class Segment(NamedTuple):
@@ -220,10 +228,9 @@ class SensorLog(_Table):
                      else None, doc="(N, 3) true roll, pitch and yaw, rad, or None.")
 
     def _elements(self) -> Iterator[SensorRecord]:
-        # tuple.__new__ builds each NamedTuple without its Python-level __new__
         truth = repeat(None) if self.truth is None else \
-            map(tuple.__new__, repeat(EulerAngles), zip(*self.truth.T.tolist()))
-        return map(tuple.__new__, repeat(SensorRecord),
+            map(_new, repeat(EulerAngles), zip(*self.truth.T.tolist()))
+        return map(_new, repeat(SensorRecord),
                    zip(self.t.tolist(), self.gyro, self.accel, self.mag, truth))
 
 
@@ -249,41 +256,51 @@ def simulate(traj: TrajectorySpec, gyro_model: GyroModel, accel_model: AccelMode
         steps_per_seg.append(n)
     n_total = sum(steps_per_seg)
 
-    rng = np.random.default_rng(seed)
-    markov_w = rng.normal(0.0, gyro_model.sigma_markov * math.sqrt(dt), (n_total, 3))
-    gyro_w = rng.normal(0.0, gyro_model.sigma_white * math.sqrt(rate), (n_total, 3))
-    accel_w = rng.normal(0.0, accel_model.sigma_white * math.sqrt(rate), (n_total, 3))
-    mag_w = rng.normal(0.0, mag_model.sigma_white * math.sqrt(rate), (n_total, 3))
-
+    table = np.empty((n_total, 13))  # the log, written in place column by column
+    table[:, 0] = np.arange(1, n_total + 1) * dt
+    gyro, accel, mag = table[:, 1:4], table[:, 4:7], table[:, 7:10]
     # per sample, on floats: the attitude with its truth angles
-    rates = np.array([seg.rate for seg in traj.segments], dtype=float)
     q = euler_to_quat(traj.initial_attitude)
     quats, truth = array("d"), array("d")
-    for seg_rate, n_steps in zip(rates, steps_per_seg):
-        step_quat = rotvec_to_quat(seg_rate * dt)
+    for seg, n_steps, stop in zip(traj.segments, steps_per_seg, accumulate(steps_per_seg)):
+        gyro[stop - n_steps:stop] = seg.rate
+        accel[stop - n_steps:stop] = seg.accel
+        step_quat = rotvec_to_quat([r * dt for r in seg.rate])
         for _ in range(n_steps):
             q = quat_multiply(q, step_quat)
             quats.extend(q)
             truth.extend(quat_to_euler(q))
-    # and the Markov drift; sample k carries the state before its update
-    markov_decay = 1.0 - dt / gyro_model.tau
-    drift = np.zeros((n_total, 3))
-    if gyro_model.sigma_markov > 0.0:  # else every drift term is exactly 0.0
-        drift = np.array([list(accumulate(w, lambda d, w: markov_decay * d + w, initial=0.0))
-                          for w in markov_w[:-1].T.tolist()]).T
+    table[:, 10:13] = np.frombuffer(truth).reshape(n_total, 3)
+    del truth
 
+    # gyro: ((omega + bias) + drift) + white noise, where sample k of the
+    # Markov drift carries the state before its update
+    rng = np.random.default_rng(seed)
+    markov_w = rng.normal(0.0, gyro_model.sigma_markov * math.sqrt(dt), (n_total, 3))
+    gyro += gyro_model.bias
+    if gyro_model.sigma_markov > 0.0:  # else every drift term is exactly 0.0
+        markov_decay = 1.0 - dt / gyro_model.tau
+        for j in range(3):
+            gyro[:, j] += np.fromiter(
+                accumulate(markov_w[:-1, j].tolist(),
+                           lambda d, w: markov_decay * d + w, initial=0.0),
+                float, n_total)
+    del markov_w
+    gyro += rng.normal(0.0, gyro_model.sigma_white * math.sqrt(rate), (n_total, 3))
+
+    # accel and mag from the DCM of every sample at once
     c = _dcm_entries(*np.frombuffer(quats).reshape(n_total, 4).T)  # nine (N,) columns
+    del quats
+    g = -accel_model.gravity
+    for j in range(3):  # lin_acc + (-g * c) is bit for bit (-g * c) + lin_acc
+        accel[:, j] += g * c[6 + j]
+    accel += rng.normal(0.0, accel_model.sigma_white * math.sqrt(rate), (n_total, 3))
     f0, f1, f2 = mag_model.field_ned
-    omega = np.repeat(rates, steps_per_seg, axis=0)
-    lin_acc = np.repeat(np.array([seg.accel for seg in traj.segments], dtype=float),
-                        steps_per_seg, axis=0)
-    table = np.empty((n_total, 10))
-    table[:, 0] = np.arange(1, n_total + 1) * dt
-    table[:, 1:4] = omega + np.asarray(gyro_model.bias, dtype=float) + drift + gyro_w
-    table[:, 4:7] = -accel_model.gravity * np.column_stack(c[6:]) + lin_acc + accel_w
-    table[:, 7:10] = np.column_stack([f0 * c[j] + f1 * c[3 + j] + f2 * c[6 + j]
-                                      for j in range(3)]) + mag_w
-    return SensorLog(np.column_stack((table, np.frombuffer(truth).reshape(n_total, 3))))
+    for j in range(3):
+        mag[:, j] = f0 * c[j] + f1 * c[3 + j] + f2 * c[6 + j]
+    del c
+    mag += rng.normal(0.0, mag_model.sigma_white * math.sqrt(rate), (n_total, 3))
+    return SensorLog(table)
 
 
 def truth_array(records: Sequence[SensorRecord]) -> np.ndarray:

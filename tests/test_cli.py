@@ -74,6 +74,17 @@ def test_run_without_config_uses_defaults(workspace):
     assert main(["run", "--log", str(log), "--out", str(out)]) == 0
 
 
+def test_run_prints_the_time_range_of_its_estimates(workspace, capsys):
+    log, est = workspace / "log.csv", workspace / "est.csv"
+    main(["sim", "--scenario", str(workspace / "hover.scn"), "--out", str(log)])
+    capsys.readouterr()
+    assert main(["run", "--log", str(log), "--out", str(est)]) == 0
+    t = read_estimates(est).t
+    assert t[0] > read_log(log).t[0] + 1.0  # the alignment window is not in it
+    assert capsys.readouterr().out == \
+        f"dlkf: {len(t)} estimates ({t[0]:.2f}..{t[-1]:.2f} s) to {est}\n"
+
+
 def test_sim_seed_override_changes_noise(workspace):
     a = workspace / "a.csv"
     b = workspace / "b.csv"

@@ -261,6 +261,12 @@ class TestValueErrorsNameFileAndKey:
 
     @pytest.mark.parametrize("line, message", [
         ("seed = 1.5", "<scenario>: key 'seed': invalid literal for int() with base 10: '1.5'"),
+        ("seed = -1", "<scenario>: key 'seed': expected a non-negative integer, got -1"),
+        ("rate_hz = 0", "<scenario>: key 'rate_hz': rate must be finite and > 0, got 0.0"),
+        ("rate_hz = -250",
+         "<scenario>: key 'rate_hz': rate must be finite and > 0, got -250.0"),
+        ("rate_hz = inf", "<scenario>: key 'rate_hz': rate must be finite and > 0, got inf"),
+        ("rate_hz = nan", "<scenario>: key 'rate_hz': rate must be finite and > 0, got nan"),
         ("gyro_tau_s = -3", "<scenario>: tau must be finite and > 0, got -3.0"),
         ("segment = 1, 0, x, 0, 0, 0, 0",
          "<scenario>: key 'segment': could not convert string to float: 'x'"),

@@ -6,11 +6,11 @@ import pytest
 
 from ahrskit.benchmark import static_records
 from ahrskit.geometry import EulerAngles, Quaternion
-from ahrskit.logio import (EST_HEADER, LOG_HEADER, read_estimates, read_log,
-                           write_estimates, write_log)
+from ahrskit.logio import (EST_HEADER, LOG_HEADER, LOG_TRUTH_HEADER, read_estimates,
+                           read_log, write_estimates, write_log)
 from ahrskit.pipeline import (AttitudeEstimate, Estimates, PipelineConfig,
                               run_pipeline)
-from ahrskit.simulate import SensorLog
+from ahrskit.simulate import _CHUNK, SensorLog
 
 # a reader that warns (e.g. NumPy on a file without data rows) is a failure
 pytestmark = pytest.mark.filterwarnings("error")
@@ -126,6 +126,37 @@ def test_written_bytes_are_pinned(tmp_path, records):
         "log.csv": "b6b06cae05c15f62bea2dc2ab945441b0056e53fb2efcb89c29f5b97f0aed682",
         "est.csv": "3c58943c5eca76d066ac78b5a253dc94da2b8f12d2a0c151a4c4f78d96557bfb",
     }
+
+
+@pytest.mark.parametrize("n", [1, _CHUNK, _CHUNK + 1, 30_000])
+def test_chunked_writer_matches_one_join_of_all_rows(tmp_path, n):
+    # values over the whole float range, with a negative zero and a
+    # subnormal, against the former writer: the file as one string
+    rng = np.random.default_rng(n)
+    table = rng.normal(size=(n, 13)) * 10.0 ** rng.integers(-300, 300, (n, 13))
+    table[0, :2] = -0.0, 5e-324
+    for path, header, write, written in (
+            (tmp_path / "log.csv", LOG_TRUTH_HEADER, write_log, SensorLog(table)),
+            (tmp_path / "est.csv", EST_HEADER, write_estimates,
+             Estimates(table[:, :11].copy()))):
+        write(path, written)
+        lines = [header, *(",".join(map(repr, row)) for row in written.table.tolist())]
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+
+
+GOOD_ESTIMATE = AttitudeEstimate(0.5, EulerAngles(0.1, -0.2, 3.0), Quaternion.identity(),
+                                 (1e-3, 0.0, -2e-3))
+
+
+@pytest.mark.parametrize("bad", [GOOD_ESTIMATE._replace(q=(1.0, 0.0, 0.0)),
+                                 GOOD_ESTIMATE._replace(euler=None),
+                                 GOOD_ESTIMATE._replace(t="x")],
+                         ids=["short-q", "no-euler", "text-t"])
+def test_malformed_estimate_writes_no_file(tmp_path, bad):
+    path = tmp_path / "est.csv"
+    with pytest.raises((ValueError, TypeError)):
+        write_estimates(path, [GOOD_ESTIMATE, GOOD_ESTIMATE, bad, GOOD_ESTIMATE])
+    assert not path.exists()
 
 
 def test_blank_lines_and_crlf_read_as_clean(tmp_path, records):
