@@ -27,10 +27,13 @@ def _emit(report: str, path) -> int:
 def _cmd_sim(args) -> int:
     traj, gyro, accel, mag, rate, seed = configio.load_scenario(args.scenario)
     if args.seed is not None:
-        seed = args.seed
+        try:
+            seed = configio._seed(args.seed)
+        except ValueError as exc:
+            raise ValueError(f"--seed: {exc}") from None
     records = simulate(traj, gyro, accel, mag, rate, seed)
     logio.write_log(args.out, records)
-    print(f"wrote {len(records)} samples ({records[-1].t:.2f} s at {rate:g} Hz) "
+    print(f"wrote {len(records)} samples ({records.t[-1]:.2f} s at {rate:g} Hz) "
           f"to {args.out}")
     return 0
 

@@ -117,7 +117,7 @@ def config_hash(path) -> str:
 # ---------------------------------------------------------------------------
 # scenario files for the simulator
 
-def _seed(value: str) -> int:
+def _seed(value: str | int) -> int:
     seed = int(value)
     if seed < 0:
         raise ValueError(f"expected a non-negative integer, got {seed}")

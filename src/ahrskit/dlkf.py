@@ -9,18 +9,19 @@ while tolerating sensors that arrive at different rates.
 
 The filter state is held as Python floats: six for x and the 21 of the
 upper triangle of the symmetric covariance P. At this size one NumPy
-call costs more than the arithmetic it does, so every layer works on the
-packed floats and exploits the block structure of the transition and the
-sparsity of the measurement matrices. Each layer unpacks the tuples into
-named local floats and writes every entry out as one expression, because
-indexing tuples and building lists in a loop over the entries cost
-CPython more than the arithmetic: 13.4 against 4.8 us per accelerometer
-update on one Xeon core, CPython 3.11. Storing one triangle keeps P
-exactly symmetric, which removes the usual weakness of the standard form
-P - K H P that both measurement layers use. Neither layer inverts a
-matrix: the magnetometer gain is one division, and the accelerometer
-layer works through a triangular factorisation of its 2x2 innovation
-covariance.
+call costs more than the arithmetic it does, so every step works on the
+packed floats, unpacked into named local floats with every entry
+written out as one expression. Storing one triangle keeps P exactly
+symmetric, which removes the usual weakness of the standard form
+P - K H P that the measurement updates use.
+
+Each measurement observes one error state directly, so every update is
+one scalar update: the gain is a column of P over one innovation
+variance, and P loses a rank-1 term. The magnetometer layer is one such
+update on yaw; the accelerometer layer is one on roll and then one on
+pitch. That chain equals the joint 2-row update only when the roll and
+pitch noise are uncorrelated, so the accelerometer noise Ra must be
+diagonal. No update inverts or factorises a matrix.
 
 Measurements follow the convention ``z = measured - estimated``, so the
 converged state is the correction to add to the current estimate.
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from operator import itemgetter
 from typing import Tuple
 
 import numpy as np
@@ -49,6 +51,8 @@ _DEG2RAD_SQ = (math.pi / 180.0) ** 2
 _ROWS, _COLS = (tuple(a.tolist()) for a in np.triu_indices(N_STATES))
 _UNPACK = np.empty((N_STATES, N_STATES), dtype=np.intp)
 _UNPACK[_ROWS, _COLS] = _UNPACK[_COLS, _ROWS] = np.arange(len(_ROWS))
+# _COLUMNS[i](p) is column i of the packed P as a 6-tuple
+_COLUMNS = tuple(itemgetter(*row) for row in _UNPACK.tolist())
 _ZERO_X = (0.0,) * N_STATES
 
 
@@ -122,7 +126,9 @@ class NoiseConfig:
 
     Attributes:
         Q: (6, 6) per-step process noise, positive semi-definite.
-        Ra_nominal: (2, 2) roll/pitch measurement noise at rest.
+        Ra_nominal: (2, 2) roll/pitch measurement noise at rest:
+            diagonal, the roll and pitch variances being uncorrelated,
+            each finite and > 0.
         Rm: scalar yaw measurement noise.
         tau_g: gyro-bias Markov correlation time, s.
         lambda_a: weight on | ||accel|| - g | in the accel-noise factor
@@ -151,9 +157,10 @@ class NoiseConfig:
         if (Q.shape != (N_STATES, N_STATES) or not np.isfinite(Q).all()
                 or np.linalg.eigvalsh(Q).min() < 0.0):
             raise ValueError("Q must be a finite 6x6 positive semi-definite matrix")
-        if (Ra.shape != (2, 2) or not np.isfinite(Ra).all()
-                or np.linalg.eigvalsh(Ra).min() <= 0.0):
-            raise ValueError("Ra_nominal must be a finite 2x2 positive definite matrix")
+        if (Ra.shape != (2, 2) or Ra[0, 1] != 0.0 or Ra[1, 0] != 0.0
+                or not all(0.0 < r < math.inf for r in Ra.diagonal().tolist())):
+            raise ValueError("Ra_nominal must be a diagonal 2x2 matrix of finite "
+                             "variances > 0")
         if not 0.0 < self.Rm < math.inf:
             raise ValueError(f"Rm must be finite and > 0, got {self.Rm}")
         if not 0.0 < self.tau_g < math.inf:
@@ -249,77 +256,59 @@ def time_update(fs: FilterState, q: Quaternion, dt: float,
     return _packed(x, p)
 
 
-def _require_pd_2x2(a: float, b: float, c: float) -> None:
-    # The Cholesky recurrence on the lower triangle [[a, .], [b, c]],
-    # with LAPACK's operations (b scaled by 1/sqrt(a)), so it fails
-    # exactly where potrf does; unlike potrf it also fails on NaN.
-    if a > 0.0:
-        l10 = b * (1.0 / math.sqrt(a))
-        if c - l10 * l10 > 0.0:
-            return
-    raise ValueError("Ra must be positive definite")
+def _observe(fs: FilterState, i: int, innov: float, r: float) -> FilterState:
+    """Scalar update on a direct observation of error state `i`.
+
+    `innov` is the innovation (measured - x[i]) and `r` its noise
+    variance. H selects state i, so P H^T is column i of P, the gain is
+    that column over the scalar innovation variance s = P[i, i] + r, and
+    the covariance takes the standard form P - K (P H^T)^T, a rank-1
+    update computed on the packed upper triangle.
+    """
+    if not 0.0 < r < math.inf:
+        raise ValueError(f"measurement noise must be finite and > 0, got {r}")
+    x0, x1, x2, x3, x4, x5 = fs._x
+    p = fs._p
+    (p00, p01, p02, p03, p04, p05, p11, p12, p13, p14, p15,
+     p22, p23, p24, p25, p33, p34, p35, p44, p45, p55) = p
+    h = _COLUMNS[i](p)
+    h0, h1, h2, h3, h4, h5 = h
+    s = h[i] + r
+    if not s > 0.0:
+        # only a P that is not positive semi-definite gets here
+        raise ValueError(f"innovation variance must be > 0, got {s}")
+    g0, g1, g2, g3, g4, g5 = h0 / s, h1 / s, h2 / s, h3 / s, h4 / s, h5 / s
+    x = (x0 + g0 * innov, x1 + g1 * innov, x2 + g2 * innov,
+         x3 + g3 * innov, x4 + g4 * innov, x5 + g5 * innov)
+    p = (p00 - g0 * h0, p01 - g0 * h1, p02 - g0 * h2,
+         p03 - g0 * h3, p04 - g0 * h4, p05 - g0 * h5,
+         p11 - g1 * h1, p12 - g1 * h2, p13 - g1 * h3, p14 - g1 * h4, p15 - g1 * h5,
+         p22 - g2 * h2, p23 - g2 * h3, p24 - g2 * h4, p25 - g2 * h5,
+         p33 - g3 * h3, p34 - g3 * h4, p35 - g3 * h5,
+         p44 - g4 * h4, p45 - g4 * h5,
+         p55 - g5 * h5)
+    return _packed(x, p)
 
 
 def accel_update(fs: FilterState, z1, Ra) -> FilterState:
     """First measurement layer: roll/pitch error observation.
 
-    z1 is the 2-vector (measured - estimated) of roll and pitch, rad.
-    With H selecting the roll/pitch states, M = P H^T is columns 0 and 1
-    of the packed P and S = P[:2, :2] + Ra. The update is the standard
-    form P - M S^-1 M^T, computed on the packed upper triangle through
-    S = L D U, with L and U unit triangular and D = diag(s00, det / s00):
-    M S^-1 M^T = M0 M0^T / s00 + A1 B1^T / d1, where A1 = M1 - u01 M0 and
-    B1 = M1 - l10 M0. That is one scalar update on roll and one on what
-    is left of pitch. The cancellation of a strongly correlated P falls
-    in A1 and B1, where it costs only the rounding of M; the product
-    K M^T with K = M S^-1 would multiply that rounding by the condition
-    number of S. Ra is any 2x2 array or nested sequence.
+    z1 is the 2-vector (measured - estimated) of roll and pitch, rad,
+    and Ra its noise, any diagonal 2x2 array or nested sequence. The
+    layer is one scalar update on roll and then one on pitch, whose
+    innovation is taken against the state the roll update left; with
+    uncorrelated roll and pitch noise that chain equals the joint
+    update, so an Ra with a non-zero off-diagonal is rejected.
     """
     try:
         (r00, r01), (r10, r11) = Ra
         r00, r01, r10, r11 = float(r00), float(r01), float(r10), float(r11)
     except (TypeError, ValueError):
         raise ValueError(f"Ra must be a 2x2 matrix, got {Ra!r}") from None
-    _require_pd_2x2(r00, r10, r11)
-    x0, x1, x2, x3, x4, x5 = fs._x
-    (p00, p01, p02, p03, p04, p05, p11, p12, p13, p14, p15,
-     p22, p23, p24, p25, p33, p34, p35, p44, p45, p55) = fs._p
-    # M's columns are rows 0 and 1 of P: (p00, .., p05) and (p01, p11, .., p15)
-    s00, s01, s10, s11 = p00 + r00, p01 + r01, p01 + r10, p11 + r11
-    det = s00 * s11 - s01 * s10
-    if det == 0.0:
-        raise ValueError("innovation covariance is singular")
-    if s00 == 0.0:
-        # only a P that is not positive semi-definite gets here
-        raise ValueError("innovation covariance has a zero roll variance")
-    u01, l10, d1 = s01 / s00, s10 / s00, det / s00
-    # K = M S^-1 has columns v - l10 k and k, with v = M0 / s00 and
-    # k = A1 / d1; b is B1
-    v0, v1, v2, v3, v4, v5 = (p00 / s00, p01 / s00, p02 / s00,
-                              p03 / s00, p04 / s00, p05 / s00)
-    k0, k1, k2 = ((p01 - u01 * p00) / d1, (p11 - u01 * p01) / d1,
-                  (p12 - u01 * p02) / d1)
-    k3, k4, k5 = ((p13 - u01 * p03) / d1, (p14 - u01 * p04) / d1,
-                  (p15 - u01 * p05) / d1)
-    b0, b1, b2 = p01 - l10 * p00, p11 - l10 * p01, p12 - l10 * p02
-    b3, b4, b5 = p13 - l10 * p03, p14 - l10 * p04, p15 - l10 * p05
-    e0, e1 = float(z1[0]) - x0, float(z1[1]) - x1
-    x = (x0 + ((v0 - l10 * k0) * e0 + k0 * e1), x1 + ((v1 - l10 * k1) * e0 + k1 * e1),
-         x2 + ((v2 - l10 * k2) * e0 + k2 * e1), x3 + ((v3 - l10 * k3) * e0 + k3 * e1),
-         x4 + ((v4 - l10 * k4) * e0 + k4 * e1), x5 + ((v5 - l10 * k5) * e0 + k5 * e1))
-    p = (p00 - (p00 * v0 + k0 * b0), p01 - (p00 * v1 + k0 * b1),
-         p02 - (p00 * v2 + k0 * b2), p03 - (p00 * v3 + k0 * b3),
-         p04 - (p00 * v4 + k0 * b4), p05 - (p00 * v5 + k0 * b5),
-         p11 - (p01 * v1 + k1 * b1), p12 - (p01 * v2 + k1 * b2),
-         p13 - (p01 * v3 + k1 * b3), p14 - (p01 * v4 + k1 * b4),
-         p15 - (p01 * v5 + k1 * b5),
-         p22 - (p02 * v2 + k2 * b2), p23 - (p02 * v3 + k2 * b3),
-         p24 - (p02 * v4 + k2 * b4), p25 - (p02 * v5 + k2 * b5),
-         p33 - (p03 * v3 + k3 * b3), p34 - (p03 * v4 + k3 * b4),
-         p35 - (p03 * v5 + k3 * b5),
-         p44 - (p04 * v4 + k4 * b4), p45 - (p04 * v5 + k4 * b5),
-         p55 - (p05 * v5 + k5 * b5))
-    return _packed(x, p)
+    if r01 != 0.0 or r10 != 0.0:
+        raise ValueError(f"Ra must be diagonal, got off-diagonal {r01}, {r10}")
+    fs = _observe(fs, 0, float(z1[0]) - fs._x[0], r00)
+    return _observe(fs, 1, float(z1[1]) - fs._x[1], r11)
 
 
 def mag_update(fs: FilterState, z2: float, Rm: float) -> FilterState:
@@ -327,31 +316,9 @@ def mag_update(fs: FilterState, z2: float, Rm: float) -> FilterState:
 
     Runs on the output of accel_update so the pair is equivalent to one
     joint update. The innovation is wrapped to (-pi, pi] so headings on
-    either side of north never produce a near-360-degree residual. H
-    selects the yaw state, so P H^T is column 2 of P, the gain is that
-    column over its scalar innovation variance s, and the covariance
-    takes the standard form P - K (P H^T)^T, a rank-1 update computed on
-    the packed upper triangle.
+    either side of north never produce a near-360-degree residual.
     """
-    if not Rm > 0.0:
-        raise ValueError(f"Rm must be positive, got {Rm}")
-    x0, x1, x2, x3, x4, x5 = fs._x
-    (p00, p01, p02, p03, p04, p05, p11, p12, p13, p14, p15,
-     p22, p23, p24, p25, p33, p34, p35, p44, p45, p55) = fs._p
-    # P H^T is column 2 of P: (p02, p12, p22, p23, p24, p25)
-    s = p22 + Rm
-    g0, g1, g2, g3, g4, g5 = p02 / s, p12 / s, p22 / s, p23 / s, p24 / s, p25 / s
-    innov = wrap_pi(float(z2) - x2)
-    x = (x0 + g0 * innov, x1 + g1 * innov, x2 + g2 * innov,
-         x3 + g3 * innov, x4 + g4 * innov, x5 + g5 * innov)
-    p = (p00 - g0 * p02, p01 - g0 * p12, p02 - g0 * p22,
-         p03 - g0 * p23, p04 - g0 * p24, p05 - g0 * p25,
-         p11 - g1 * p12, p12 - g1 * p22, p13 - g1 * p23, p14 - g1 * p24, p15 - g1 * p25,
-         p22 - g2 * p22, p23 - g2 * p23, p24 - g2 * p24, p25 - g2 * p25,
-         p33 - g3 * p23, p34 - g3 * p24, p35 - g3 * p25,
-         p44 - g4 * p24, p45 - g4 * p25,
-         p55 - g5 * p25)
-    return _packed(x, p)
+    return _observe(fs, 2, wrap_pi(float(z2) - fs._x[2]), Rm)
 
 
 def apply_correction(prop: PropagatorState, fs: FilterState,

@@ -144,6 +144,14 @@ class TestDiagnostics:
         assert code == 1 and not log.exists()
         assert err.startswith("error:") and err.count("\n") == 1 and " finite" in err
 
+    def test_negative_seed_override_names_the_option(self, workspace, capsys):
+        log = workspace / "log.csv"
+        code = main(["sim", "--scenario", str(workspace / "hover.scn"),
+                     "--out", str(log), "--seed", "-1"])
+        assert code == 1 and not log.exists()
+        assert capsys.readouterr().err == \
+            "error: --seed: expected a non-negative integer, got -1\n"
+
     def test_eval_without_truth_columns(self, workspace, capsys):
         log = workspace / "log.csv"
         main(["sim", "--scenario", str(workspace / "hover.scn"), "--out", str(log)])

@@ -224,7 +224,7 @@ class TestAccelUpdate:
     def test_noise_as_array_or_nested_tuple_gives_one_update(self):
         rng = np.random.default_rng(36)
         fs = FilterState(rng.normal(size=6), random_pd(rng))
-        ra = np.array([[0.3, 0.1], [0.1, 2.0]])
+        ra = np.array([[0.3, 0.0], [0.0, 2.0]])
         ref = accel_update(fs, (0.01, -0.02), ra)
         out = accel_update(fs, (0.01, -0.02), tuple(map(tuple, ra.tolist())))
         np.testing.assert_array_equal(out.x, ref.x)
@@ -235,18 +235,36 @@ class TestAccelUpdate:
         ra = np.diag([0.5, 5.0])
         P = np.eye(6)
         P[:2, :2] = -ra
-        with pytest.raises(ValueError, match="singular"):
+        with pytest.raises(ValueError, match="innovation variance must be > 0"):
             accel_update(FilterState(np.zeros(6), P), (0.0, 0.0), ra)
 
     def test_rejects_zero_roll_innovation_variance(self):
-        # S = [[0, 1], [1, 6]] is regular, but the factorisation the
-        # layer divides by needs s00 != 0; only a P that is not PSD does this
+        # S = [[0, 1], [1, 6]] is regular, but the roll update divides by
+        # s00 = 0; only a P that is not PSD does this
         ra = np.diag([0.5, 5.0])
         P = np.eye(6)
         P[0, 0] = -0.5
         P[0, 1] = P[1, 0] = 1.0
-        with pytest.raises(ValueError, match="zero roll variance"):
+        with pytest.raises(ValueError, match="innovation variance must be > 0"):
             accel_update(FilterState(np.zeros(6), P), (0.0, 0.0), ra)
+
+    @pytest.mark.parametrize("index", [(0, 1), (1, 0)])
+    @pytest.mark.parametrize("value", [1e-300, -0.1, math.nan])
+    def test_rejects_noise_that_is_not_diagonal(self, index, value):
+        # sequential scalar updates equal the joint update only for
+        # uncorrelated roll and pitch noise
+        Ra = np.diag([0.5, 5.0])
+        Ra[index] = value
+        with pytest.raises(ValueError, match="diagonal"):
+            accel_update(FilterState.initial(), (0.0, 0.0), Ra)
+
+    @pytest.mark.parametrize("index", [0, 1])
+    @pytest.mark.parametrize("variance", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_variance_that_is_not_finite_and_positive(self, index, variance):
+        Ra = np.diag([0.5, 5.0])
+        Ra[index, index] = variance
+        with pytest.raises(ValueError, match="finite and > 0"):
+            accel_update(FilterState.initial(), (0.0, 0.0), Ra)
 
     def test_gain_sanity_under_inflated_noise(self):
         # de-weighted measurements never move the state more
@@ -283,6 +301,19 @@ class TestMagUpdate:
     def test_rejects_non_positive_noise(self):
         with pytest.raises(ValueError):
             mag_update(FilterState.initial(), 0.0, 0.0)
+
+    def test_rejects_infinite_noise(self):
+        # an infinite Rm would make the gain zero and skip the update
+        with pytest.raises(ValueError, match="finite and > 0"):
+            mag_update(FilterState.initial(), 0.0, math.inf)
+
+    def test_rejects_zero_innovation_variance(self):
+        # p22 + Rm == 0, which only a P that is not PSD reaches, is a
+        # ValueError like every other bad input, not a ZeroDivisionError
+        P = np.eye(6)
+        P[2, 2] = -5.0
+        with pytest.raises(ValueError, match="innovation variance must be > 0"):
+            mag_update(FilterState(np.zeros(6), P), 0.0, 5.0)
 
 
 class TestSequentialEquivalence:
@@ -379,11 +410,24 @@ class TestNoiseConfig:
         with pytest.raises(ValueError):
             NoiseConfig(**kwargs)
 
+    @pytest.mark.parametrize("Ra", [
+        np.diag([-1.0, 5.0]),
+        np.diag([math.nan, 5.0]),
+        np.diag([0.5, math.inf]),
+        np.array([[0.5, 0.1], [0.1, 5.0]]),
+        np.array([[0.5, math.nan], [0.0, 5.0]]),
+        np.array([[0.5, 0.0], [math.nan, 5.0]]),
+        np.eye(3),
+    ])
+    def test_ra_nominal_is_diagonal_with_finite_positive_variances(self, Ra):
+        with pytest.raises(ValueError, match="Ra_nominal must be a diagonal 2x2"):
+            NoiseConfig(Ra_nominal=Ra)
+
 
 # The layers as they were written before being spelled out over named
 # floats: loops over the packed entries, with the same operations in the
 # same order, so the written-out layers must match them bit for bit.
-_column0, _column1, _column2 = (itemgetter(*_UNPACK[k].tolist()) for k in range(3))
+_columns = [itemgetter(*_UNPACK[k].tolist()) for k in range(3)]
 
 
 def loop_time_update(fs, q, dt, cfg):
@@ -429,32 +473,24 @@ def loop_time_update(fs, q, dt, cfg):
     return _packed(x, p)
 
 
-def loop_accel_update(fs, z1, Ra):
-    (r00, r01), (r10, r11) = Ra.tolist()
+def loop_observe(fs, i, innov, r):
     x, p = fs._x, fs._p
-    m0, m1 = _column0(p), _column1(p)
-    s00, s01, s10, s11 = m0[0] + r00, m0[1] + r01, m1[0] + r10, m1[1] + r11
-    det = s00 * s11 - s01 * s10
-    u01, l10, d1 = s01 / s00, s10 / s00, det / s00
-    v0 = [a / s00 for a in m0]
-    k1 = [(b - u01 * a) / d1 for a, b in zip(m0, m1)]
-    b1 = [b - l10 * a for a, b in zip(m0, m1)]
-    e0, e1 = float(z1[0]) - x[0], float(z1[1]) - x[1]
-    x = tuple([xi + ((v - l10 * k) * e0 + k * e1) for xi, v, k in zip(x, v0, k1)])
-    p = tuple([pij - (m0[i] * v0[j] + k1[i] * b1[j])
-               for pij, i, j in zip(p, _ROWS, _COLS)])
+    h = _columns[i](p)
+    s = h[i] + r
+    gain = [hi / s for hi in h]
+    x = tuple([xi + ki * innov for xi, ki in zip(x, gain)])
+    p = tuple([pjk - gain[j] * h[k] for pjk, j, k in zip(p, _ROWS, _COLS)])
     return _packed(x, p)
+
+
+def loop_accel_update(fs, z1, Ra):
+    (r00, _), (_, r11) = Ra.tolist()
+    fs = loop_observe(fs, 0, float(z1[0]) - fs._x[0], r00)
+    return loop_observe(fs, 1, float(z1[1]) - fs._x[1], r11)
 
 
 def loop_mag_update(fs, z2, Rm):
-    x, p = fs._x, fs._p
-    h = _column2(p)
-    s = h[2] + Rm
-    gain = [hi / s for hi in h]
-    innov = wrap_pi(float(z2) - x[2])
-    x = tuple([xi + ki * innov for xi, ki in zip(x, gain)])
-    p = tuple([pij - gain[i] * h[j] for pij, i, j in zip(p, _ROWS, _COLS)])
-    return _packed(x, p)
+    return loop_observe(fs, 2, wrap_pi(float(z2) - fs._x[2]), Rm)
 
 
 def assert_same_state(out, ref):

@@ -9,8 +9,7 @@ to rounding: every entry within RTOL of the largest entry of the result.
 import math
 
 import numpy as np
-import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -100,41 +99,3 @@ def test_mag_update_matches_textbook(x, a, scale, rm_factor, z2):
                                  np.array([[Rm]]))
     assert_close(out.x, x_ref)
     assert_close(out.P, P_ref)
-
-
-@st.composite
-def symmetric_2x2(draw):
-    a = draw(st.floats(-10.0, 10.0))
-    b = draw(st.floats(-10.0, 10.0))
-    if a > 0.0 and draw(st.booleans()):
-        # a few ulps either side of the singular boundary c = b^2 / a,
-        # where only the order of the rounding decides
-        c = b * b / a
-        assume(math.isfinite(c))
-        c += draw(st.integers(-4, 4)) * float(np.spacing(c))
-    else:
-        c = draw(st.floats(-10.0, 10.0))
-    return np.array([[a, b], [b, c]])
-
-
-@settings(deadline=None, max_examples=300)
-@given(symmetric_2x2())
-def test_pd_check_fails_exactly_where_cholesky_does(Ra):
-    try:
-        np.linalg.cholesky(Ra)
-        cholesky_fails = False
-    except np.linalg.LinAlgError:
-        cholesky_fails = True
-    if cholesky_fails:
-        with pytest.raises(ValueError, match="positive definite"):
-            accel_update(FilterState.initial(), (0.0, 0.0), Ra)
-    else:
-        accel_update(FilterState.initial(), (0.0, 0.0), Ra)
-
-
-@pytest.mark.parametrize("index", [(0, 0), (1, 0), (1, 1)])
-def test_pd_check_fails_on_nan(index):
-    Ra = CFG.Ra_nominal.copy()
-    Ra[index] = math.nan
-    with pytest.raises(ValueError, match="positive definite"):
-        accel_update(FilterState.initial(), (0.0, 0.0), Ra)
