@@ -5,8 +5,6 @@ from __future__ import annotations
 import math
 from typing import Tuple
 
-import numpy as np
-
 from .dlkf import NoiseConfig
 from .geometry import EulerAngles
 from .simulate import (AccelModel, GyroModel, MagModel, Segment, SensorLog,
@@ -47,8 +45,8 @@ def matched_noise_config(rate: float) -> NoiseConfig:
     mag_term = MAG_NOISE_DENSITY * math.sqrt(rate) / horizontal_field
     tilt_term = math.sqrt(ra) * math.sqrt(1.0 - horizontal_field ** 2) / horizontal_field
     rm = mag_term ** 2 + tilt_term ** 2
-    return NoiseConfig(Q=np.diag([q_att] * 3 + [q_bias] * 3),
-                       Ra_nominal=np.diag([ra, ra]), Rm=rm, gravity=gravity)
+    return NoiseConfig(Q=(q_att,) * 3 + (q_bias,) * 3, Ra_nominal=(ra, ra), Rm=rm,
+                       gravity=gravity)
 
 
 def dynamic_trajectory() -> TrajectorySpec:

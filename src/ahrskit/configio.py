@@ -13,8 +13,6 @@ import math
 from pathlib import Path
 from typing import Callable, Dict, List, Tuple
 
-import numpy as np
-
 from .dlkf import _DEG2RAD_SQ, NoiseConfig
 from .geometry import EulerAngles
 from .pipeline import PipelineConfig
@@ -77,7 +75,7 @@ def _deg2(value: str) -> float:
 
 
 def _deg2_diag(n: int):
-    return lambda value: np.diag(_floats(value, n)) * _DEG2RAD_SQ
+    return lambda value: tuple([v * _DEG2RAD_SQ for v in _floats(value, n)])
 
 
 # key -> (owner class, field name, parser): each key sets one field of

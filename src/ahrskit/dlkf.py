@@ -19,9 +19,10 @@ Each measurement observes one error state directly, so every update is
 one scalar update: the gain is a column of P over one innovation
 variance, and P loses a rank-1 term. The magnetometer layer is one such
 update on yaw; the accelerometer layer is one on roll and then one on
-pitch. That chain equals the joint 2-row update only when the roll and
-pitch noise are uncorrelated, so the accelerometer noise Ra must be
-diagonal. No update inverts or factorises a matrix.
+pitch. That chain equals the joint 2-row update because the roll and
+pitch noise are uncorrelated: every noise, Q included, is held as one
+variance per error state or measured angle. No update inverts or
+factorises a matrix.
 
 Measurements follow the convention ``z = measured - estimated``, so the
 converged state is the correction to add to the current estimate.
@@ -31,7 +32,8 @@ All functions are pure: they return new states and never mutate inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
+from numbers import Real
 from operator import itemgetter
 from typing import Tuple
 
@@ -106,14 +108,18 @@ def _packed(x: tuple, p: tuple) -> FilterState:
     return fs
 
 
-def _default_Q() -> np.ndarray:
-    # Per-step process noise, tuned in deg^2 and stored in rad^2:
-    # 0.1e-4 deg^2 on the attitude errors, 0.01e-4 on the bias states.
-    return np.diag([0.1, 0.1, 0.1, 0.01, 0.01, 0.01]) * 1e-4 * _DEG2RAD_SQ
-
-
-def _default_Ra() -> np.ndarray:
-    return np.diag([0.5, 5.0]) * _DEG2RAD_SQ
+def _variances(name: str, values, n: int, zero_ok: bool) -> Tuple[float, ...]:
+    """`values` as n Python floats, each finite and > 0 (>= 0 if
+    `zero_ok`); a matrix of them, or anything else, is a ValueError."""
+    try:
+        out = tuple([float(v) if isinstance(v, Real) else math.nan for v in values])
+    except TypeError:
+        out = ()
+    if len(out) != n or not all((0.0 <= v if zero_ok else 0.0 < v) and v < math.inf
+                                for v in out):
+        raise ValueError(f"{name} must be {'two' if n == 2 else 'six'} finite "
+                         f"variances {'>=' if zero_ok else '>'} 0, got {values!r}")
+    return out
 
 
 @dataclass(frozen=True)
@@ -122,14 +128,14 @@ class NoiseConfig:
 
     The default numeric values are denominated in degrees squared (the
     usual field-tuning convention) and converted to rad^2 here; override
-    with rad^2 matrices if you tune in SI directly.
+    with rad^2 variances if you tune in SI directly.
 
     Attributes:
-        Q: (6, 6) per-step process noise, positive semi-definite.
-        Ra_nominal: (2, 2) roll/pitch measurement noise at rest:
-            diagonal, the roll and pitch variances being uncorrelated,
-            each finite and > 0.
-        Rm: scalar yaw measurement noise.
+        Q: six per-step process-noise variances, one per error state
+            (roll, pitch, yaw, three bias states), each finite and >= 0.
+        Ra_nominal: two roll and pitch measurement-noise variances at
+            rest, each finite and > 0.
+        Rm: yaw measurement-noise variance.
         tau_g: gyro-bias Markov correlation time, s.
         lambda_a: weight on | ||accel|| - g | in the accel-noise factor
             gamma^2, (m/s^2)^-1; 0 disables the adaptation (gamma^2 = 1).
@@ -138,8 +144,9 @@ class NoiseConfig:
         accel_gate: norm gate, m/s^2: rejects | ||accel|| - g | above it.
     """
 
-    Q: np.ndarray = field(default_factory=_default_Q)
-    Ra_nominal: np.ndarray = field(default_factory=_default_Ra)
+    Q: Tuple[float, ...] = tuple([v * 1e-4 * _DEG2RAD_SQ
+                                  for v in (0.1, 0.1, 0.1, 0.01, 0.01, 0.01)])
+    Ra_nominal: Tuple[float, float] = (0.5 * _DEG2RAD_SQ, 5.0 * _DEG2RAD_SQ)
     Rm: float = 5.0 * _DEG2RAD_SQ
     tau_g: float = 100.0
     lambda_a: float = 5.0
@@ -148,19 +155,9 @@ class NoiseConfig:
     accel_gate: float = 0.5
 
     def __post_init__(self):
-        # a read-only copy: time_update reads Q from its packed form below
-        Q = np.array(self.Q, dtype=float)
-        Q.flags.writeable = False
-        Ra = np.asarray(self.Ra_nominal, dtype=float)
-        object.__setattr__(self, "Q", Q)
-        object.__setattr__(self, "Ra_nominal", Ra)
-        if (Q.shape != (N_STATES, N_STATES) or not np.isfinite(Q).all()
-                or np.linalg.eigvalsh(Q).min() < 0.0):
-            raise ValueError("Q must be a finite 6x6 positive semi-definite matrix")
-        if (Ra.shape != (2, 2) or Ra[0, 1] != 0.0 or Ra[1, 0] != 0.0
-                or not all(0.0 < r < math.inf for r in Ra.diagonal().tolist())):
-            raise ValueError("Ra_nominal must be a diagonal 2x2 matrix of finite "
-                             "variances > 0")
+        object.__setattr__(self, "Q", _variances("Q", self.Q, N_STATES, zero_ok=True))
+        object.__setattr__(self, "Ra_nominal",
+                           _variances("Ra_nominal", self.Ra_nominal, 2, zero_ok=False))
         if not 0.0 < self.Rm < math.inf:
             raise ValueError(f"Rm must be finite and > 0, got {self.Rm}")
         if not 0.0 < self.tau_g < math.inf:
@@ -173,12 +170,6 @@ class NoiseConfig:
             raise ValueError(f"gravity must be finite and > 0, got {self.gravity}")
         if not 0.0 < self.accel_gate < math.inf:
             raise ValueError(f"accel_gate must be finite and > 0, got {self.accel_gate}")
-        object.__setattr__(self, "_Q_packed", _pack(Q))
-
-    def __reduce__(self):
-        # copies and pickles are rebuilt through __init__, so each gets
-        # its own read-only Q and the packed form that matches it
-        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
 def time_update(fs: FilterState, q: Quaternion, dt: float,
@@ -200,9 +191,10 @@ def time_update(fs: FilterState, q: Quaternion, dt: float,
     at any heading. E is singular at pitch +-90 deg; the pitch cosine is
     floored at 1e-6 (error-state operation stays far from gimbal lock).
 
-    With P = [[A, B], [B^T, C]] and M = B + G C, F P F^T + Q is computed
-    by blocks: A' = (A + G B^T) + M G^T, B' = d M, C' = (d C) d, each sum
-    taken in the order of the full matrix product.
+    With P = [[A, B], [B^T, C]] and M = B + G C, F P F^T + diag(Q) is
+    computed by blocks: A' = (A + G B^T) + M G^T, B' = d M, C' = (d C) d,
+    each sum taken in the order of the full matrix product, and each
+    variance of Q added to its diagonal entry.
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -234,20 +226,19 @@ def time_update(fs: FilterState, q: Quaternion, dt: float,
     m22 = b22 + g21 * c12 + g22 * c22
     x = (x0 + g00 * x3 + g01 * x4 + g02 * x5, x1 + g11 * x4 + g12 * x5,
          x2 + g21 * x4 + g22 * x5, d * x3, d * x4, d * x5)
-    (q00, q01, q02, q03, q04, q05, q11, q12, q13, q14, q15,
-     q22, q23, q24, q25, q33, q34, q35, q44, q45, q55) = cfg._Q_packed
+    q0, q1, q2, q3, q4, q5 = cfg.Q
     p = (a00 + g00 * b00 + g01 * b01 + g02 * b02 + m00 * g00 + m01 * g01 + m02 * g02
-         + q00,
-         a01 + g00 * b10 + g01 * b11 + g02 * b12 + m01 * g11 + m02 * g12 + q01,
-         a02 + g00 * b20 + g01 * b21 + g02 * b22 + m01 * g21 + m02 * g22 + q02,
-         d * m00 + q03, d * m01 + q04, d * m02 + q05,
-         a11 + g11 * b11 + g12 * b12 + m11 * g11 + m12 * g12 + q11,
-         a12 + g11 * b21 + g12 * b22 + m11 * g21 + m12 * g22 + q12,
-         d * m10 + q13, d * m11 + q14, d * m12 + q15,
-         a22 + g21 * b21 + g22 * b22 + m21 * g21 + m22 * g22 + q22,
-         d * m20 + q23, d * m21 + q24, d * m22 + q25,
-         d * c00 * d + q33, d * c01 * d + q34, d * c02 * d + q35,
-         d * c11 * d + q44, d * c12 * d + q45, d * c22 * d + q55)
+         + q0,
+         a01 + g00 * b10 + g01 * b11 + g02 * b12 + m01 * g11 + m02 * g12,
+         a02 + g00 * b20 + g01 * b21 + g02 * b22 + m01 * g21 + m02 * g22,
+         d * m00, d * m01, d * m02,
+         a11 + g11 * b11 + g12 * b12 + m11 * g11 + m12 * g12 + q1,
+         a12 + g11 * b21 + g12 * b22 + m11 * g21 + m12 * g22,
+         d * m10, d * m11, d * m12,
+         a22 + g21 * b21 + g22 * b22 + m21 * g21 + m22 * g22 + q2,
+         d * m20, d * m21, d * m22,
+         d * c00 * d + q3, d * c01 * d, d * c02 * d,
+         d * c11 * d + q4, d * c12 * d, d * c22 * d + q5)
     # a non-finite input leaves a non-finite output; only then look at
     # the inputs, as an overflow is no error of theirs
     if not math.isfinite(sum(p, sum(x))) and not all(
@@ -260,13 +251,12 @@ def _observe(fs: FilterState, i: int, innov: float, r: float) -> FilterState:
     """Scalar update on a direct observation of error state `i`.
 
     `innov` is the innovation (measured - x[i]) and `r` its noise
-    variance. H selects state i, so P H^T is column i of P, the gain is
-    that column over the scalar innovation variance s = P[i, i] + r, and
-    the covariance takes the standard form P - K (P H^T)^T, a rank-1
-    update computed on the packed upper triangle.
+    variance, finite and > 0 as the caller has checked. H selects state
+    i, so P H^T is column i of P, the gain is that column over the
+    scalar innovation variance s = P[i, i] + r, and the covariance takes
+    the standard form P - K (P H^T)^T, a rank-1 update computed on the
+    packed upper triangle.
     """
-    if not 0.0 < r < math.inf:
-        raise ValueError(f"measurement noise must be finite and > 0, got {r}")
     x0, x1, x2, x3, x4, x5 = fs._x
     p = fs._p
     (p00, p01, p02, p03, p04, p05, p11, p12, p13, p14, p15,
@@ -290,25 +280,24 @@ def _observe(fs: FilterState, i: int, innov: float, r: float) -> FilterState:
     return _packed(x, p)
 
 
-def accel_update(fs: FilterState, z1, Ra) -> FilterState:
+def accel_update(fs: FilterState, z1, ra) -> FilterState:
     """First measurement layer: roll/pitch error observation.
 
     z1 is the 2-vector (measured - estimated) of roll and pitch, rad,
-    and Ra its noise, any diagonal 2x2 array or nested sequence. The
+    and ra its noise: the roll and the pitch variance, two floats. The
     layer is one scalar update on roll and then one on pitch, whose
     innovation is taken against the state the roll update left; with
-    uncorrelated roll and pitch noise that chain equals the joint
-    update, so an Ra with a non-zero off-diagonal is rejected.
+    uncorrelated roll and pitch noise that chain equals the joint update.
     """
     try:
-        (r00, r01), (r10, r11) = Ra
-        r00, r01, r10, r11 = float(r00), float(r01), float(r10), float(r11)
-    except (TypeError, ValueError):
-        raise ValueError(f"Ra must be a 2x2 matrix, got {Ra!r}") from None
-    if r01 != 0.0 or r10 != 0.0:
-        raise ValueError(f"Ra must be diagonal, got off-diagonal {r01}, {r10}")
-    fs = _observe(fs, 0, float(z1[0]) - fs._x[0], r00)
-    return _observe(fs, 1, float(z1[1]) - fs._x[1], r11)
+        r0, r1 = ra
+        ok = 0.0 < r0 < math.inf and 0.0 < r1 < math.inf
+    except (TypeError, ValueError):  # not two numbers
+        ok = False
+    if not ok:
+        raise ValueError(f"ra must be two finite variances > 0, got {ra!r}")
+    fs = _observe(fs, 0, float(z1[0]) - fs._x[0], r0)
+    return _observe(fs, 1, float(z1[1]) - fs._x[1], r1)
 
 
 def mag_update(fs: FilterState, z2: float, Rm: float) -> FilterState:
@@ -318,6 +307,8 @@ def mag_update(fs: FilterState, z2: float, Rm: float) -> FilterState:
     joint update. The innovation is wrapped to (-pi, pi] so headings on
     either side of north never produce a near-360-degree residual.
     """
+    if not 0.0 < Rm < math.inf:
+        raise ValueError(f"Rm must be finite and > 0, got {Rm}")
     return _observe(fs, 2, wrap_pi(float(z2) - fs._x[2]), Rm)
 
 

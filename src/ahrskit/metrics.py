@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,10 +50,13 @@ def improvement(baseline_rmse: float, candidate_rmse: float) -> float:
     """Percent accuracy gain of the candidate over the baseline.
 
     Computed as 100 * (baseline - candidate) / candidate: the gain is
-    expressed relative to the candidate's error.
+    expressed relative to the candidate's error, which must be finite
+    and > 0; the baseline's must be finite and >= 0.
     """
-    if candidate_rmse <= 0.0:
-        raise ValueError(f"candidate RMSE must be positive, got {candidate_rmse}")
+    if not 0.0 < candidate_rmse < math.inf:
+        raise ValueError(f"candidate RMSE must be finite and > 0, got {candidate_rmse}")
+    if not 0.0 <= baseline_rmse < math.inf:
+        raise ValueError(f"baseline RMSE must be finite and >= 0, got {baseline_rmse}")
     return 100.0 * (baseline_rmse - candidate_rmse) / candidate_rmse
 
 

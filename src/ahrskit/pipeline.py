@@ -207,7 +207,7 @@ def run_pipeline(records: Sequence[SensorRecord], cfg: PipelineConfig,
 def _dlkf_step(cfg, q0, bias_seed, on_epoch):
     prop = PropagatorState(q0, bias_seed)
     fs = FilterState.initial()
-    (r00, r01), (r10, r11) = cfg.noise.Ra_nominal.tolist()
+    r0, r1 = cfg.noise.Ra_nominal
 
     def step(row, dt, mag_due):
         nonlocal prop, fs
@@ -227,8 +227,7 @@ def _dlkf_step(cfg, q0, bias_seed, on_epoch):
         if meas is not None:
             roll, pitch, gamma2 = meas
             z1 = (wrap_pi(roll - est.roll), wrap_pi(pitch - est.pitch))
-            fs = accel_update(fs, z1, ((gamma2 * r00, gamma2 * r01),
-                                       (gamma2 * r10, gamma2 * r11)))
+            fs = accel_update(fs, z1, (gamma2 * r0, gamma2 * r1))
         if yaw_meas is not None:
             fs = mag_update(fs, yaw_meas - est.yaw, cfg.noise.Rm)
         prop, fs = apply_correction(prop, fs, est)

@@ -81,11 +81,11 @@ def test_criterion_2_sequential_equivalence():
         x = rng.normal(scale=0.1, size=6)
         P = random_pd(rng)
         z = rng.normal(scale=0.3, size=3)
-        ra = np.diag(rng.uniform(0.1, 5.0, 2))
+        ra = rng.uniform(0.1, 5.0, 2)
         rm = rng.uniform(0.1, 5.0)
         out = mag_update(accel_update(FilterState(x, P), z[:2], ra), z[2], rm)
         R = np.zeros((3, 3))
-        R[:2, :2] = ra
+        R[:2, :2] = np.diag(ra)
         R[2, 2] = rm
         x_ref, p_ref = joint_update(x, P, z, R)
         worst = max(worst, np.abs(out.x - x_ref).max(), np.abs(out.P - p_ref).max())

@@ -152,6 +152,28 @@ class TestDiagnostics:
         assert capsys.readouterr().err == \
             "error: --seed: expected a non-negative integer, got -1\n"
 
+    @pytest.mark.parametrize("side", ["baseline", "candidate"])
+    def test_compare_with_a_nan_estimate_exits_nonzero(self, workspace, capsys, side):
+        log = workspace / "log.csv"
+        main(["sim", "--scenario", str(workspace / "hover.scn"), "--out", str(log)])
+        est = {}
+        for name, algorithm in (("baseline", "cf"), ("candidate", "dlkf")):
+            est[name] = workspace / f"{algorithm}.csv"
+            main(["run", "--log", str(log), "--config",
+                  str(workspace / f"{algorithm}.cfg"), "--out", str(est[name])])
+        lines = est[side].read_text().splitlines()
+        cells = lines[100].split(",")
+        cells[1] = "nan"  # one roll estimate
+        lines[100] = ",".join(cells)
+        est[side].write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = main(["compare", "--baseline", str(est["baseline"]),
+                     "--candidate", str(est["candidate"]), "--truth", str(log)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == (f"error: {side} RMSE must be finite and "
+                                f"{'>=' if side == 'baseline' else '>'} 0, got nan\n")
+
     def test_eval_without_truth_columns(self, workspace, capsys):
         log = workspace / "log.csv"
         main(["sim", "--scenario", str(workspace / "hover.scn"), "--out", str(log)])

@@ -1,6 +1,6 @@
 import math
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -128,11 +128,17 @@ class TestPipelineConfig:
         assert cfg.noise.lambda_a == 10.0
         assert cfg.noise.gamma2_max == 50.0
         assert cfg.noise.gravity == 9.80665
-        np.testing.assert_allclose(np.diag(cfg.noise.Ra_nominal),
-                                   np.array([0.5, 5.0]) * D2R2)
+        assert cfg.noise.Ra_nominal == (0.5 * D2R2, 5.0 * D2R2)
         assert cfg.noise.Rm == pytest.approx(5.0 * D2R2)
-        np.testing.assert_allclose(np.diag(cfg.noise.Q),
-                                   np.array([1e-5] * 3 + [1e-6] * 3) * D2R2)
+        assert cfg.noise.Q == (1e-5 * D2R2,) * 3 + (1e-6 * D2R2,) * 3
+
+    def test_equal_texts_give_equal_configs_and_hashes(self):
+        a, b = (pipeline_config_from_text(FULL_CONFIG) for _ in range(2))
+        assert a == b and hash(a) == hash(b)
+        default = pipeline_config_from_text("")
+        assert default == PipelineConfig() and hash(default) == hash(PipelineConfig())
+        assert replace(default, cf_kp=2.0) != default
+        assert replace(default, noise=replace(default.noise, Q=(0.0,) * 6)) != default
 
     def test_empty_text_gives_defaults(self):
         cfg = pipeline_config_from_text("")
@@ -254,6 +260,10 @@ class TestValueErrorsNameFileAndKey:
          "<config>: key 'ra_diag_deg2': expected 2 comma-separated values, got 3"),
         ("mag_rate_hz = 0", "<config>: mag rate must be finite and > 0"),
         ("accel_gate = -1", "<config>: accel_gate must be finite and > 0, got -1.0"),
+        ("q_diag_deg2 = 1, 1, 1, 1, 1, -1", "<config>: Q must be six finite variances "
+         f">= 0, got {(D2R2,) * 5 + (-D2R2,)!r}"),
+        ("ra_diag_deg2 = 0.5, 0", "<config>: Ra_nominal must be two finite variances "
+         f"> 0, got {(0.5 * D2R2, 0.0)!r}"),
     ])
     def test_config(self, line, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

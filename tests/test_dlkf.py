@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+import re
 from dataclasses import replace
 from operator import itemgetter
 
@@ -11,8 +12,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ahrskit.benchmark import static_records
-from ahrskit.dlkf import (_COLS, _ROWS, _UNPACK, FilterState, NoiseConfig, _packed,
-                          accel_update, apply_correction, mag_update, time_update)
+from ahrskit.dlkf import (_COLS, _ROWS, _UNPACK, FilterState, NoiseConfig, _pack,
+                          _packed, accel_update, apply_correction, mag_update,
+                          time_update)
 from ahrskit.fasteuler import accel_roll_pitch, mag_yaw
 from ahrskit.geometry import (Quaternion, _dcm_entries, euler_to_quat, EulerAngles,
                               quat_to_euler, wrap_pi)
@@ -81,7 +83,7 @@ class TestTimeUpdate:
     def test_covariance_blocks_hand_computed(self):
         # P = I, Q = 0, level attitude, dt = 0.004, tau = 100:
         # top-left (1 + dt^2) I, bottom-right (1 - dt/tau)^2 I
-        cfg = NoiseConfig(Q=np.zeros((6, 6)), tau_g=100.0)
+        cfg = NoiseConfig(Q=(0.0,) * 6, tau_g=100.0)
         fs = FilterState(np.zeros(6), np.eye(6))
         out = time_update(fs, Quaternion.identity(), 0.004, cfg)
         np.testing.assert_allclose(np.diag(out.P)[:3], 1.000016 * np.ones(3),
@@ -98,7 +100,7 @@ class TestTimeUpdate:
 
     def test_transition_reduces_to_identity_coupling_when_level(self):
         # column k of the transition is the propagated unit state e_k
-        cfg = NoiseConfig(Q=np.zeros((6, 6)), tau_g=50.0)
+        cfg = NoiseConfig(Q=(0.0,) * 6, tau_g=50.0)
         trans = np.column_stack([
             time_update(FilterState(e, np.zeros((6, 6))), Quaternion.identity(),
                         0.01, cfg).x
@@ -141,15 +143,15 @@ class TestAdaptiveRa:
     gate need a wider gate to reach the factor at all."""
 
     def test_hover_returns_nominal(self):
-        cfg = NoiseConfig(Ra_nominal=np.diag([0.5, 5.0]), gravity=9.81)
-        out = accel_roll_pitch((0.0, 0.0, -9.81), cfg)[2] * cfg.Ra_nominal
-        np.testing.assert_allclose(out, np.diag([0.5, 5.0]), rtol=1e-12)
+        cfg = NoiseConfig(Ra_nominal=(0.5, 5.0), gravity=9.81)
+        out = accel_roll_pitch((0.0, 0.0, -9.81), cfg)[2] * np.array(cfg.Ra_nominal)
+        np.testing.assert_allclose(out, [0.5, 5.0], rtol=1e-12)
 
     def test_two_ms2_offset_with_weight_five(self):
-        cfg = NoiseConfig(Ra_nominal=np.diag([0.5, 5.0]), lambda_a=5.0, gravity=9.81,
+        cfg = NoiseConfig(Ra_nominal=(0.5, 5.0), lambda_a=5.0, gravity=9.81,
                           accel_gate=2.5)
-        out = accel_roll_pitch((0.0, 0.0, -11.81), cfg)[2] * cfg.Ra_nominal
-        np.testing.assert_allclose(out, np.diag([5.0, 50.0]), rtol=1e-12)
+        out = accel_roll_pitch((0.0, 0.0, -11.81), cfg)[2] * np.array(cfg.Ra_nominal)
+        np.testing.assert_allclose(out, [5.0, 50.0], rtol=1e-12)
 
     def test_monotone_in_norm_offset(self):
         cfg = NoiseConfig(accel_gate=30.0)
@@ -192,13 +194,13 @@ class TestAccelUpdate:
         rng = np.random.default_rng(30)
         x = rng.normal(size=6)
         fs = FilterState(x, random_pd(rng))
-        out = accel_update(fs, x[:2], np.diag([0.5, 5.0]))
+        out = accel_update(fs, x[:2], (0.5, 5.0))
         np.testing.assert_allclose(out.x, x, atol=1e-12)
         assert np.all(np.diag(out.P)[:2] <= np.diag(fs.P)[:2] + 1e-12)
 
     def test_scalar_gain_with_nominal_noise(self):
         fs = FilterState(np.zeros(6), np.eye(6))
-        out = accel_update(fs, (1.0, 0.0), np.diag([0.5, 5.0]))
+        out = accel_update(fs, (1.0, 0.0), (0.5, 5.0))
         assert out.x[0] == pytest.approx(1.0 / 1.5, rel=1e-12)
         assert out.x[1] == pytest.approx(0.0, abs=1e-15)
 
@@ -206,42 +208,45 @@ class TestAccelUpdate:
         rng = np.random.default_rng(31)
         for _ in range(100):
             fs = FilterState(rng.normal(size=6), random_pd(rng))
-            out = accel_update(fs, rng.normal(size=2), np.diag([0.3, 2.0]))
+            out = accel_update(fs, rng.normal(size=2), (0.3, 2.0))
             assert np.all(np.diag(out.P)[:3] <= np.diag(fs.P)[:3] + 1e-12)
             assert_valid_covariance(out.P)
 
     def test_rejects_non_pd_noise(self):
         fs = FilterState.initial()
         with pytest.raises(ValueError):
-            accel_update(fs, (0.0, 0.0), np.diag([0.0, -1.0]))
+            accel_update(fs, (0.0, 0.0), (0.0, -1.0))
 
-    def test_rejects_noise_that_is_not_2x2(self):
-        for Ra in (np.eye(3), np.ones(2), np.ones((2, 2, 1)), 1.0,
-                   [[[1.0], [0.0]], [[0.0], [1.0]]], [[1.0, 0.0], [0.0]]):
-            with pytest.raises(ValueError, match="2x2"):
-                accel_update(FilterState.initial(), (0.0, 0.0), Ra)
+    def test_rejects_noise_that_is_not_two_variances(self):
+        # the former 2x2 form, diagonal or not, is never read
+        for ra in (np.diag([0.5, 5.0]), ((0.5, 0.0), (0.0, 5.0)),
+                   [[0.5, 0.0], [0.0, 5.0]], np.eye(3), np.ones(3), (0.5,),
+                   (0.5, 5.0, 1.0), 1.0, ("0.5", "5.0"), None):
+            with pytest.raises(ValueError, match="^ra must be two finite variances > 0"):
+                accel_update(FilterState.initial(), (0.0, 0.0), ra)
 
     def test_noise_as_array_or_nested_tuple_gives_one_update(self):
+        # an array, list or tuple of the two variances: one update
         rng = np.random.default_rng(36)
         fs = FilterState(rng.normal(size=6), random_pd(rng))
-        ra = np.array([[0.3, 0.0], [0.0, 2.0]])
-        ref = accel_update(fs, (0.01, -0.02), ra)
-        out = accel_update(fs, (0.01, -0.02), tuple(map(tuple, ra.tolist())))
-        np.testing.assert_array_equal(out.x, ref.x)
-        np.testing.assert_array_equal(out.P, ref.P)
+        ref = accel_update(fs, (0.01, -0.02), (0.3, 2.0))
+        for ra in (np.array([0.3, 2.0]), [0.3, 2.0]):
+            out = accel_update(fs, (0.01, -0.02), ra)
+            np.testing.assert_array_equal(out.x, ref.x)
+            np.testing.assert_array_equal(out.P, ref.P)
 
     def test_rejects_singular_innovation_covariance(self):
         # a covariance that is not PSD can cancel Ra exactly
-        ra = np.diag([0.5, 5.0])
+        ra = (0.5, 5.0)
         P = np.eye(6)
-        P[:2, :2] = -ra
+        P[:2, :2] = -np.diag(ra)
         with pytest.raises(ValueError, match="innovation variance must be > 0"):
             accel_update(FilterState(np.zeros(6), P), (0.0, 0.0), ra)
 
     def test_rejects_zero_roll_innovation_variance(self):
         # S = [[0, 1], [1, 6]] is regular, but the roll update divides by
         # s00 = 0; only a P that is not PSD does this
-        ra = np.diag([0.5, 5.0])
+        ra = (0.5, 5.0)
         P = np.eye(6)
         P[0, 0] = -0.5
         P[0, 1] = P[1, 0] = 1.0
@@ -252,19 +257,20 @@ class TestAccelUpdate:
     @pytest.mark.parametrize("value", [1e-300, -0.1, math.nan])
     def test_rejects_noise_that_is_not_diagonal(self, index, value):
         # sequential scalar updates equal the joint update only for
-        # uncorrelated roll and pitch noise
+        # uncorrelated roll and pitch noise: two variances, never a matrix
         Ra = np.diag([0.5, 5.0])
         Ra[index] = value
-        with pytest.raises(ValueError, match="diagonal"):
-            accel_update(FilterState.initial(), (0.0, 0.0), Ra)
+        for ra in (Ra, tuple(map(tuple, Ra.tolist()))):
+            with pytest.raises(ValueError, match="^ra must be two finite variances"):
+                accel_update(FilterState.initial(), (0.0, 0.0), ra)
 
     @pytest.mark.parametrize("index", [0, 1])
     @pytest.mark.parametrize("variance", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_variance_that_is_not_finite_and_positive(self, index, variance):
-        Ra = np.diag([0.5, 5.0])
-        Ra[index, index] = variance
-        with pytest.raises(ValueError, match="finite and > 0"):
-            accel_update(FilterState.initial(), (0.0, 0.0), Ra)
+        ra = [0.5, 5.0]
+        ra[index] = variance
+        with pytest.raises(ValueError, match="^ra must be two finite variances > 0"):
+            accel_update(FilterState.initial(), (0.0, 0.0), ra)
 
     def test_gain_sanity_under_inflated_noise(self):
         # de-weighted measurements never move the state more
@@ -274,7 +280,8 @@ class TestAccelUpdate:
             fs = FilterState(rng.normal(scale=0.01, size=6), random_pd(rng, floor=0.01))
             z = rng.normal(scale=0.1, size=2)
             dx_nom = accel_update(fs, z, cfg.Ra_nominal).x - fs.x
-            dx_inflated = accel_update(fs, z, cfg.gamma2_max * cfg.Ra_nominal).x - fs.x
+            inflated = tuple([cfg.gamma2_max * r for r in cfg.Ra_nominal])
+            dx_inflated = accel_update(fs, z, inflated).x - fs.x
             assert np.linalg.norm(dx_inflated) <= np.linalg.norm(dx_nom) + 1e-15
 
 
@@ -323,12 +330,12 @@ class TestSequentialEquivalence:
             x = rng.normal(scale=0.1, size=6)
             P = random_pd(rng)
             z = rng.normal(scale=0.3, size=3)
-            ra = np.diag(rng.uniform(0.1, 5.0, 2))
+            ra = rng.uniform(0.1, 5.0, 2)
             rm = rng.uniform(0.1, 5.0)
             step1 = accel_update(FilterState(x, P), z[:2], ra)
             step2 = mag_update(step1, z[2], rm)
             R = np.zeros((3, 3))
-            R[:2, :2] = ra
+            R[:2, :2] = np.diag(ra)
             R[2, 2] = rm
             x_ref, p_ref = joint_update(x, P, z, R)
             np.testing.assert_allclose(step2.x, x_ref, atol=1e-9)
@@ -380,21 +387,23 @@ class TestNoiseConfig:
     def test_defaults_are_degree_denominated(self):
         cfg = NoiseConfig()
         d2r2 = (math.pi / 180.0) ** 2
-        np.testing.assert_allclose(np.diag(cfg.Ra_nominal), [0.5 * d2r2, 5.0 * d2r2])
+        np.testing.assert_allclose(cfg.Ra_nominal, [0.5 * d2r2, 5.0 * d2r2])
         assert cfg.Rm == pytest.approx(5.0 * d2r2)
-        np.testing.assert_allclose(np.diag(cfg.Q)[:3], 0.1e-4 * d2r2)
-        np.testing.assert_allclose(np.diag(cfg.Q)[3:], 0.01e-4 * d2r2)
+        np.testing.assert_allclose(cfg.Q[:3], 0.1e-4 * d2r2)
+        np.testing.assert_allclose(cfg.Q[3:], 0.01e-4 * d2r2)
 
     def test_q_is_a_read_only_copy(self):
-        # time_update adds Q from the packed copy taken at construction
-        Q = np.eye(6)
-        cfg = NoiseConfig(Q=Q)
-        Q[0, 0] = 2.0
-        assert cfg.Q[0, 0] == 1.0
-        with pytest.raises(ValueError):
-            cfg.Q[0, 0] = 2.0
+        # the variances are tuples of Python floats, whatever they came in
+        Q = [1.0, 1.0, 1, 0, 0.0, np.float64(0.5)]
+        cfg = NoiseConfig(Q=Q, Ra_nominal=np.array([0.5, 5.0]))
+        Q[0] = 2.0
+        for values in (cfg.Q, cfg.Ra_nominal):
+            assert type(values) is tuple and {type(v) for v in values} == {float}
+        assert cfg.Q == (1.0, 1.0, 1.0, 0.0, 0.0, 0.5)
+        with pytest.raises(TypeError):
+            cfg.Q[0] = 2.0
         for other in (copy.deepcopy(cfg), pickle.loads(pickle.dumps(cfg))):
-            assert not other.Q.flags.writeable
+            assert other == cfg and hash(other) == hash(cfg)
 
     @pytest.mark.parametrize("kwargs", [
         dict(Rm=0.0),
@@ -405,22 +414,46 @@ class TestNoiseConfig:
         dict(Q=-np.eye(6)),
         dict(gravity=-1.0),
         dict(accel_gate=0.0),
+        # the former matrix forms are never read, even positive semi-definite
+        dict(Q=np.eye(6)),
+        dict(Q=np.zeros((6, 6))),
+        dict(Q=tuple(map(tuple, np.eye(6).tolist()))),
+        dict(Q=np.diag([1e-9] * 6)[:, :1]),
+        dict(Q=(1e-9,) * 5),
+        dict(Q=(1e-9,) * 7),
+        dict(Q=1e-9),
+        dict(Q=("1e-9",) * 6),
+        *[dict(Q=tuple(bad if i == k else 1e-9 for k in range(6)))
+          for i in range(6) for bad in (-1e-12, math.nan, math.inf)],
     ])
     def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
+        (name, _), = kwargs.items()
+        form = {"Q": "six finite variances >= 0, got ",
+                "Ra_nominal": "two finite variances > 0, got "}.get(name, "")
+        with pytest.raises(ValueError, match=f"^{name} must be {re.escape(form)}"):
             NoiseConfig(**kwargs)
 
     @pytest.mark.parametrize("Ra", [
-        np.diag([-1.0, 5.0]),
-        np.diag([math.nan, 5.0]),
-        np.diag([0.5, math.inf]),
+        (-1.0, 5.0),
+        (math.nan, 5.0),
+        (0.5, math.inf),
+        # a matrix, diagonal or not, is never read
         np.array([[0.5, 0.1], [0.1, 5.0]]),
-        np.array([[0.5, math.nan], [0.0, 5.0]]),
-        np.array([[0.5, 0.0], [math.nan, 5.0]]),
+        np.diag([0.5, 5.0]),
+        ((0.5, 0.0), (0.0, 5.0)),
         np.eye(3),
+        (0.0, 5.0),
+        (0.5, 0.0),
+        (0.5, -1.0),
+        (math.inf, 5.0),
+        (0.5, math.nan),
+        (0.5,),
+        (0.5, 5.0, 1.0),
+        0.5,
     ])
     def test_ra_nominal_is_diagonal_with_finite_positive_variances(self, Ra):
-        with pytest.raises(ValueError, match="Ra_nominal must be a diagonal 2x2"):
+        with pytest.raises(ValueError, match="^Ra_nominal must be two finite "
+                                             "variances > 0"):
             NoiseConfig(Ra_nominal=Ra)
 
 
@@ -469,7 +502,7 @@ def loop_time_update(fs, q, dt, cfg):
         a22 + g21 * b21 + g22 * b22 + m21 * g21 + m22 * g22,
         d * m20, d * m21, d * m22,
         d * c00 * d, d * c01 * d, d * c02 * d, d * c11 * d, d * c12 * d, d * c22 * d,
-    ), cfg._Q_packed)])
+    ), _pack(np.diag(cfg.Q)))])
     return _packed(x, p)
 
 
@@ -483,10 +516,10 @@ def loop_observe(fs, i, innov, r):
     return _packed(x, p)
 
 
-def loop_accel_update(fs, z1, Ra):
-    (r00, _), (_, r11) = Ra.tolist()
-    fs = loop_observe(fs, 0, float(z1[0]) - fs._x[0], r00)
-    return loop_observe(fs, 1, float(z1[1]) - fs._x[1], r11)
+def loop_accel_update(fs, z1, ra):
+    r0, r1 = ra
+    fs = loop_observe(fs, 0, float(z1[0]) - fs._x[0], r0)
+    return loop_observe(fs, 1, float(z1[1]) - fs._x[1], r1)
 
 
 def loop_mag_update(fs, z2, Rm):
@@ -500,22 +533,24 @@ def assert_same_state(out, ref):
 
 factors = arrays(np.float64, (6, 6), elements=st.floats(-1.0, 1.0))
 nonzero = st.one_of(st.floats(-0.1, -1e-9), st.floats(1e-9, 0.1))
+variances = st.lists(st.floats(1e-10, 1e-8), min_size=6, max_size=6, unique=True)
 
 
 @settings(deadline=None)
 @given(arrays(np.float64, 6, elements=nonzero), factors, st.floats(-8.0, -2.0),
-       factors, st.floats(1.0, 100.0), st.floats(0.1, 10.0),
+       variances, st.floats(1.0, 100.0), st.floats(0.1, 10.0),
        st.tuples(*[st.floats(-0.5, 0.5)] * 3),
        st.builds(EulerAngles, st.floats(-3.1, 3.1), st.floats(-1.5, 1.5),
                  st.floats(0.0, 6.28)),
        st.floats(1e-4, 0.1))
-def test_layers_match_loop_forms_bit_for_bit(x, a, exponent, f, gamma2, rm_factor, z,
+def test_layers_match_loop_forms_bit_for_bit(x, a, exponent, q, gamma2, rm_factor, z,
                                              e, dt):
-    # random SPD P and a full random Q, so that every entry of P and Q
-    # differs from the others and a swapped index changes the result
+    # random SPD P and six distinct random variances in Q, so that every
+    # entry of P and of Q differs from the others and a swapped index
+    # changes the result
     fs = FilterState(x, (a @ a.T + 0.01 * np.eye(6)) * 10.0 ** exponent)
-    cfg = NoiseConfig(Q=(f @ f.T + 0.01 * np.eye(6)) * 1e-8)
-    ra = gamma2 * cfg.Ra_nominal
+    cfg = NoiseConfig(Q=q)
+    ra = tuple([gamma2 * r for r in cfg.Ra_nominal])
     rm = rm_factor * cfg.Rm
     q = euler_to_quat(e)
     assert_same_state(time_update(fs, q, dt, cfg), loop_time_update(fs, q, dt, cfg))

@@ -49,7 +49,7 @@ def oracle_time_update(x, P, e, dt, cfg):
     F = np.eye(6)
     F[0:3, 3:6] = -euler_rates * dt
     F[3:6, 3:6] *= 1.0 - dt / cfg.tau_g
-    P_new = F @ P @ F.T + cfg.Q
+    P_new = F @ P @ F.T + np.diag(cfg.Q)
     return F @ x, 0.5 * (P_new + P_new.T)
 
 
@@ -80,10 +80,10 @@ def test_time_update_matches_textbook(x, a, scale, e, dt):
          z0=0.0, z1=0.0)
 def test_accel_update_matches_textbook(x, a, scale, gamma2, z0, z1):
     P = spd(a, scale)
-    Ra = gamma2 * CFG.Ra_nominal
-    out = accel_update(FilterState(x, P), (z0, z1), Ra)
+    ra = gamma2 * np.array(CFG.Ra_nominal)
+    out = accel_update(FilterState(x, P), (z0, z1), ra)
     H = np.eye(6)[:2]
-    x_ref, P_ref = oracle_update(x, P, H, np.array([z0, z1]) - H @ x, Ra)
+    x_ref, P_ref = oracle_update(x, P, H, np.array([z0, z1]) - H @ x, np.diag(ra))
     assert_close(out.x, x_ref)
     assert_close(out.P, P_ref)
 

@@ -184,8 +184,8 @@ def test_dlkf_hot_path_calls(records, monkeypatch):
 
 def test_dlkf_epoch_builds_no_6x6_array(records, monkeypatch):
     """The filter layers run on packed floats: through `ahrskit.dlkf.np`
-    they build no identity, outer or matrix product, and no array larger
-    than the 2x2 accel noise."""
+    they build no identity, outer or matrix product, and no array of more
+    than four entries."""
     cfg = PipelineConfig(algorithm="dlkf", noise=matched_noise_config(RATE))
 
     def at_most_2x2(make):

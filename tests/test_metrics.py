@@ -80,9 +80,20 @@ class TestImprovement:
         with pytest.raises(ValueError):
             improvement(1.0, 0.0)
 
+    @pytest.mark.parametrize("candidate", [-1.0, math.nan, math.inf])
+    def test_candidate_must_be_finite_and_positive(self, candidate):
+        with pytest.raises(ValueError, match="^candidate RMSE must be finite and > 0"):
+            improvement(1.0, candidate)
+
+    @pytest.mark.parametrize("baseline", [-1.0, math.nan, math.inf])
+    def test_baseline_must_be_finite_and_non_negative(self, baseline):
+        with pytest.raises(ValueError, match="^baseline RMSE must be finite and >= 0"):
+            improvement(baseline, 1.0)
+
     def test_sign_convention(self):
         assert improvement(2.0, 1.0) == pytest.approx(100.0)
         assert improvement(1.0, 2.0) == pytest.approx(-50.0)
+        assert improvement(0.0, 2.0) == -100.0  # a zero baseline is allowed
 
 
 class TestAlign:

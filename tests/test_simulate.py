@@ -173,7 +173,7 @@ def test_per_sample_values_keep_their_types():
     assert type(rotvec_to_quat((0.1, 0.0, 0.0))) is Quaternion
     assert type(quat_to_euler(stepped.q)) is EulerAngles
     assert type(quat_to_euler(euler_to_quat((0.0, math.pi / 2, 0.0)))) is EulerAngles
-    fs = accel_update(FilterState.initial(), (0.01, -0.02), np.diag([0.5, 5.0]))
+    fs = accel_update(FilterState.initial(), (0.01, -0.02), (0.5, 5.0))
     corrected, _ = apply_correction(stepped, fs, quat_to_euler(stepped.q))
     assert type(corrected) is PropagatorState and type(corrected.q) is Quaternion
     fused = cf_update(prop, (0.1, -0.2, 0.3), (0.0, 0.0, -9.81), (0.5, 0.0, 0.8),
