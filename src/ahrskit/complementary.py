@@ -58,12 +58,9 @@ def cf_update(prop: PropagatorState, gyro, accel, mag, dt: float,
         ey += mz * px - mx * pz
         ez += mx * py - my * px
 
-    bias = prop.bias
-    bx, by, bz = bias
-    if ki > 0.0:
-        bx -= ki * ex * dt
-        by -= ki * ey * dt
-        bz -= ki * ez * dt
-        bias = (bx, by, bz)
+    bx, by, bz = prop.bias
+    bx -= ki * ex * dt
+    by -= ki * ey * dt
+    bz -= ki * ez * dt
     corrected = _new(PropagatorState, (prop.q, (bx - kp * ex, by - kp * ey, bz - kp * ez)))
-    return _new(PropagatorState, (propagate(corrected, gyro, dt).q, bias))
+    return _new(PropagatorState, (propagate(corrected, gyro, dt).q, (bx, by, bz)))

@@ -24,8 +24,8 @@ pitch noise are uncorrelated: every noise, Q included, is held as one
 variance per error state or measured angle. No update inverts or
 factorises a matrix.
 
-Measurements follow the convention ``z = measured - estimated``, so the
-converged state is the correction to add to the current estimate.
+Measurements follow the convention ``z = measured - estimated``, in any
+range, so the converged state is the correction to add to the estimate.
 All functions are pure: they return new states and never mutate inputs.
 """
 
@@ -158,18 +158,13 @@ class NoiseConfig:
         object.__setattr__(self, "Q", _variances("Q", self.Q, N_STATES, zero_ok=True))
         object.__setattr__(self, "Ra_nominal",
                            _variances("Ra_nominal", self.Ra_nominal, 2, zero_ok=False))
-        if not 0.0 < self.Rm < math.inf:
-            raise ValueError(f"Rm must be finite and > 0, got {self.Rm}")
-        if not 0.0 < self.tau_g < math.inf:
-            raise ValueError(f"tau_g must be finite and > 0, got {self.tau_g}")
-        if not 0.0 <= self.lambda_a < math.inf:
-            raise ValueError(f"lambda_a must be finite and >= 0, got {self.lambda_a}")
-        if not 1.0 <= self.gamma2_max < math.inf:
-            raise ValueError(f"gamma2_max must be finite and >= 1, got {self.gamma2_max}")
-        if not 0.0 < self.gravity < math.inf:
-            raise ValueError(f"gravity must be finite and > 0, got {self.gravity}")
-        if not 0.0 < self.accel_gate < math.inf:
-            raise ValueError(f"accel_gate must be finite and > 0, got {self.accel_gate}")
+        for name, low, op in (("Rm", 0.0, ">"), ("tau_g", 0.0, ">"),
+                              ("lambda_a", 0.0, ">="), ("gamma2_max", 1.0, ">="),
+                              ("gravity", 0.0, ">"), ("accel_gate", 0.0, ">")):
+            v = getattr(self, name)
+            if not (isinstance(v, Real) and (v > low if op == ">" else v >= low)
+                    and v < math.inf):
+                raise ValueError(f"{name} must be finite and {op} {low:g}, got {v!r}")
 
 
 def time_update(fs: FilterState, q: Quaternion, dt: float,
@@ -247,17 +242,18 @@ def time_update(fs: FilterState, q: Quaternion, dt: float,
     return _packed(x, p)
 
 
-def _observe(fs: FilterState, i: int, innov: float, r: float) -> FilterState:
+def _observe(fs: FilterState, i: int, z: float, r: float) -> FilterState:
     """Scalar update on a direct observation of error state `i`.
 
-    `innov` is the innovation (measured - x[i]) and `r` its noise
-    variance, finite and > 0 as the caller has checked. H selects state
-    i, so P H^T is column i of P, the gain is that column over the
-    scalar innovation variance s = P[i, i] + r, and the covariance takes
-    the standard form P - K (P H^T)^T, a rank-1 update computed on the
-    packed upper triangle.
+    `z` is measured minus estimated, in any range; the innovation is
+    z - x[i] wrapped to (-pi, pi], so no angle near +-180 deg yields a
+    2 pi residual. `r` is its variance, finite and > 0 as the caller has
+    checked. H selects state i, so the gain is column i of P over
+    s = P[i, i] + r, and P takes the standard form P - K (P H^T)^T, a
+    rank-1 update computed on the packed upper triangle.
     """
-    x0, x1, x2, x3, x4, x5 = fs._x
+    x0, x1, x2, x3, x4, x5 = x = fs._x
+    innov = wrap_pi(float(z) - x[i])
     p = fs._p
     (p00, p01, p02, p03, p04, p05, p11, p12, p13, p14, p15,
      p22, p23, p24, p25, p33, p34, p35, p44, p45, p55) = p
@@ -283,33 +279,36 @@ def _observe(fs: FilterState, i: int, innov: float, r: float) -> FilterState:
 def accel_update(fs: FilterState, z1, ra) -> FilterState:
     """First measurement layer: roll/pitch error observation.
 
-    z1 is the 2-vector (measured - estimated) of roll and pitch, rad,
-    and ra its noise: the roll and the pitch variance, two floats. The
-    layer is one scalar update on roll and then one on pitch, whose
-    innovation is taken against the state the roll update left; with
-    uncorrelated roll and pitch noise that chain equals the joint update.
+    z1 is the roll and pitch (measured - estimated), rad, in any range,
+    and ra their two variances, real numbers. The layer is one scalar
+    update on roll and then one on pitch, against the state the roll
+    update left; with uncorrelated noise that chain is the joint update.
     """
     try:
         r0, r1 = ra
-        ok = 0.0 < r0 < math.inf and 0.0 < r1 < math.inf
-    except (TypeError, ValueError):  # not two numbers
+        # math.isfinite takes only a real scalar: an array is a TypeError
+        ok = 0.0 < r0 and 0.0 < r1 and math.isfinite(r0) and math.isfinite(r1)
+    except (TypeError, ValueError):  # not two real numbers
         ok = False
     if not ok:
         raise ValueError(f"ra must be two finite variances > 0, got {ra!r}")
-    fs = _observe(fs, 0, float(z1[0]) - fs._x[0], r0)
-    return _observe(fs, 1, float(z1[1]) - fs._x[1], r1)
+    return _observe(_observe(fs, 0, z1[0], r0), 1, z1[1], r1)
 
 
 def mag_update(fs: FilterState, z2: float, Rm: float) -> FilterState:
     """Second measurement layer: yaw error observation.
 
-    Runs on the output of accel_update so the pair is equivalent to one
-    joint update. The innovation is wrapped to (-pi, pi] so headings on
-    either side of north never produce a near-360-degree residual.
+    z2 is the yaw (measured - estimated), rad, in any range, and Rm its
+    variance, a real number. Runs on the output of accel_update so the
+    pair is equivalent to one joint update.
     """
-    if not 0.0 < Rm < math.inf:
-        raise ValueError(f"Rm must be finite and > 0, got {Rm}")
-    return _observe(fs, 2, wrap_pi(float(z2) - fs._x[2]), Rm)
+    try:
+        ok = 0.0 < Rm and math.isfinite(Rm)
+    except (TypeError, ValueError):  # not a real number
+        ok = False
+    if not ok:
+        raise ValueError(f"Rm must be finite and > 0, got {Rm!r}")
+    return _observe(fs, 2, z2, Rm)
 
 
 def apply_correction(prop: PropagatorState, fs: FilterState,

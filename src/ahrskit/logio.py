@@ -72,9 +72,6 @@ def write_log(path, records: Sequence[SensorRecord]) -> None:
     log = SensorLog.of(records)
     if not log:
         raise ValueError("refusing to write an empty log")
-    if log.truth is None and log is not records and \
-            any(r.truth is not None for r in records):
-        raise ValueError("truth must be present for all records or none")
     _write_table(path, LOG_HEADER if log.truth is None else LOG_TRUTH_HEADER, log.table)
 
 

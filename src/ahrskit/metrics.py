@@ -33,7 +33,7 @@ def rmse(est, truth) -> tuple[float, float, float]:
 
     est, truth: (N, 3) roll/pitch/yaw in radians, N >= 1. Every residual
     is wrapped to (-180, 180] degrees before squaring, so 359 deg vs
-    1 deg counts as a 2 degree error.
+    1 deg counts as a 2 degree error. Every angle must be finite.
     """
     est = np.asarray(est, dtype=float)
     truth = np.asarray(truth, dtype=float)
@@ -41,6 +41,10 @@ def rmse(est, truth) -> tuple[float, float, float]:
         raise ValueError(f"expected (N, 3) angle array with N >= 1, got {est.shape}")
     if est.shape != truth.shape:
         raise ValueError(f"estimate/truth shape mismatch: {est.shape} vs {truth.shape}")
+    for name, angles in (("estimate", est), ("truth", truth)):
+        bad = angles[~np.isfinite(angles)]
+        if bad.size:
+            raise ValueError(f"{name} angles must be finite, got {bad[0]}")
     resid = _wrap_residual(est - truth)
     out = np.degrees(np.sqrt(np.mean(resid * resid, axis=0)))
     return float(out[0]), float(out[1]), float(out[2])

@@ -11,10 +11,10 @@ PropagatorState`, a closure over its own estimator state; `row` is the
 sample's floats in log-CSV column order (t, gyro, accel, mag[, truth]).
 All three integrate the gyro with `propagate` and differ only in the
 correction: none for gyro-only, the PI feedback of `cf_update` for cf.
-The dlkf step converts accel/mag into measured angles, runs the filter
-time update and whichever measurement layers have valid data this epoch,
-then feeds the corrections back. A gated accelerometer or an off-epoch
-magnetometer simply skips its layer; the covariance flows on.
+The dlkf step runs the filter time update, converts accel/mag into
+measured angles, runs whichever measurement layers have valid data this
+epoch, then feeds the corrections back. A gated accelerometer or an
+off-epoch magnetometer simply skips its layer; the covariance flows on.
 """
 
 from __future__ import annotations
@@ -34,8 +34,7 @@ from .complementary import cf_update
 from .dlkf import (FilterState, NoiseConfig, accel_update, apply_correction,
                    mag_update, time_update)
 from .fasteuler import accel_roll_pitch, mag_yaw
-from .geometry import (EulerAngles, Quaternion, _new, euler_to_quat, quat_to_euler,
-                       wrap_pi)
+from .geometry import EulerAngles, Quaternion, _new, euler_to_quat, quat_to_euler
 from .propagation import PropagatorState, propagate
 from .simulate import SensorLog, SensorRecord, _column, _Table
 
@@ -214,22 +213,20 @@ def _dlkf_step(cfg, q0, bias_seed, on_epoch):
         prop = propagate(prop, row[1:4], dt)
         est = quat_to_euler(prop.q)
 
+        fs = time_update(fs, prop.q, dt, cfg.noise)
         meas = accel_roll_pitch(row[4:7], cfg.noise)
-        yaw_meas = None
+        if meas is not None:
+            roll, pitch, gamma2 = meas
+            fs = accel_update(fs, (roll - est.roll, pitch - est.pitch),
+                              (gamma2 * r0, gamma2 * r1))
         if mag_due:
             # tilt-compensate with the accel angles only while the
             # accel is fully trusted; a gated or de-weighted sample
             # would leak its linear-acceleration error into heading
             tilt = meas if meas is not None and meas[2] <= 1.0 else (est.roll, est.pitch)
             yaw_meas = mag_yaw(row[7:10], tilt[0], tilt[1])
-
-        fs = time_update(fs, prop.q, dt, cfg.noise)
-        if meas is not None:
-            roll, pitch, gamma2 = meas
-            z1 = (wrap_pi(roll - est.roll), wrap_pi(pitch - est.pitch))
-            fs = accel_update(fs, z1, (gamma2 * r0, gamma2 * r1))
-        if yaw_meas is not None:
-            fs = mag_update(fs, yaw_meas - est.yaw, cfg.noise.Rm)
+            if yaw_meas is not None:
+                fs = mag_update(fs, yaw_meas - est.yaw, cfg.noise.Rm)
         prop, fs = apply_correction(prop, fs, est)
         if on_epoch is not None:
             on_epoch(row[0], fs)

@@ -210,13 +210,17 @@ class SensorLog(_Table):
     @classmethod
     def of(cls, records: Sequence[SensorRecord]) -> "SensorLog":
         """`records` itself if it is a `SensorLog`, else a new log of their
-        values, with truth only if every record carries it."""
+        values, with truth if every record carries it and without if none
+        does; a list where only some records carry it is a ValueError."""
         if isinstance(records, SensorLog):
             return records
         if not records:
             return cls(np.empty((0, 10)))
         *columns, truth = zip(*records)
-        if not any(e is None for e in truth):
+        n_bare = sum([e is None for e in truth])
+        if 0 < n_bare < len(truth):
+            raise ValueError("truth must be present for all records or none")
+        if not n_bare:
             columns.append(truth)
         return cls(np.column_stack(columns).astype(float, copy=False))
 

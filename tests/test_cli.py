@@ -171,8 +171,22 @@ class TestDiagnostics:
                      "--candidate", str(est["candidate"]), "--truth", str(log)])
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
-        assert captured.err == (f"error: {side} RMSE must be finite and "
-                                f"{'>=' if side == 'baseline' else '>'} 0, got nan\n")
+        assert captured.err == "error: estimate angles must be finite, got nan\n"
+
+    def test_eval_with_a_nan_estimate_exits_nonzero(self, workspace, capsys):
+        log, est = workspace / "log.csv", workspace / "est.csv"
+        main(["sim", "--scenario", str(workspace / "hover.scn"), "--out", str(log)])
+        main(["run", "--log", str(log), "--out", str(est)])
+        lines = est.read_text().splitlines()
+        cells = lines[50].split(",")
+        cells[1] = "nan"  # one roll estimate
+        lines[50] = ",".join(cells)
+        est.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = main(["eval", "--estimates", str(est), "--truth", str(log)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: estimate angles must be finite, got nan\n"
 
     def test_eval_without_truth_columns(self, workspace, capsys):
         log = workspace / "log.csv"

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ahrskit.benchmark import static_records
+from ahrskit.benchmark import matched_noise_config, static_records
 from ahrskit.complementary import cf_update
 from ahrskit.geometry import (EulerAngles, Quaternion, euler_to_quat,
                               quat_to_dcm, quat_to_euler, wrap_pi)
+from ahrskit.pipeline import PipelineConfig, run_pipeline
 from ahrskit.propagation import PropagatorState, propagate
+from test_golden import RATE, estimate_digest, golden_records
 
 # identity attitude, zero gyro bias
 START = PropagatorState(Quaternion.identity(), (0.0, 0.0, 0.0))
@@ -61,6 +63,26 @@ def test_integral_action_shrinks_steady_state_bias_error():
         out = run_static(START, records, kp=1.0, ki=ki)
         err[ki] = abs(wrap_pi(quat_to_euler(out.q).roll))
     assert err[0.05] < err[0.0]
+
+
+def test_zero_ki_leaves_the_bias_bit_for_bit():
+    # the integral adds ki * e * dt = +-0.0, and b - (+-0.0) == b for a
+    # bias that is not -0.0
+    rng = np.random.default_rng(42)
+    for bias in ((0.0, 0.0, 0.0), tuple(rng.normal(scale=0.01, size=3).tolist())):
+        prop = PropagatorState(START.q, bias)
+        for _ in range(200):
+            prop = cf_update(prop, rng.normal(size=3), rng.normal(size=3),
+                             rng.normal(size=3), 0.004, kp=1.0, ki=0.0)
+            assert np.array(prop.bias).tobytes() == np.array(bias).tobytes()
+
+
+def test_zero_ki_run_is_bit_identical():
+    # the digest of the golden log's cf run at ki = 0, pinned when
+    # cf_update still skipped the integral at ki = 0
+    cfg = PipelineConfig(algorithm="cf", cf_ki=0.0, noise=matched_noise_config(RATE))
+    assert estimate_digest(run_pipeline(golden_records(), cfg)) == \
+        "d7614f322e8f507719779319488670c1987360c9335240733960bb6acb156985"
 
 
 def test_norm_preserved():

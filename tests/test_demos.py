@@ -3,13 +3,30 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_cli_workflow_demo_cleans_up(tmp_path):
+def run_demo(name, tmp_path):
     env = {**os.environ, "TMPDIR": str(tmp_path), "PYTHONPATH": str(ROOT / "src")}
-    proc = subprocess.run([sys.executable, str(ROOT / "demos" / "04_cli_workflow.py")],
+    return subprocess.run([sys.executable, str(ROOT / "demos" / name)],
                           capture_output=True, text=True, env=env, timeout=120)
+
+
+@pytest.mark.parametrize("name, key_line", [
+    ("01_static_bias_estimation.py", "roll/pitch RMS after convergence: "),
+    ("02_dynamic_benchmark.py", "improvement_yaw_pct="),
+    ("03_adaptive_accel_noise.py", "de-weighting cuts the damage"),
+])
+def test_demo_runs(tmp_path, name, key_line):
+    proc = run_demo(name, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert key_line in proc.stdout
+
+
+def test_cli_workflow_demo_cleans_up(tmp_path):
+    proc = run_demo("04_cli_workflow.py", tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert "improvement_yaw_pct=" in proc.stdout
     assert list(tmp_path.iterdir()) == []

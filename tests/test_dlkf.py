@@ -15,10 +15,11 @@ from ahrskit.benchmark import static_records
 from ahrskit.dlkf import (_COLS, _ROWS, _UNPACK, FilterState, NoiseConfig, _pack,
                           _packed, accel_update, apply_correction, mag_update,
                           time_update)
-from ahrskit.fasteuler import accel_roll_pitch, mag_yaw
+from ahrskit.fasteuler import accel_roll_pitch
 from ahrskit.geometry import (Quaternion, _dcm_entries, euler_to_quat, EulerAngles,
                               quat_to_euler, wrap_pi)
-from ahrskit.propagation import PropagatorState, propagate
+from ahrskit.pipeline import PipelineConfig, run_pipeline
+from ahrskit.propagation import PropagatorState
 
 
 def random_pd(rng, n=6, floor=0.1):
@@ -221,7 +222,9 @@ class TestAccelUpdate:
         # the former 2x2 form, diagonal or not, is never read
         for ra in (np.diag([0.5, 5.0]), ((0.5, 0.0), (0.0, 5.0)),
                    [[0.5, 0.0], [0.0, 5.0]], np.eye(3), np.ones(3), (0.5,),
-                   (0.5, 5.0, 1.0), 1.0, ("0.5", "5.0"), None):
+                   (0.5, 5.0, 1.0), 1.0, ("0.5", "5.0"), None,
+                   # a one-element array compares like a number, but is none
+                   np.ones((2, 1)), (np.array([0.5]), 5.0), (0.5, np.array([5.0]))):
             with pytest.raises(ValueError, match="^ra must be two finite variances > 0"):
                 accel_update(FilterState.initial(), (0.0, 0.0), ra)
 
@@ -242,6 +245,18 @@ class TestAccelUpdate:
         P[:2, :2] = -np.diag(ra)
         with pytest.raises(ValueError, match="innovation variance must be > 0"):
             accel_update(FilterState(np.zeros(6), P), (0.0, 0.0), ra)
+
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_innovation_wraps_across_180_degrees(self, index):
+        # a difference of 2 pi - 0.02 is the angle -0.02 seen from the
+        # other side of +-180 deg, so the update must be the same
+        rng = np.random.default_rng(37)
+        fs = FilterState(rng.normal(scale=0.01, size=6), random_pd(rng))
+        z, wrapped = [0.01, -0.01], [0.01, -0.01]
+        z[index], wrapped[index] = 2.0 * math.pi - 0.02, -0.02
+        out, ref = accel_update(fs, z, (0.3, 2.0)), accel_update(fs, wrapped, (0.3, 2.0))
+        np.testing.assert_allclose(out.x, ref.x, rtol=1e-12, atol=1e-15)
+        np.testing.assert_array_equal(out.P, ref.P)
 
     def test_rejects_zero_roll_innovation_variance(self):
         # S = [[0, 1], [1, 6]] is regular, but the roll update divides by
@@ -265,7 +280,8 @@ class TestAccelUpdate:
                 accel_update(FilterState.initial(), (0.0, 0.0), ra)
 
     @pytest.mark.parametrize("index", [0, 1])
-    @pytest.mark.parametrize("variance", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("variance", [0.0, -1.0, math.nan, math.inf,
+                                          np.array([0.5]), np.array([-1.0])])
     def test_rejects_variance_that_is_not_finite_and_positive(self, index, variance):
         ra = [0.5, 5.0]
         ra[index] = variance
@@ -313,6 +329,11 @@ class TestMagUpdate:
         # an infinite Rm would make the gain zero and skip the update
         with pytest.raises(ValueError, match="finite and > 0"):
             mag_update(FilterState.initial(), 0.0, math.inf)
+
+    @pytest.mark.parametrize("Rm", [np.array([5e-3]), np.ones(2), "5e-3", None])
+    def test_rejects_noise_that_is_not_a_real_number(self, Rm):
+        with pytest.raises(ValueError, match="^Rm must be finite and > 0"):
+            mag_update(FilterState.initial(), 0.0, Rm)
 
     def test_rejects_zero_innovation_variance(self):
         # p22 + Rm == 0, which only a P that is not PSD reaches, is a
@@ -425,6 +446,10 @@ class TestNoiseConfig:
         dict(Q=("1e-9",) * 6),
         *[dict(Q=tuple(bad if i == k else 1e-9 for k in range(6)))
           for i in range(6) for bad in (-1e-12, math.nan, math.inf)],
+        # not real numbers; a one-element array compares like one
+        dict(Rm=np.array([5e-3])),
+        dict(tau_g=np.array([100.0])),
+        dict(gravity="9.81"),
     ])
     def test_validation(self, kwargs):
         (name, _), = kwargs.items()
@@ -506,8 +531,9 @@ def loop_time_update(fs, q, dt, cfg):
     return _packed(x, p)
 
 
-def loop_observe(fs, i, innov, r):
+def loop_observe(fs, i, z, r):
     x, p = fs._x, fs._p
+    innov = wrap_pi(float(z) - x[i])
     h = _columns[i](p)
     s = h[i] + r
     gain = [hi / s for hi in h]
@@ -518,12 +544,11 @@ def loop_observe(fs, i, innov, r):
 
 def loop_accel_update(fs, z1, ra):
     r0, r1 = ra
-    fs = loop_observe(fs, 0, float(z1[0]) - fs._x[0], r0)
-    return loop_observe(fs, 1, float(z1[1]) - fs._x[1], r1)
+    return loop_observe(loop_observe(fs, 0, z1[0], r0), 1, z1[1], r1)
 
 
 def loop_mag_update(fs, z2, Rm):
-    return loop_observe(fs, 2, wrap_pi(float(z2) - fs._x[2]), Rm)
+    return loop_observe(fs, 2, z2, Rm)
 
 
 def assert_same_state(out, ref):
@@ -565,28 +590,6 @@ def test_closed_loop_bias_observability():
     bias = np.array([0.02, -0.01, 0.015])
     records = static_records(duration=30.0, gyro_bias=tuple(bias), noisy=False,
                              seed=0)
-    cfg = NoiseConfig()
-    prop = PropagatorState(Quaternion.identity(), (0.0, 0.0, 0.0))
-    fs = FilterState.initial()
-    next_mag, mag_period = records[0].t, 0.1
-    t_prev = 0.0
-    for rec in records:
-        dt = rec.t - t_prev
-        prop = propagate(prop, rec.gyro, dt)
-        est = quat_to_euler(prop.q)
-        rp = accel_roll_pitch(rec.accel, cfg)
-        yaw_meas = None
-        if rec.t >= next_mag:
-            tilt = rp if rp is not None else (est.roll, est.pitch)
-            yaw_meas = mag_yaw(rec.mag, tilt[0], tilt[1])
-            while next_mag <= rec.t:
-                next_mag += mag_period
-        fs = time_update(fs, prop.q, dt, cfg)
-        if rp is not None:
-            fs = accel_update(fs, (wrap_pi(rp[0] - est.roll),
-                                   wrap_pi(rp[1] - est.pitch)), cfg.Ra_nominal)
-        if yaw_meas is not None:
-            fs = mag_update(fs, yaw_meas - est.yaw, cfg.Rm)
-        prop, fs = apply_correction(prop, fs, est)
-        t_prev = rec.t
-    np.testing.assert_allclose(prop.bias, bias, rtol=0.05)
+    estimates = run_pipeline(records, PipelineConfig(noise=NoiseConfig(),
+                                                     align_duration_s=0.0))
+    np.testing.assert_allclose(estimates.gyro_bias[-1], bias, rtol=0.05)

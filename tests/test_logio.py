@@ -180,8 +180,9 @@ def test_log_uses_lf_and_utf8(tmp_path, records):
 def test_mixed_truth_rejected(tmp_path, records):
     mixed = list(records)
     mixed[3] = mixed[3]._replace(truth=None)
-    with pytest.raises(ValueError, match="truth"):
+    with pytest.raises(ValueError, match="^truth must be present for all records or none$"):
         write_log(tmp_path / "log.csv", mixed)
+    assert not (tmp_path / "log.csv").exists()
 
 
 def test_estimates_round_trip(tmp_path, records):

@@ -67,6 +67,16 @@ class TestRmse:
             rmse(np.zeros((5, 2)), np.zeros((5, 2)))
 
 
+    @pytest.mark.parametrize("side", ["estimate", "truth"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_angles(self, side, value):
+        angles = {"estimate": np.zeros((5, 3)), "truth": np.zeros((5, 3))}
+        angles[side][2, 1] = value
+        with pytest.raises(ValueError, match=f"^{side} angles must be finite, "
+                                             f"got {value}$"):
+            rmse(angles["estimate"], angles["truth"])
+
+
 class TestImprovement:
     @pytest.mark.parametrize("baseline, candidate, expected", [
         (1.7967, 1.3156, 36.6),   # published roll comparison

@@ -18,7 +18,8 @@ from ahrskit.complementary import cf_update
 from ahrskit.dlkf import FilterState, accel_update, apply_correction
 from ahrskit.geometry import (EulerAngles, _dcm_entries, euler_to_quat, quat_multiply,
                               Quaternion, quat_to_dcm, quat_to_euler, rotvec_to_quat)
-from ahrskit.pipeline import AttitudeEstimate, Estimates
+from ahrskit.logio import write_log
+from ahrskit.pipeline import AttitudeEstimate, Estimates, PipelineConfig, run_pipeline
 from ahrskit.propagation import PropagatorState, propagate
 from ahrskit.simulate import (AccelModel, GyroModel, MagModel, Segment,
                               SensorLog, SensorRecord, TrajectorySpec, simulate,
@@ -401,12 +402,20 @@ class TestSensorLog:
         assert bare.truth is None and bare.t.tobytes() == log.t.tobytes()
         assert len(SensorLog.of([])) == 0
 
-    def test_of_keeps_truth_only_if_every_record_has_it(self, log):
+    @pytest.mark.parametrize("bare", [[3], [0], list(range(1, 10))],
+                             ids=["one", "first", "all-but-first"])
+    def test_of_rejects_partial_truth(self, log, tmp_path, bare):
+        # every reader of a record list gets the one error from SensorLog.of
         mixed = list(log[:10])
-        mixed[3] = mixed[3]._replace(truth=None)
-        assert SensorLog.of(mixed).truth is None
-        with pytest.raises(ValueError):
-            truth_array(mixed)
+        for i in bare:
+            mixed[i] = mixed[i]._replace(truth=None)
+        path = tmp_path / "log.csv"
+        for read in (SensorLog.of, truth_array, lambda r: write_log(path, r),
+                     lambda r: run_pipeline(r, PipelineConfig(align_duration_s=0.0))):
+            with pytest.raises(ValueError, match="^truth must be present for all "
+                                                 "records or none$"):
+                read(mixed)
+        assert not path.exists()
 
 
 class TestValidation:
