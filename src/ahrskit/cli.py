@@ -31,9 +31,9 @@ def _cmd_sim(args) -> int:
             seed = configio._seed(args.seed)
         except ValueError as exc:
             raise ValueError(f"--seed: {exc}") from None
-    records = simulate(traj, gyro, accel, mag, rate, seed)
-    logio.write_log(args.out, records)
-    print(f"wrote {len(records)} samples ({records.t[-1]:.2f} s at {rate:g} Hz) "
+    log = simulate(traj, gyro, accel, mag, rate, seed)
+    logio.write_log(args.out, log)
+    print(f"wrote {len(log)} samples ({log.t[-1]:.2f} s at {rate:g} Hz) "
           f"to {args.out}")
     return 0
 

@@ -12,23 +12,18 @@ rewriting produces bit-identical files. Readers skip blank and
 whitespace-only lines, accept CRLF, and name the file in every error.
 A log is read into, and written from, the one table of a `SensorLog` in
 the column order of its header, and estimates the (N, 11) table of an
-`Estimates`, without an object per row.
-
-A writer turns its input into that float table before it opens the
-file, so a record or estimate that cannot become a row raises with
-nothing written. It then writes `_CHUNK` rows at a time: the text of the
-whole file is never held at once.
+`Estimates`, without an object per row. A writer writes `_CHUNK` rows at
+a time: the text of the whole file is never held at once.
 """
 
 from __future__ import annotations
 
 import warnings
-from typing import Sequence
 
 import numpy as np
 
-from .pipeline import AttitudeEstimate, Estimates
-from .simulate import _CHUNK, SensorLog, SensorRecord
+from .pipeline import Estimates
+from .simulate import _CHUNK, SensorLog
 
 LOG_HEADER = "t,gx,gy,gz,ax,ay,az,mx,my,mz"
 LOG_TRUTH_HEADER = LOG_HEADER + ",troll,tpitch,tyaw"
@@ -66,10 +61,9 @@ def _write_table(path, header: str, table: np.ndarray) -> None:
             fh.write("".join([",".join(map(repr, row)) + "\n" for row in rows]))
 
 
-def write_log(path, records: Sequence[SensorRecord]) -> None:
-    """Write sensor records from the table of their `SensorLog`; truth
-    columns appear iff the records carry truth."""
-    log = SensorLog.of(records)
+def write_log(path, log: SensorLog) -> None:
+    """Write the table of a sensor log; truth columns appear iff the log
+    carries truth."""
     if not log:
         raise ValueError("refusing to write an empty log")
     _write_table(path, LOG_HEADER if log.truth is None else LOG_TRUTH_HEADER, log.table)
@@ -89,15 +83,10 @@ def _truth_angles(path):
     return log.t, log.truth
 
 
-def write_estimates(path, estimates: Sequence[AttitudeEstimate]) -> None:
-    """Write estimates from the table of their `Estimates`, which any
-    other sequence becomes first: a malformed estimate raises there,
-    before the file is opened."""
+def write_estimates(path, estimates: Estimates) -> None:
+    """Write the table of a run's estimates."""
     if not estimates:
         raise ValueError("refusing to write an empty estimate file")
-    if not isinstance(estimates, Estimates):
-        estimates = Estimates(np.array([(e.t, *e.euler, *e.q, *e.gyro_bias)
-                                        for e in estimates], dtype=float))
     _write_table(path, EST_HEADER, estimates.table)
 
 

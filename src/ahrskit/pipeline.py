@@ -20,10 +20,8 @@ off-epoch magnetometer simply skips its layer; the covariance flows on.
 from __future__ import annotations
 
 import math
-import operator
 import struct
 from array import array
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Callable, Iterator, NamedTuple, Optional, Tuple
@@ -36,7 +34,7 @@ from .dlkf import (FilterState, NoiseConfig, accel_update, apply_correction,
 from .fasteuler import accel_roll_pitch, mag_yaw
 from .geometry import EulerAngles, Quaternion, _new, euler_to_quat, quat_to_euler
 from .propagation import PropagatorState, propagate
-from .simulate import SensorLog, SensorRecord, _column, _Table
+from .simulate import SensorLog, _check_times, _column, _Table
 
 class AlignmentError(ValueError):
     """Raised when the initial-alignment window is unusable."""
@@ -85,7 +83,8 @@ class Estimates(_Table):
     roll, pitch, yaw, qw, qx, qy, qz, bgx, bgy, bgz (`logio.EST_HEADER`).
     `t`, `euler`, `q` and `gyro_bias` are read-only views of the table,
     so holding a run holds one array and no per-sample object. `==`
-    compares element by element with any sequence.
+    holds for another `Estimates` with an equal table, compared as
+    floats (NaN differs from itself, -0.0 equals 0.0).
     """
 
     __slots__ = ()
@@ -104,21 +103,20 @@ class Estimates(_Table):
                        zip(bx, by, bz)))
 
     def __eq__(self, other):
-        if not isinstance(other, Sequence):
+        if not isinstance(other, Estimates):
             return NotImplemented
-        return len(self) == len(other) and all(map(operator.eq, self, other))
+        return np.array_equal(self._table, other._table)
 
 
-def initial_alignment(records: Sequence[SensorRecord], cfg: NoiseConfig,
+def initial_alignment(log: SensorLog, cfg: NoiseConfig,
                       ) -> Tuple[Quaternion, Tuple[float, float, float]]:
-    """Coarse attitude and gyro-bias seed from a static data window.
+    """Coarse attitude and gyro-bias seed from the static window `log`.
 
     Roll/pitch come from the gate-passing accelerometer average, yaw
     from the magnetometer average, and the mean gyro rate seeds the bias
     accumulator (valid because the vehicle is assumed static). A sample
     that is not finite is left out of its sensor's average.
     """
-    log = SensorLog.of(records)
     if not log:
         raise AlignmentError("alignment window is empty")
     passing = [accel_roll_pitch(a, cfg) is not None for a in log.accel.tolist()]
@@ -146,29 +144,19 @@ def _finite_mean(columns: np.ndarray, sensor: str) -> np.ndarray:
     return np.mean(columns[finite], axis=0)
 
 
-def run_pipeline(records: Sequence[SensorRecord], cfg: PipelineConfig,
+def run_pipeline(log: SensorLog, cfg: PipelineConfig,
                  on_epoch: Optional[Callable[[float, FilterState], None]] = None,
                  ) -> Estimates:
-    """Run the configured estimator over a time-ordered record stream.
+    """Run the configured estimator over a time-ordered sensor log.
 
-    `records` is a `SensorLog` or any sequence of `SensorRecord`s, which
-    is converted to one first. Estimates are emitted at the IMU rate for
-    every sample after the alignment window, as one `Estimates` table.
-    `on_epoch`, if given, receives (t, FilterState) after each dlkf epoch
-    (diagnostics; ignored by other algorithms).
+    Estimates are emitted at the IMU rate for every sample after the
+    alignment window, as one `Estimates` table. `on_epoch`, if given,
+    receives (t, FilterState) after each dlkf epoch (diagnostics;
+    ignored by other algorithms).
     """
-    log = SensorLog.of(records)
     if not log:
         raise ValueError("no records to process")
-    bad = ~np.isfinite(log.t)  # each t finite and greater than the one before
-    bad[1:] |= ~(log.t[1:] > log.t[:-1])
-    if bad.any():
-        i = int(bad.argmax())
-        t, t_prev = float(log.t[i]), float(log.t[i - 1])
-        if i == 0:
-            raise ValueError(f"sample 0 (t={t}): timestamp not finite")
-        fault = "not strictly increasing" if math.isfinite(t) else "not finite"
-        raise ValueError(f"sample {i} (t={t}): timestamps {fault} (previous t={t_prev})")
+    _check_times(log.t)
 
     n_align = 1  # without alignment the first sample only sets the clock
     q0, bias_seed = Quaternion.identity(), (0.0, 0.0, 0.0)

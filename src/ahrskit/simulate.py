@@ -152,6 +152,20 @@ class SensorRecord(NamedTuple):
 _CHUNK = 1024  # table rows converted to Python floats at a time
 
 
+def _check_times(t: np.ndarray, row: str = "sample") -> None:
+    """Raise a ValueError naming the first `row` of the (N,) times `t`
+    that is not finite or not greater than the one before."""
+    bad = ~np.isfinite(t)
+    bad[1:] |= ~(t[1:] > t[:-1])
+    if bad.any():
+        i = int(bad.argmax())
+        t_i, t_prev = float(t[i]), float(t[i - 1])
+        if i == 0:
+            raise ValueError(f"{row} 0 (t={t_i}): timestamp not finite")
+        fault = "not strictly increasing" if math.isfinite(t_i) else "not finite"
+        raise ValueError(f"{row} {i} (t={t_i}): timestamps {fault} (previous t={t_prev})")
+
+
 def _column(columns, doc: str) -> property:
     """A read-only view of some columns of the instance's `_table`."""
     return property(lambda self: self._table[:, columns], doc=doc)
@@ -209,11 +223,10 @@ class SensorLog(_Table):
 
     @classmethod
     def of(cls, records: Sequence[SensorRecord]) -> "SensorLog":
-        """`records` itself if it is a `SensorLog`, else a new log of their
-        values, with truth if every record carries it and without if none
-        does; a list where only some records carry it is a ValueError."""
-        if isinstance(records, SensorLog):
-            return records
+        """A new log of the records' values, with truth if every record
+        carries it and without if none does; a list where only some
+        records carry it is a ValueError. A caller with records converts
+        them here once, since every other entry point takes a log."""
         if not records:
             return cls(np.empty((0, 10)))
         *columns, truth = zip(*records)
@@ -307,9 +320,9 @@ def simulate(traj: TrajectorySpec, gyro_model: GyroModel, accel_model: AccelMode
     return SensorLog(table)
 
 
-def truth_array(records: Sequence[SensorRecord]) -> np.ndarray:
-    """A copy of a log's (N, 3) roll/pitch/yaw truth; raises without truth."""
-    truth = SensorLog.of(records).truth
+def truth_array(log: SensorLog) -> np.ndarray:
+    """A copy of the log's (N, 3) roll/pitch/yaw truth; raises without truth."""
+    truth = log.truth
     if truth is None:
         raise ValueError("log has no ground truth")
     return truth.copy()

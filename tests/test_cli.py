@@ -5,6 +5,7 @@ import pytest
 
 from ahrskit.cli import main
 from ahrskit.logio import read_estimates, read_log
+from ahrskit.simulate import SensorLog
 
 SCENARIO = """
 rate_hz = 250
@@ -188,16 +189,30 @@ class TestDiagnostics:
         assert code == 1 and captured.out == ""
         assert captured.err == "error: estimate angles must be finite, got nan\n"
 
+    def test_eval_with_estimates_out_of_order_exits_nonzero(self, workspace, capsys):
+        log, est = workspace / "log.csv", workspace / "est.csv"
+        main(["sim", "--scenario", str(workspace / "hover.scn"), "--out", str(log)])
+        main(["run", "--log", str(log), "--out", str(est)])
+        lines = est.read_text().splitlines()
+        lines[50], lines[51] = lines[51], lines[50]  # rows 49 and 50 swap places
+        est.write_text("\n".join(lines) + "\n")
+        t_late, t_early = (line.split(",")[0] for line in lines[50:52])
+        capsys.readouterr()
+        code = main(["eval", "--estimates", str(est), "--truth", str(log)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == (f"error: estimate 50 (t={t_early}): timestamps not "
+                                f"strictly increasing (previous t={t_late})\n")
+
     def test_eval_without_truth_columns(self, workspace, capsys):
         log = workspace / "log.csv"
         main(["sim", "--scenario", str(workspace / "hover.scn"), "--out", str(log)])
         est = workspace / "est.csv"
         main(["run", "--log", str(log), "--out", str(est)])
         # strip the truth columns: eval must refuse cleanly
-        records = [r._replace(truth=None) for r in read_log(log)]
         from ahrskit.logio import write_log
         bare = workspace / "bare.csv"
-        write_log(bare, records)
+        write_log(bare, SensorLog(read_log(log).table[:, :10]))
         code = main(["eval", "--estimates", str(est), "--truth", str(bare)])
         assert code == 1
         assert "truth" in capsys.readouterr().err

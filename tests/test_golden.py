@@ -80,7 +80,7 @@ from ahrskit.benchmark import benchmark_records, matched_noise_config, mems_mode
 from ahrskit.geometry import quat_to_euler
 from ahrskit.pipeline import PipelineConfig, run_pipeline
 from ahrskit.propagation import PropagatorState
-from ahrskit.simulate import Segment, TrajectorySpec, simulate
+from ahrskit.simulate import Segment, SensorLog, TrajectorySpec, simulate
 
 RATE = 250.0
 
@@ -301,8 +301,9 @@ def test_mag_epochs_follow_accumulated_schedule(records, monkeypatch, log):
 
 def test_mag_schedule_resumes_at_its_rate_after_a_gap(records, monkeypatch):
     gap_at = 1500
-    records = [r._replace(t=r.t + 1000.0) if i >= gap_at else r
-               for i, r in enumerate(records)]
+    table = records.table.copy()
+    table[gap_at:, 0] += 1000.0
+    records = SensorLog(table)
     due, times = mag_due_flags(monkeypatch, records, PipelineConfig())
     after = [i for i, (d, t) in enumerate(zip(due, times)) if d and t > 1000.0]
     assert times[after[0] - 1] < 1000.0  # the first sample after the gap

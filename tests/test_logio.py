@@ -47,7 +47,7 @@ def test_log_rewrite_is_bit_identical(tmp_path, records):
 
 
 def test_log_without_truth(tmp_path, records):
-    stripped = [r._replace(truth=None) for r in records]
+    stripped = SensorLog(records.table[:, :10])
     path = tmp_path / "log.csv"
     write_log(path, stripped)
     assert path.read_text().splitlines()[0] == "t,gx,gy,gz,ax,ay,az,mx,my,mz"
@@ -57,16 +57,11 @@ def test_log_without_truth(tmp_path, records):
 
 @pytest.mark.parametrize("truth", [True, False], ids=["truth", "bare"])
 def test_log_table_writes_as_its_records(tmp_path, truth):
-    # the table path writes the same bytes as the per-record path, across
-    # several conversion chunks
+    # the table reads back column for column, across several conversion chunks
     log = static_records(duration=10.0, noisy=True, seed=5)
     if not truth:
-        write_log(tmp_path / "bare.csv", [r._replace(truth=None) for r in log])
-        log = read_log(tmp_path / "bare.csv")
-        assert log.truth is None
+        log = SensorLog(log.table[:, :10])
     write_log(tmp_path / "table.csv", log)
-    write_log(tmp_path / "rows.csv", list(log))
-    assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
     back = read_log(tmp_path / "table.csv")
     assert isinstance(back, SensorLog)
     for a, b in ((back.t, log.t), (back.gyro, log.gyro), (back.accel, log.accel),
@@ -116,8 +111,8 @@ def test_written_bytes_are_pinned(tmp_path, records):
     # sha256 of the files the repr writer produced before the reader and
     # writer were rebuilt on np.loadtxt; the estimates carry the log's own
     # numbers so that the pin does not move with the filters
-    estimates = [AttitudeEstimate(r.t, EulerAngles(*r.gyro), Quaternion(r.t, *r.accel),
-                                  r.mag) for r in records]
+    estimates = Estimates(np.column_stack([records.t, records.gyro, records.t,
+                                           records.accel, records.mag]))
     write_log(tmp_path / "log.csv", records)
     write_estimates(tmp_path / "est.csv", estimates)
     digest = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
@@ -144,21 +139,6 @@ def test_chunked_writer_matches_one_join_of_all_rows(tmp_path, n):
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
 
 
-GOOD_ESTIMATE = AttitudeEstimate(0.5, EulerAngles(0.1, -0.2, 3.0), Quaternion.identity(),
-                                 (1e-3, 0.0, -2e-3))
-
-
-@pytest.mark.parametrize("bad", [GOOD_ESTIMATE._replace(q=(1.0, 0.0, 0.0)),
-                                 GOOD_ESTIMATE._replace(euler=None),
-                                 GOOD_ESTIMATE._replace(t="x")],
-                         ids=["short-q", "no-euler", "text-t"])
-def test_malformed_estimate_writes_no_file(tmp_path, bad):
-    path = tmp_path / "est.csv"
-    with pytest.raises((ValueError, TypeError)):
-        write_estimates(path, [GOOD_ESTIMATE, GOOD_ESTIMATE, bad, GOOD_ESTIMATE])
-    assert not path.exists()
-
-
 def test_blank_lines_and_crlf_read_as_clean(tmp_path, records):
     clean = tmp_path / "clean.csv"
     write_log(clean, records)
@@ -178,10 +158,12 @@ def test_log_uses_lf_and_utf8(tmp_path, records):
 
 
 def test_mixed_truth_rejected(tmp_path, records):
+    # records become a log through `SensorLog.of`, which refuses partial
+    # truth before any file is opened
     mixed = list(records)
     mixed[3] = mixed[3]._replace(truth=None)
     with pytest.raises(ValueError, match="^truth must be present for all records or none$"):
-        write_log(tmp_path / "log.csv", mixed)
+        write_log(tmp_path / "log.csv", SensorLog.of(mixed))
     assert not (tmp_path / "log.csv").exists()
 
 
@@ -194,12 +176,10 @@ def test_estimates_round_trip(tmp_path, records):
 
 @pytest.mark.parametrize("algorithm", ["dlkf", "cf", "gyro-only"])
 def test_estimates_table_writes_as_its_rows(tmp_path, algorithm):
-    # the table path writes the same bytes as the per-estimate path
+    # the table reads back bit for bit and rewrites as the same bytes
     estimates = run_pipeline(static_records(duration=8.0, noisy=True, seed=5),
                              PipelineConfig(algorithm=algorithm))
     write_estimates(tmp_path / "table.csv", estimates)
-    write_estimates(tmp_path / "rows.csv", list(estimates))
-    assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
     back = read_estimates(tmp_path / "table.csv")
     assert isinstance(back, Estimates)
     np.testing.assert_array_equal(back.table, estimates.table)
@@ -211,8 +191,8 @@ def test_estimates_single_row(tmp_path):
     est = AttitudeEstimate(0.5, EulerAngles(0.1, -0.2, 3.0),
                            Quaternion.identity(), (1e-3, 0.0, -2e-3))
     path = tmp_path / "est.csv"
-    write_estimates(path, [est])
-    assert read_estimates(path) == [est]
+    write_estimates(path, Estimates(np.array([[est.t, *est.euler, *est.q, *est.gyro_bias]])))
+    assert list(read_estimates(path)) == [est]
 
 
 def test_file_routed_run_matches_in_memory(tmp_path, records):
@@ -230,6 +210,7 @@ class TestMalformedFiles:
     read = staticmethod(read_log)
     write = staticmethod(write_log)
     header = LOG_HEADER
+    empty = SensorLog(np.empty((0, 10)))
 
     def rejects(self, path, text, match=None):
         path.write_text(text)
@@ -271,7 +252,7 @@ class TestMalformedFiles:
 
     def test_refuses_empty_write(self, tmp_path):
         with pytest.raises(ValueError):
-            self.write(tmp_path / "f.csv", [])
+            self.write(tmp_path / "f.csv", self.empty)
 
 
 class TestMalformedEstimateFiles(TestMalformedFiles):
@@ -280,3 +261,4 @@ class TestMalformedEstimateFiles(TestMalformedFiles):
     read = staticmethod(read_estimates)
     write = staticmethod(write_estimates)
     header = EST_HEADER
+    empty = Estimates(np.empty((0, 11)))

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -144,6 +145,27 @@ class TestAlign:
         with pytest.raises(ValueError):
             align_series(np.arange(5) * 0.1, np.zeros((5, 3)),
                          np.array([100.0]), np.zeros((1, 3)))
+
+    def test_estimate_out_of_order_rejected(self):
+        # row 5 moved past its successors carries a 1 rad roll error; a
+        # silent nearest-neighbour match would pair around it
+        t = np.arange(10) * 0.1
+        est = np.zeros((10, 3))
+        est[5, 0] = 1.0
+        t_est = t.copy()
+        t_est[5] = 0.95
+        message = "estimate 6 (t=0.6000000000000001): timestamps not strictly " \
+                  "increasing (previous t=0.95)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            evaluate(t_est, est, t, np.zeros((10, 3)))
+
+    def test_non_finite_estimate_time_rejected(self):
+        t = np.arange(10) * 0.1
+        t_est = t.copy()
+        t_est[5] = math.nan
+        with pytest.raises(ValueError, match=r"^estimate 5 \(t=nan\): timestamps not "
+                                             r"finite \(previous t=0\.4\)$"):
+            align_series(t_est, np.zeros((10, 3)), t, np.zeros((10, 3)))
 
 
 class TestReports:

@@ -11,16 +11,24 @@ import pytest
 
 import ahrskit
 
-from ahrskit.benchmark import (benchmark_records, matched_noise_config, mems_models,
-                               static_records)
+from ahrskit.benchmark import matched_noise_config, mems_models, static_records
 from ahrskit.dlkf import NoiseConfig
 from ahrskit.geometry import EulerAngles, Quaternion, quat_to_euler, wrap_pi
 from ahrskit.pipeline import (AlignmentError, Estimates, PipelineConfig,
                               initial_alignment, run_pipeline)
-from ahrskit.simulate import (Segment, SensorRecord, TrajectorySpec,
-                              simulate, truth_array)
+from ahrskit.simulate import Segment, SensorLog, TrajectorySpec, simulate, truth_array
 
 MATCHED = matched_noise_config(250.0)
+
+_FIELDS = {"t": 0, "gyro": slice(1, 4), "accel": slice(4, 7), "mag": slice(7, 10)}
+
+
+def rewritten(log, rows, field, value):
+    """A log whose table is a copy of `log`'s with `value` written into
+    `field` of `rows`."""
+    table = log.table.copy()
+    table[rows, _FIELDS[field]] = value
+    return SensorLog(table)
 
 
 def attitude_errors(estimates, records):
@@ -99,43 +107,40 @@ class TestInitialAlignment:
     def test_shaking_rejected(self):
         # violent norm changes: the gate rejects most of the window
         records = static_records(duration=2.0, noisy=False, seed=0)
-        shaken = [
-            SensorRecord(r.t, r.gyro, r.accel * (1.0 + 0.5 * (i % 3)), r.mag,
-                         r.truth)
-            for i, r in enumerate(records)
-        ]
+        gain = 1.0 + 0.5 * (np.arange(len(records)) % 3)
+        shaken = rewritten(records, slice(None), "accel", records.accel * gain[:, None])
         with pytest.raises(AlignmentError):
             initial_alignment(shaken, NoiseConfig())
 
     def test_empty_window_rejected(self):
         with pytest.raises(AlignmentError):
-            initial_alignment([], NoiseConfig())
+            initial_alignment(static_records(duration=1.0)[:0], NoiseConfig())
 
     @pytest.mark.parametrize("field, sensor", [("gyro", "gyro"), ("mag", "magnetometer")])
     def test_non_finite_samples_left_out(self, field, sensor):
-        records = list(static_records(duration=2.0, gyro_bias=(0.02, -0.01, 0.015),
-                                      noisy=True, seed=5))
+        records = static_records(duration=2.0, gyro_bias=(0.02, -0.01, 0.015),
+                                 noisy=True, seed=5)
         clean = initial_alignment(records, NoiseConfig())
-        records[7] = records[7]._replace(**{field: np.full(3, math.nan)})
-        records[9] = records[9]._replace(**{field: np.array([0.1, math.inf, 0.2])})
-        q0, bias_seed = initial_alignment(records, NoiseConfig())
+        faulty = rewritten(records, 7, field, math.nan)
+        faulty = rewritten(faulty, 9, field, (0.1, math.inf, 0.2))
+        q0, bias_seed = initial_alignment(faulty, NoiseConfig())
         assert np.isfinite([*q0, *bias_seed]).all()
         np.testing.assert_allclose([*q0, *bias_seed], [*clean[0], *clean[1]], atol=1e-4)
-        bad = [r._replace(**{field: np.full(3, math.nan)}) for r in records]
+        bad = rewritten(records, slice(None), field, math.nan)
         with pytest.raises(AlignmentError, match=f"no finite {sensor} sample"):
             initial_alignment(bad, NoiseConfig())
 
     def test_accel_average_failing_the_gate_rejected(self):
         # every sample passes the norm gate, but half point up and half
         # down, so their average is near zero
-        records = [r._replace(accel=-r.accel) if i % 2 else r
-                   for i, r in enumerate(static_records(duration=2.0, noisy=False, seed=0))]
+        records = static_records(duration=2.0, noisy=False, seed=0)
+        records = rewritten(records, slice(1, None, 2), "accel", -records.accel[1::2])
         with pytest.raises(AlignmentError, match="averaged accelerometer failed"):
             initial_alignment(records, NoiseConfig())
 
     def test_zero_mag_average_rejected(self):
-        records = [r._replace(mag=np.zeros(3))
-                   for r in static_records(duration=2.0, noisy=False, seed=0)]
+        records = rewritten(static_records(duration=2.0, noisy=False, seed=0),
+                            slice(None), "mag", 0.0)
         with pytest.raises(AlignmentError, match="averaged magnetometer is zero"):
             initial_alignment(records, NoiseConfig())
 
@@ -211,18 +216,6 @@ def test_run_keeps_no_object_per_sample(algorithm):
     assert max(growth.values()) <= 10, growth
 
 
-@pytest.mark.parametrize("algorithm", ["dlkf", "cf", "gyro-only"])
-def test_record_list_runs_as_its_log(algorithm):
-    """A plain list of records is converted once on entry, and runs bit
-    for bit as the `SensorLog` it came from (here a slice of one: the
-    benchmark's hover and roll doublet)."""
-    log = benchmark_records(seed=11)[:4500]
-    cfg = PipelineConfig(algorithm=algorithm, noise=MATCHED)
-    direct, listed = run_pipeline(log, cfg), run_pipeline(list(log), cfg)
-    assert listed == direct
-    assert listed.table.tobytes() == direct.table.tobytes()
-
-
 class TestEstimates:
     """`Estimates`: a read-only table that reads as a sequence of
     `AttitudeEstimate`s of Python floats."""
@@ -274,7 +267,7 @@ class TestEstimates:
         sliced = estimates[part]
         assert isinstance(sliced, Estimates)
         assert list(sliced) == listed[part]
-        assert sliced == listed[part]
+        assert sliced == Estimates(estimates.table[part].copy())
         assert len(sliced) == len(listed[part])
 
     def test_elements_are_python_floats(self, estimates):
@@ -285,13 +278,21 @@ class TestEstimates:
             assert all(type(v) is float for v in (*e.euler, *e.q, *e.gyro_bias))
 
     def test_equality_is_element_by_element(self, estimates):
+        # equal to another `Estimates` with an equal table, and to nothing else
         listed = list(estimates)
-        assert estimates == listed and listed == estimates
-        assert estimates == tuple(listed)
         assert estimates == Estimates(estimates.table.copy())
-        assert estimates != listed[:-1]
-        changed = listed[:-1] + [listed[-1]._replace(t=listed[-1].t + 1.0)]
-        assert estimates != changed
+        assert estimates != listed and listed != estimates
+        assert estimates != tuple(listed)
+        assert estimates != estimates[:-1]
+        changed = estimates.table.copy()
+        changed[-1, 5] += 1e-9
+        assert estimates != Estimates(changed)
+        # cells compare as floats: -0.0 equals 0.0, and NaN differs from itself
+        table = np.zeros((2, 11))
+        table[0, 0] = -0.0
+        assert Estimates(table) == Estimates(np.zeros((2, 11)))
+        table[1, 1] = math.nan
+        assert Estimates(table) != Estimates(table)
 
     def test_table_shape_is_checked(self):
         with pytest.raises(ValueError, match=r"\(N, 11\) float64"):
@@ -305,9 +306,11 @@ import sys
 import numpy as np
 from ahrskit.benchmark import static_records
 from ahrskit.pipeline import PipelineConfig, run_pipeline
+from ahrskit.simulate import SensorLog
 algorithm, last_t = sys.argv[1], float(sys.argv[2])
-records = list(static_records(duration=4.0, seed=1))
-records[-1] = records[-1]._replace(t=last_t)
+table = static_records(duration=4.0, seed=1).table.copy()
+table[-1, 0] = last_t
+records = SensorLog(table)
 try:
     estimates = run_pipeline(records, PipelineConfig(algorithm=algorithm))
 except ValueError as exc:
@@ -321,22 +324,20 @@ else:
 class TestErrors:
     def test_unordered_timestamps_reported_with_index(self):
         records = static_records(duration=3.0, noisy=False, seed=0)
-        bad = list(records)
-        bad[600] = bad[600]._replace(t=bad[599].t)
+        bad = rewritten(records, 600, "t", records.t[599])
         with pytest.raises(ValueError, match="not strictly increasing"):
             run_pipeline(bad, PipelineConfig())
 
     @pytest.mark.parametrize("algorithm", ["dlkf", "cf", "gyro-only"])
     def test_non_finite_gyro_reported_with_sample_index(self, algorithm):
-        records = list(static_records(duration=3.0, noisy=False, seed=0))
-        records[600] = records[600]._replace(gyro=np.array([np.nan, 0.0, 0.0]))
+        records = rewritten(static_records(duration=3.0, noisy=False, seed=0),
+                            600, "gyro", (np.nan, 0.0, 0.0))
         with pytest.raises(ValueError, match=r"sample 600 .*gyro sample must be finite"):
             run_pipeline(records, PipelineConfig(algorithm=algorithm))
 
     @pytest.mark.parametrize("algorithm", ["dlkf", "cf", "gyro-only"])
     def test_nan_timestamp_reported_as_timestamp_fault(self, algorithm):
-        records = list(static_records(duration=4.0, seed=1))
-        records[700] = records[700]._replace(t=math.nan)
+        records = rewritten(static_records(duration=4.0, seed=1), 700, "t", math.nan)
         with pytest.raises(ValueError, match=r"sample 700 .*timestamps"):
             run_pipeline(records, PipelineConfig(algorithm=algorithm, noise=MATCHED))
 
@@ -348,15 +349,13 @@ class TestErrors:
                              ids=["repeated", "backwards", "nan", "-inf"])
     def test_bad_timestamp_in_alignment_window_reported(self, t, fault, align_s):
         # sample 100 lies inside the 2 s window; its predecessor is at 0.4 s
-        records = list(static_records(duration=4.0, seed=1))
-        records[100] = records[100]._replace(t=t)
+        records = rewritten(static_records(duration=4.0, seed=1), 100, "t", t)
         message = f"sample 100 (t={t}): timestamps {fault} (previous t=0.4)"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             run_pipeline(records, PipelineConfig(align_duration_s=align_s))
 
     def test_nan_timestamp_mid_log_reported_before_the_run(self):
-        records = list(static_records(duration=8.0, seed=1))
-        records[1500] = records[1500]._replace(t=math.nan)
+        records = rewritten(static_records(duration=8.0, seed=1), 1500, "t", math.nan)
         epochs = []
         with pytest.raises(ValueError, match=r"^sample 1500 \(t=nan\): timestamps "
                                              r"not finite \(previous t=6\.0\)$"):
@@ -366,8 +365,7 @@ class TestErrors:
 
     @pytest.mark.parametrize("align_s", [2.0, 0.0], ids=["aligned", "unaligned"])
     def test_nan_first_timestamp_reported_as_timestamp_fault(self, align_s):
-        records = list(static_records(duration=4.0, seed=1))
-        records[0] = records[0]._replace(t=math.nan)
+        records = rewritten(static_records(duration=4.0, seed=1), 0, "t", math.nan)
         with pytest.raises(ValueError,
                            match=r"^sample 0 \(t=nan\): timestamp not finite$"):
             run_pipeline(records, PipelineConfig(align_duration_s=align_s))
@@ -392,14 +390,13 @@ class TestErrors:
     @pytest.mark.parametrize("algorithm", ["dlkf", "cf", "gyro-only"])
     def test_huge_time_step_reported(self, algorithm):
         # a finite gap so long that the gyro step's rotation angle overflows
-        records = list(static_records(duration=4.0, seed=1))
-        records[-1] = records[-1]._replace(t=1e300)
+        records = rewritten(static_records(duration=4.0, seed=1), -1, "t", 1e300)
         with pytest.raises(ValueError, match=r"sample 999 .*not finite"):
             run_pipeline(records, PipelineConfig(algorithm=algorithm))
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
-            run_pipeline([], PipelineConfig())
+            run_pipeline(static_records(duration=1.0)[:0], PipelineConfig())
 
     def test_alignment_window_swallowing_everything_rejected(self):
         records = static_records(duration=1.0, noisy=False, seed=0)
@@ -439,11 +436,10 @@ class TestBadSamples:
     @pytest.mark.parametrize("algorithm", ["dlkf", "cf"])
     @pytest.mark.parametrize("index, field", [(700, "accel"), (FIRST_ESTIMATE, "mag")])
     def test_nan_sample_skips_its_layer(self, index, field, algorithm, value):
-        records = list(static_records(duration=4.0, seed=1))
+        records = static_records(duration=4.0, seed=1)
         cfg = PipelineConfig(algorithm=algorithm, noise=MATCHED)
         clean = run_pipeline(records, cfg)
-        records[index] = records[index]._replace(**{field: np.full(3, value)})
-        faulty = run_pipeline(records, cfg)
+        faulty = run_pipeline(rewritten(records, index, field, value), cfg)
         assert len(faulty) == 499
         assert np.isfinite([[*e.euler, *e.q, *e.gyro_bias] for e in faulty]).all()
         k = index - FIRST_ESTIMATE
@@ -455,8 +451,7 @@ class TestBadSamples:
     def test_nan_sample_in_alignment_window_is_left_out(self, field, algorithm):
         # one bad sample inside the window must neither abort the alignment
         # (mag) nor seed a NaN bias that fails the run's first sample (gyro)
-        records = list(static_records(duration=6.0, seed=1))
-        records[200] = records[200]._replace(**{field: np.full(3, math.nan)})
+        records = rewritten(static_records(duration=6.0, seed=1), 200, field, math.nan)
         estimates = run_pipeline(records, PipelineConfig(algorithm=algorithm, noise=MATCHED))
         assert len(estimates) == len(records) - FIRST_ESTIMATE
         assert np.isfinite(estimates.table).all()
