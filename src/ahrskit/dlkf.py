@@ -27,6 +27,14 @@ factorises a matrix.
 Measurements follow the convention ``z = measured - estimated``, in any
 range, so the converged state is the correction to add to the estimate.
 All functions are pure: they return new states and never mutate inputs.
+
+These functions are the filter's per-layer API and the reference form of
+its epoch; a run does not call them. `pipeline._dlkf_step` fuses one
+epoch (propagation, time update, both layers and the feedback
+correction) onto local floats, each expression in the operand order
+written here, with the same checks and messages, and
+`tests/test_dlkf_epoch.py` pins it to the chain of these functions bit
+for bit.
 """
 
 from __future__ import annotations
@@ -245,13 +253,16 @@ def time_update(fs: FilterState, q: Quaternion, dt: float,
 def _observe(fs: FilterState, i: int, z: float, r: float) -> FilterState:
     """Scalar update on a direct observation of error state `i`.
 
-    `z` is measured minus estimated, in any range; the innovation is
-    z - x[i] wrapped to (-pi, pi], so no angle near +-180 deg yields a
-    2 pi residual. `r` is its variance, finite and > 0 as the caller has
-    checked. H selects state i, so the gain is column i of P over
-    s = P[i, i] + r, and P takes the standard form P - K (P H^T)^T, a
-    rank-1 update computed on the packed upper triangle.
+    `z` is measured minus estimated, a real number in any range; the
+    innovation is z - x[i] wrapped to (-pi, pi], so no angle near
+    +-180 deg yields a 2 pi residual. `r` is its variance, finite and > 0
+    as the caller has checked. H selects state i, so the gain is column
+    i of P over s = P[i, i] + r, and P takes the standard form
+    P - K (P H^T)^T, a rank-1 update computed on the packed upper
+    triangle.
     """
+    if not isinstance(z, Real):  # float() would parse a string
+        raise ValueError(f"innovation must be a real number, got {z!r}")
     x0, x1, x2, x3, x4, x5 = x = fs._x
     innov = wrap_pi(float(z) - x[i])
     p = fs._p

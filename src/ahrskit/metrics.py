@@ -70,9 +70,10 @@ def align_series(t_est, est, t_truth, truth):
 
     Each truth sample is matched to the nearest estimate, the earlier on
     a tie; pairs further apart than half the median estimate period are
-    dropped (none, with a single estimate). Estimate times must be
-    finite and strictly increasing, or a ValueError names the first
-    estimate that is not. Returns (t, est_matched, truth_matched).
+    dropped (none, with a single estimate). Estimate and truth times
+    must each be finite and strictly increasing, or a ValueError names
+    the first estimate or truth row that is not. Returns (t, est_matched,
+    truth_matched).
     """
     t_est = np.asarray(t_est, dtype=float)
     est = np.asarray(est, dtype=float)
@@ -81,6 +82,7 @@ def align_series(t_est, est, t_truth, truth):
     if len(t_est) == 0 or len(t_truth) == 0:
         raise ValueError("cannot align empty series")
     _check_times(t_est, "estimate")
+    _check_times(t_truth, "truth")
     max_gap = 0.5 * np.median(np.diff(t_est)) if len(t_est) > 1 else np.inf
 
     # the estimates either side of each truth time; before t_est[0], the first twice

@@ -9,12 +9,15 @@ sample's 11 floats (t, Euler angles, quaternion, gyro bias) into one
 is a factory in `_STEPS` returning `step(row, dt, mag_due) ->
 PropagatorState`, a closure over its own estimator state; `row` is the
 sample's floats in log-CSV column order (t, gyro, accel, mag[, truth]).
-All three integrate the gyro with `propagate` and differ only in the
-correction: none for gyro-only, the PI feedback of `cf_update` for cf.
-The dlkf step runs the filter time update, converts accel/mag into
-measured angles, runs whichever measurement layers have valid data this
-epoch, then feeds the corrections back. A gated accelerometer or an
-off-epoch magnetometer simply skips its layer; the covariance flows on.
+All three integrate the gyro with the rotation-vector step of
+`propagate` and differ only in the correction: none for gyro-only, the
+PI feedback of `cf_update` for cf. The dlkf step runs the filter time
+update, converts accel/mag into measured angles, runs whichever
+measurement layers have valid data this epoch, then feeds the
+corrections back, all fused onto local floats (the gyro step included)
+in the operand order of the layers it equals bit for bit. A gated
+accelerometer or an off-epoch magnetometer simply skips its layer; the
+covariance flows on.
 """
 
 from __future__ import annotations
@@ -29,10 +32,10 @@ from typing import Callable, Iterator, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .complementary import cf_update
-from .dlkf import (FilterState, NoiseConfig, accel_update, apply_correction,
-                   mag_update, time_update)
+from .dlkf import _ZERO_X, FilterState, NoiseConfig, _packed
 from .fasteuler import accel_roll_pitch, mag_yaw
-from .geometry import EulerAngles, Quaternion, _new, euler_to_quat, quat_to_euler
+from .geometry import (GIMBAL_LOCK_TOL, SMALL_ROTATION, EulerAngles, Quaternion, _new,
+                       euler_to_quat, quat_to_euler, wrap_pi, wrap_yaw)
 from .propagation import PropagatorState, propagate
 from .simulate import SensorLog, _check_times, _column, _Table
 
@@ -192,32 +195,241 @@ def run_pipeline(log: SensorLog, cfg: PipelineConfig,
 
 
 def _dlkf_step(cfg, q0, bias_seed, on_epoch):
+    # One epoch of the public layers fused onto local floats: propagate,
+    # quat_to_euler, time_update, accel_roll_pitch and accel_update,
+    # mag_yaw and mag_update, then apply_correction. Each expression keeps
+    # its layer's operand order, so the estimates are bit for bit those of
+    # the layer chain, and each layer's checks raise its own message.
+    # q, the bias, x and the packed P are the state between epochs.
+    noise = cfg.noise
+    Q0, Q1, Q2, Q3, Q4, Q5 = noise.Q
+    r0, r1 = noise.Ra_nominal
+    rm, tau_g, gravity, gate = noise.Rm, noise.tau_g, noise.gravity, noise.accel_gate
+    lambda_a, gamma2_max = noise.lambda_a, noise.gamma2_max
     prop = PropagatorState(q0, bias_seed)
-    fs = FilterState.initial()
-    r0, r1 = cfg.noise.Ra_nominal
+    x, p = _ZERO_X, FilterState.initial()._p
+    # bound once: a closure variable reads faster than a module attribute
+    sqrt, sin, cos, asin, atan2, hypot = (math.sqrt, math.sin, math.cos, math.asin,
+                                          math.atan2, math.hypot)
+    isfinite, inf, half_pi = math.isfinite, math.inf, 0.5 * math.pi
 
     def step(row, dt, mag_due):
-        nonlocal prop, fs
-        prop = propagate(prop, row[1:4], dt)
-        est = quat_to_euler(prop.q)
+        nonlocal prop, x, p
+        # propagate: rotation-vector step of the bias-corrected rate
+        if not 0.0 < dt < inf:
+            raise ValueError(f"dt must be positive and finite, got {dt}")
+        gx, gy, gz = row[1], row[2], row[3]
+        if not (isfinite(gx) and isfinite(gy) and isfinite(gz)):
+            raise ValueError(f"gyro sample must be finite, got ({gx}, {gy}, {gz})")
+        (w1, x1, y1, z1), bias = prop
+        bx, by, bz = bias
+        rx, ry, rz = (gx - bx) * dt, (gy - by) * dt, (gz - bz) * dt
+        angle = sqrt(rx * rx + ry * ry + rz * rz)
+        if angle < SMALL_ROTATION:
+            k = 0.5 - angle * angle / 48.0
+        else:
+            if not angle < inf:
+                raise ValueError(f"rotation angle is not finite, got {angle}")
+            k = sin(0.5 * angle) / angle
+        w2, x2, y2, z2 = cos(0.5 * angle), rx * k, ry * k, rz * k
+        qw = w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2
+        qx = w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2
+        qy = w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2
+        qz = w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2
+        n = sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
+        if n == 0.0:
+            raise ValueError("cannot normalize a zero quaternion")
+        inv = 1.0 / n
+        if qw < 0.0:
+            inv = -inv
+        qw, qx, qy, qz = qw * inv, qx * inv, qy * inv, qz * inv
 
-        fs = time_update(fs, prop.q, dt, cfg.noise)
-        meas = accel_roll_pitch(row[4:7], cfg.noise)
-        if meas is not None:
-            roll, pitch, gamma2 = meas
-            fs = accel_update(fs, (roll - est.roll, pitch - est.pitch),
-                              (gamma2 * r0, gamma2 * r1))
+        # quat_to_euler of the propagated q: the angles every innovation
+        # is taken against
+        xx, yy, zz = qx * qx, qy * qy, qz * qz
+        wx, wy, wz = qw * qx, qw * qy, qw * qz
+        xy, xz, yz = qx * qy, qx * qz, qy * qz
+        sin_pitch = 2.0 * (wy - xz)
+        if sin_pitch > 1.0:
+            sin_pitch = 1.0
+        elif sin_pitch < -1.0:
+            sin_pitch = -1.0
+        est_pitch = asin(sin_pitch)
+        if half_pi - abs(est_pitch) < GIMBAL_LOCK_TOL:
+            cos_term = 2.0 * (xz + wy)
+            if est_pitch < 0.0:
+                cos_term = -cos_term
+            est_roll = 0.0
+            est_yaw = wrap_yaw(atan2(2.0 * (wz - xy), cos_term))
+        else:
+            est_roll = wrap_pi(atan2(2.0 * (wx + yz), 1.0 - 2.0 * (xx + yy)))
+            est_yaw = wrap_yaw(atan2(2.0 * (xy + wz), 1.0 - 2.0 * (yy + zz)))
+
+        # time_update, with G from the bottom row of the DCM of q
+        c20, c21, c22 = 2.0 * (xz - wy), 2.0 * (yz + wx), 1.0 - 2.0 * (xx + yy)
+        sin_pitch = -c20
+        cos_pitch = hypot(c21, c22)
+        if cos_pitch < 1e-6:
+            cos_pitch = 1e-6
+        sin_roll = c21 / cos_pitch
+        cos_roll = c22 / cos_pitch
+        tan_pitch = sin_pitch / cos_pitch
+        g00, g01, g02 = -dt, -sin_roll * tan_pitch * dt, -cos_roll * tan_pitch * dt
+        g11, g12 = -cos_roll * dt, sin_roll * dt
+        g21, g22 = -sin_roll / cos_pitch * dt, -cos_roll / cos_pitch * dt
+        d = 1.0 - dt / tau_g
+
+        x0, x1, x2, x3, x4, x5 = x
+        (a00, a01, a02, b00, b01, b02, a11, a12, b10, b11, b12,
+         a22, b20, b21, b22, c00, c01, c02, c11, c12, c22) = p
+        m00 = b00 + g00 * c00 + g01 * c01 + g02 * c02
+        m01 = b01 + g00 * c01 + g01 * c11 + g02 * c12
+        m02 = b02 + g00 * c02 + g01 * c12 + g02 * c22
+        m10 = b10 + g11 * c01 + g12 * c02
+        m11 = b11 + g11 * c11 + g12 * c12
+        m12 = b12 + g11 * c12 + g12 * c22
+        m20 = b20 + g21 * c01 + g22 * c02
+        m21 = b21 + g21 * c11 + g22 * c12
+        m22 = b22 + g21 * c12 + g22 * c22
+        x0 = x0 + g00 * x3 + g01 * x4 + g02 * x5
+        x1 = x1 + g11 * x4 + g12 * x5
+        x2 = x2 + g21 * x4 + g22 * x5
+        x3, x4, x5 = d * x3, d * x4, d * x5
+        p00 = (a00 + g00 * b00 + g01 * b01 + g02 * b02 + m00 * g00 + m01 * g01
+               + m02 * g02 + Q0)
+        p01 = a01 + g00 * b10 + g01 * b11 + g02 * b12 + m01 * g11 + m02 * g12
+        p02 = a02 + g00 * b20 + g01 * b21 + g02 * b22 + m01 * g21 + m02 * g22
+        p03, p04, p05 = d * m00, d * m01, d * m02
+        p11 = a11 + g11 * b11 + g12 * b12 + m11 * g11 + m12 * g12 + Q1
+        p12 = a12 + g11 * b21 + g12 * b22 + m11 * g21 + m12 * g22
+        p13, p14, p15 = d * m10, d * m11, d * m12
+        p22 = a22 + g21 * b21 + g22 * b22 + m21 * g21 + m22 * g22 + Q2
+        p23, p24, p25 = d * m20, d * m21, d * m22
+        p33, p34, p35 = d * c00 * d + Q3, d * c01 * d, d * c02 * d
+        p44, p45, p55 = d * c11 * d + Q4, d * c12 * d, d * c22 * d + Q5
+        # a non-finite input leaves a non-finite sum; only then look at
+        # the inputs, as an overflow is no error of theirs
+        if not isfinite(x0 + x1 + x2 + x3 + x4 + x5 + p00 + p01 + p02 + p03 + p04
+                        + p05 + p11 + p12 + p13 + p14 + p15 + p22 + p23 + p24 + p25
+                        + p33 + p34 + p35 + p44 + p45 + p55) and not all(
+                map(isfinite, (*x, *p, qw, qx, qy, qz, dt))):
+            raise ValueError("time_update inputs must be finite")
+
+        # accel_roll_pitch: the norm gate and gamma^2
+        ax, ay, az = row[4], row[5], row[6]
+        norm = sqrt(ax * ax + ay * ay + az * az)
+        deviation = abs(norm - gravity)
+        accel = norm != 0.0 and deviation <= gate
+        if accel:
+            gamma2 = lambda_a * deviation
+            if not gamma2 < gamma2_max:
+                gamma2 = gamma2_max
+            if not gamma2 > 1.0:
+                gamma2 = 1.0
+            roll_m, pitch_m = atan2(-ay, -az), atan2(ax, -az)
+
+            # accel_update: a scalar update on roll, then one on pitch
+            ra0, ra1 = gamma2 * r0, gamma2 * r1
+            if not (0.0 < ra0 and 0.0 < ra1 and isfinite(ra0) and isfinite(ra1)):
+                raise ValueError(f"ra must be two finite variances > 0, got {(ra0, ra1)!r}")
+            innov = wrap_pi(roll_m - est_roll - x0)
+            h0, h1, h2, h3, h4, h5 = p00, p01, p02, p03, p04, p05
+            s = h0 + ra0
+            if not s > 0.0:
+                raise ValueError(f"innovation variance must be > 0, got {s}")
+            k0, k1, k2, k3, k4, k5 = h0 / s, h1 / s, h2 / s, h3 / s, h4 / s, h5 / s
+            x0, x1, x2 = x0 + k0 * innov, x1 + k1 * innov, x2 + k2 * innov
+            x3, x4, x5 = x3 + k3 * innov, x4 + k4 * innov, x5 + k5 * innov
+            p00, p01, p02 = p00 - k0 * h0, p01 - k0 * h1, p02 - k0 * h2
+            p03, p04, p05 = p03 - k0 * h3, p04 - k0 * h4, p05 - k0 * h5
+            p11, p12, p13 = p11 - k1 * h1, p12 - k1 * h2, p13 - k1 * h3
+            p14, p15 = p14 - k1 * h4, p15 - k1 * h5
+            p22, p23, p24, p25 = p22 - k2 * h2, p23 - k2 * h3, p24 - k2 * h4, p25 - k2 * h5
+            p33, p34, p35 = p33 - k3 * h3, p34 - k3 * h4, p35 - k3 * h5
+            p44, p45, p55 = p44 - k4 * h4, p45 - k4 * h5, p55 - k5 * h5
+
+            innov = wrap_pi(pitch_m - est_pitch - x1)
+            h0, h1, h2, h3, h4, h5 = p01, p11, p12, p13, p14, p15
+            s = h1 + ra1
+            if not s > 0.0:
+                raise ValueError(f"innovation variance must be > 0, got {s}")
+            k0, k1, k2, k3, k4, k5 = h0 / s, h1 / s, h2 / s, h3 / s, h4 / s, h5 / s
+            x0, x1, x2 = x0 + k0 * innov, x1 + k1 * innov, x2 + k2 * innov
+            x3, x4, x5 = x3 + k3 * innov, x4 + k4 * innov, x5 + k5 * innov
+            p00, p01, p02 = p00 - k0 * h0, p01 - k0 * h1, p02 - k0 * h2
+            p03, p04, p05 = p03 - k0 * h3, p04 - k0 * h4, p05 - k0 * h5
+            p11, p12, p13 = p11 - k1 * h1, p12 - k1 * h2, p13 - k1 * h3
+            p14, p15 = p14 - k1 * h4, p15 - k1 * h5
+            p22, p23, p24, p25 = p22 - k2 * h2, p23 - k2 * h3, p24 - k2 * h4, p25 - k2 * h5
+            p33, p34, p35 = p33 - k3 * h3, p34 - k3 * h4, p35 - k3 * h5
+            p44, p45, p55 = p44 - k4 * h4, p45 - k4 * h5, p55 - k5 * h5
+
         if mag_due:
-            # tilt-compensate with the accel angles only while the
-            # accel is fully trusted; a gated or de-weighted sample
+            # mag_yaw, tilt-compensated with the accel angles only while
+            # the accel is fully trusted; a gated or de-weighted sample
             # would leak its linear-acceleration error into heading
-            tilt = meas if meas is not None and meas[2] <= 1.0 else (est.roll, est.pitch)
-            yaw_meas = mag_yaw(row[7:10], tilt[0], tilt[1])
-            if yaw_meas is not None:
-                fs = mag_update(fs, yaw_meas - est.yaw, cfg.noise.Rm)
-        prop, fs = apply_correction(prop, fs, est)
+            if accel and gamma2 <= 1.0:
+                tilt_roll, tilt_pitch = roll_m, pitch_m
+            else:
+                tilt_roll, tilt_pitch = est_roll, est_pitch
+            mx, my, mz = row[7], row[8], row[9]
+            norm = sqrt(mx * mx + my * my + mz * mz)
+            if norm != 0.0 and isfinite(norm):
+                mx, my, mz = mx / norm, my / norm, mz / norm
+                sr, cr = sin(tilt_roll), cos(tilt_roll)
+                sp, cp = sin(tilt_pitch), cos(tilt_pitch)
+                hx = mx * cp + my * sp * sr + mz * sp * cr
+                hy = my * cr - mz * sr
+                yaw_m = wrap_yaw(atan2(-hy, hx))
+
+                # mag_update: a scalar update on yaw
+                if not (0.0 < rm and isfinite(rm)):
+                    raise ValueError(f"Rm must be finite and > 0, got {rm!r}")
+                innov = wrap_pi(yaw_m - est_yaw - x2)
+                h0, h1, h2, h3, h4, h5 = p02, p12, p22, p23, p24, p25
+                s = h2 + rm
+                if not s > 0.0:
+                    raise ValueError(f"innovation variance must be > 0, got {s}")
+                k0, k1, k2, k3, k4, k5 = h0 / s, h1 / s, h2 / s, h3 / s, h4 / s, h5 / s
+                x0, x1, x2 = x0 + k0 * innov, x1 + k1 * innov, x2 + k2 * innov
+                x3, x4, x5 = x3 + k3 * innov, x4 + k4 * innov, x5 + k5 * innov
+                p00, p01, p02 = p00 - k0 * h0, p01 - k0 * h1, p02 - k0 * h2
+                p03, p04, p05 = p03 - k0 * h3, p04 - k0 * h4, p05 - k0 * h5
+                p11, p12, p13 = p11 - k1 * h1, p12 - k1 * h2, p13 - k1 * h3
+                p14, p15 = p14 - k1 * h4, p15 - k1 * h5
+                p22, p23, p24, p25 = p22 - k2 * h2, p23 - k2 * h3, p24 - k2 * h4, p25 - k2 * h5
+                p33, p34, p35 = p33 - k3 * h3, p34 - k3 * h4, p35 - k3 * h5
+                p44, p45, p55 = p44 - k4 * h4, p45 - k4 * h5, p55 - k5 * h5
+
+        p = (p00, p01, p02, p03, p04, p05, p11, p12, p13, p14, p15,
+             p22, p23, p24, p25, p33, p34, p35, p44, p45, p55)
+        # apply_correction: the error state folds into the Euler angles
+        # and the bias accumulator, then resets to zero
+        if x0 or x1 or x2 or x3 or x4 or x5:
+            roll = wrap_pi(est_roll + x0)
+            pitch = est_pitch + x1
+            yaw = wrap_yaw(est_yaw + x2)
+            cr, sr = cos(0.5 * roll), sin(0.5 * roll)
+            cp, sp = cos(0.5 * pitch), sin(0.5 * pitch)
+            cy, sy = cos(0.5 * yaw), sin(0.5 * yaw)
+            qw = cr * cp * cy + sr * sp * sy
+            qx = sr * cp * cy - cr * sp * sy
+            qy = cr * sp * cy + sr * cp * sy
+            qz = cr * cp * sy - sr * sp * cy
+            n = sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
+            if n == 0.0:
+                raise ValueError("cannot normalize a zero quaternion")
+            inv = 1.0 / n
+            if qw < 0.0:
+                inv = -inv
+            qw, qx, qy, qz = qw * inv, qx * inv, qy * inv, qz * inv
+            bias = (bx + x3, by + x4, bz + x5)
+            x = _ZERO_X
+        else:
+            x = (x0, x1, x2, x3, x4, x5)
+        prop = _new(PropagatorState, (_new(Quaternion, (qw, qx, qy, qz)), bias))
         if on_epoch is not None:
-            on_epoch(row[0], fs)
+            on_epoch(row[0], _packed(x, p))
         return prop
 
     return step

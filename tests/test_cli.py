@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ahrskit.cli import main
-from ahrskit.logio import read_estimates, read_log
+from ahrskit.logio import read_estimates, read_log, write_log
 from ahrskit.simulate import SensorLog
 
 SCENARIO = """
@@ -204,13 +204,27 @@ class TestDiagnostics:
         assert captured.err == (f"error: estimate 50 (t={t_early}): timestamps not "
                                 f"strictly increasing (previous t={t_late})\n")
 
+    def test_eval_with_a_nan_truth_time_exits_nonzero(self, workspace, capsys):
+        log, est = workspace / "log.csv", workspace / "est.csv"
+        main(["sim", "--scenario", str(workspace / "hover.scn"), "--out", str(log)])
+        main(["run", "--log", str(log), "--out", str(est)])
+        table = read_log(log).table.copy()
+        t_prev = float(table[699, 0])
+        table[700, 0] = np.nan
+        write_log(log, SensorLog(table))
+        capsys.readouterr()
+        code = main(["eval", "--estimates", str(est), "--truth", str(log)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == (f"error: truth 700 (t=nan): timestamps not finite "
+                                f"(previous t={t_prev!r})\n")
+
     def test_eval_without_truth_columns(self, workspace, capsys):
         log = workspace / "log.csv"
         main(["sim", "--scenario", str(workspace / "hover.scn"), "--out", str(log)])
         est = workspace / "est.csv"
         main(["run", "--log", str(log), "--out", str(est)])
         # strip the truth columns: eval must refuse cleanly
-        from ahrskit.logio import write_log
         bare = workspace / "bare.csv"
         write_log(bare, SensorLog(read_log(log).table[:, :10]))
         code = main(["eval", "--estimates", str(est), "--truth", str(bare)])

@@ -238,6 +238,14 @@ class TestAccelUpdate:
             np.testing.assert_array_equal(out.x, ref.x)
             np.testing.assert_array_equal(out.P, ref.P)
 
+    @pytest.mark.parametrize("z1", [("0.1", 0.0), (0.0, "0.1"), (b"0.1", 0.0),
+                                    (None, 0.0), (0.0, np.array(0.1))],
+                             ids=["str roll", "str pitch", "bytes", "None", "0-d array"])
+    def test_rejects_innovation_that_is_not_a_real_number(self, z1):
+        # float() would parse the string and make a real update of it
+        with pytest.raises(ValueError, match="^innovation must be a real number"):
+            accel_update(FilterState.initial(), z1, (0.5, 5.0))
+
     def test_rejects_singular_innovation_covariance(self):
         # a covariance that is not PSD can cancel Ra exactly
         ra = (0.5, 5.0)
@@ -334,6 +342,12 @@ class TestMagUpdate:
     def test_rejects_noise_that_is_not_a_real_number(self, Rm):
         with pytest.raises(ValueError, match="^Rm must be finite and > 0"):
             mag_update(FilterState.initial(), 0.0, Rm)
+
+    @pytest.mark.parametrize("z2", ["0.1", b"0.1", None, np.array(0.1)],
+                             ids=["str", "bytes", "None", "0-d array"])
+    def test_rejects_innovation_that_is_not_a_real_number(self, z2):
+        with pytest.raises(ValueError, match="^innovation must be a real number"):
+            mag_update(FilterState.initial(), z2, 1.0)
 
     def test_rejects_zero_innovation_variance(self):
         # p22 + Rm == 0, which only a P that is not PSD reaches, is a

@@ -167,6 +167,18 @@ class TestAlign:
                                              r"finite \(previous t=0\.4\)$"):
             align_series(t_est, np.zeros((10, 3)), t, np.zeros((10, 3)))
 
+    def test_non_finite_truth_time_rejected(self):
+        # a NaN truth time pairs with no estimate, so the 1 rad error on
+        # its row would silently drop out of the RMSE
+        t = np.arange(10) * 0.1
+        t_truth = t.copy()
+        t_truth[5] = math.nan
+        truth = np.zeros((10, 3))
+        truth[5, 0] = 1.0
+        with pytest.raises(ValueError, match=r"^truth 5 \(t=nan\): timestamps not "
+                                             r"finite \(previous t=0\.4\)$"):
+            evaluate(t, np.zeros((10, 3)), t_truth, truth)
+
 
 class TestReports:
     def test_report_contains_machine_keys(self):
