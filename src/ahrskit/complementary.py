@@ -1,17 +1,21 @@
 """Mahony-style passive complementary filter, the comparison baseline.
 
-The filter keeps the same `PropagatorState` as the other estimators:
-an attitude and a gyro-bias estimate. Each step builds an error rate
-from the cross products between measured and predicted gravity/field
-directions. Its integral is the bias estimate (Mahony, Hamel and
-Pflimlin, "Nonlinear complementary filters on the special orthogonal
-group", IEEE TAC 2008), and the proportional term corrects the rate of
-this step only; `propagate` then integrates the corrected rate.
+`cf_update` steps a `PropagatorState`: an attitude and a gyro-bias
+estimate. Each step builds an error rate from the cross products
+between measured and predicted gravity/field directions. Its integral
+is the bias estimate (Mahony, Hamel and Pflimlin, "Nonlinear
+complementary filters on the special orthogonal group", IEEE TAC 2008),
+and the proportional term corrects the rate of this step only;
+`propagate` then integrates the corrected rate.
 
 A step is two cross products and two 3x3 matrix-vector products, far
 too little work to repay NumPy's per-call overhead, so it is written out
 on Python floats: the DCM entries come from `quat_to_dcm`'s formula on
-float components, and a step builds no array.
+float components, and a step builds no array. A run does not call
+`cf_update`: the cf step of `pipeline` writes the same arithmetic out on
+the floats it keeps, in the same operand order, and
+`tests/test_fused_steps.py` holds the two equal bit for bit. This
+function is the per-step API and that test's reference.
 """
 
 from __future__ import annotations

@@ -118,7 +118,13 @@ def quat_to_euler(q: Quaternion) -> EulerAngles:
     split is degenerate; by convention roll is reported as 0 and yaw
     absorbs the full rotation about the vertical.
     """
-    w, x, y, z = q
+    return _new(EulerAngles, _euler_angles(*q))
+
+
+def _euler_angles(w: float, x: float, y: float, z: float):
+    """`quat_to_euler` on four floats, as a tuple of three floats: the
+    one place the formula is written, so a per-sample step that holds
+    the components builds no Quaternion or EulerAngles."""
     sin_pitch = 2.0 * (w * y - x * z)
     if sin_pitch > 1.0:
         sin_pitch = 1.0
@@ -130,12 +136,18 @@ def quat_to_euler(q: Quaternion) -> EulerAngles:
         cos_term = 2.0 * (x * z + w * y)
         if pitch < 0.0:
             cos_term = -cos_term
-        yaw = math.atan2(2.0 * (w * z - x * y), cos_term)
-        return _new(EulerAngles, (0.0, pitch, wrap_yaw(yaw)))
+        return 0.0, pitch, wrap_yaw(math.atan2(2.0 * (w * z - x * y), cos_term))
 
     roll = math.atan2(2.0 * (w * x + y * z), 1.0 - 2.0 * (x * x + y * y))
     yaw = math.atan2(2.0 * (x * y + w * z), 1.0 - 2.0 * (y * y + z * z))
-    return _new(EulerAngles, (wrap_pi(roll), pitch, wrap_yaw(yaw)))
+    # each wrap returns an angle already in its range unchanged, so the
+    # call is needed only outside it: for roll at -pi, for yaw below 0,
+    # and for NaN, which wrap_yaw rejects
+    if not -math.pi < roll <= math.pi:
+        roll = wrap_pi(roll)
+    if not 0.0 <= yaw < TWO_PI:
+        yaw = wrap_yaw(yaw)
+    return roll, pitch, yaw
 
 
 def euler_to_quat(e: EulerAngles) -> Quaternion:

@@ -6,18 +6,23 @@ reads the rows of a `SensorLog`'s table as Python floats, packs each
 sample's 11 floats (t, Euler angles, quaternion, gyro bias) into one
 `array("d")` and returns the whole run as `Estimates`, one read-only
 (N, 11) table, so no per-sample object outlives its step. Each algorithm
-is a factory in `_STEPS` returning `step(row, dt, mag_due) ->
-PropagatorState`, a closure over its own estimator state; `row` is the
-sample's floats in log-CSV column order (t, gyro, accel, mag[, truth]).
-All three integrate the gyro with the rotation-vector step of
-`propagate` and differ only in the correction: none for gyro-only, the
-PI feedback of `cf_update` for cf. The dlkf step runs the filter time
-update, converts accel/mag into measured angles, runs whichever
-measurement layers have valid data this epoch, then feeds the
-corrections back, all fused onto local floats (the gyro step included)
-in the operand order of the layers it equals bit for bit. A gated
-accelerometer or an off-epoch magnetometer simply skips its layer; the
-covariance flows on.
+is a factory in `_STEPS` returning `step(row, dt, mag_due)`, a closure
+over its own estimator state; `row` is the sample's floats in log-CSV
+column order (t, gyro, accel, mag[, truth]), and the step returns the
+estimate row after `t` as ten floats: roll, pitch, yaw, qw..qz, bx..bz.
+So a step builds no Quaternion or PropagatorState, and the driver
+converts no quaternion. Every step keeps its attitude and bias as
+floats, integrates the gyro with `_propagated`, the float form of
+`propagate`, and takes its angles from `_euler_angles`, the float form
+of `quat_to_euler`. They differ in the correction: none for gyro-only,
+the PI feedback of `cf_update` for cf, written out on floats. The dlkf
+step runs the filter time update, converts accel/mag into measured
+angles, runs whichever measurement layers have valid data this epoch,
+then feeds the corrections back, fused onto local floats in the operand
+order of the layers. Each fused step equals its public layers bit for
+bit, with their checks and messages (`tests/test_dlkf_epoch.py`,
+`tests/test_fused_steps.py`). A gated accelerometer or an off-epoch
+magnetometer simply skips its layer; the covariance flows on.
 """
 
 from __future__ import annotations
@@ -31,12 +36,11 @@ from typing import Callable, Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .complementary import cf_update
 from .dlkf import _ZERO_X, FilterState, NoiseConfig, _packed
 from .fasteuler import accel_roll_pitch, mag_yaw
-from .geometry import (GIMBAL_LOCK_TOL, SMALL_ROTATION, EulerAngles, Quaternion, _new,
-                       euler_to_quat, quat_to_euler, wrap_pi, wrap_yaw)
-from .propagation import PropagatorState, propagate
+from .geometry import (EulerAngles, Quaternion, _dcm_entries, _euler_angles, _new,
+                       euler_to_quat, wrap_pi, wrap_yaw)
+from .propagation import _propagated
 from .simulate import SensorLog, _check_times, _column, _Table
 
 class AlignmentError(ValueError):
@@ -184,10 +188,7 @@ def run_pipeline(log: SensorLog, cfg: PipelineConfig,
             if mag_due:
                 # one period per step, or one jump over the epochs a gap missed
                 next_mag += ((t - next_mag) // mag_period + 1.0) * mag_period
-            prop = step(row, dt, mag_due)
-            roll, pitch, yaw = quat_to_euler(prop.q)
-            (qw, qx, qy, qz), (bx, by, bz) = prop
-            emit(pack(t, roll, pitch, yaw, qw, qx, qy, qz, bx, by, bz))
+            emit(pack(t, *step(row, dt, mag_due)))
             t_prev = t
     except ValueError as exc:
         raise ValueError(f"sample {i} (t={row[0]}): {exc}") from exc
@@ -195,78 +196,36 @@ def run_pipeline(log: SensorLog, cfg: PipelineConfig,
 
 
 def _dlkf_step(cfg, q0, bias_seed, on_epoch):
-    # One epoch of the public layers fused onto local floats: propagate,
-    # quat_to_euler, time_update, accel_roll_pitch and accel_update,
-    # mag_yaw and mag_update, then apply_correction. Each expression keeps
-    # its layer's operand order, so the estimates are bit for bit those of
-    # the layer chain, and each layer's checks raise its own message.
-    # q, the bias, x and the packed P are the state between epochs.
+    # One epoch of the public layers on local floats: the gyro step and
+    # the Euler conversion through the float forms that propagate and
+    # quat_to_euler wrap, then time_update, accel_roll_pitch and
+    # accel_update, mag_yaw and mag_update, and apply_correction fused
+    # inline. Each expression keeps its layer's operand order, so the
+    # estimates are bit for bit those of the layer chain, and each
+    # layer's checks raise its own message. q, the bias, x and the packed
+    # P are the state between epochs.
     noise = cfg.noise
     Q0, Q1, Q2, Q3, Q4, Q5 = noise.Q
     r0, r1 = noise.Ra_nominal
     rm, tau_g, gravity, gate = noise.Rm, noise.tau_g, noise.gravity, noise.accel_gate
     lambda_a, gamma2_max = noise.lambda_a, noise.gamma2_max
-    prop = PropagatorState(q0, bias_seed)
+    q, bias = q0, bias_seed
     x, p = _ZERO_X, FilterState.initial()._p
     # bound once: a closure variable reads faster than a module attribute
-    sqrt, sin, cos, asin, atan2, hypot = (math.sqrt, math.sin, math.cos, math.asin,
-                                          math.atan2, math.hypot)
-    isfinite, inf, half_pi = math.isfinite, math.inf, 0.5 * math.pi
+    sqrt, sin, cos, atan2, hypot = math.sqrt, math.sin, math.cos, math.atan2, math.hypot
+    isfinite = math.isfinite
 
     def step(row, dt, mag_due):
-        nonlocal prop, x, p
-        # propagate: rotation-vector step of the bias-corrected rate
-        if not 0.0 < dt < inf:
-            raise ValueError(f"dt must be positive and finite, got {dt}")
-        gx, gy, gz = row[1], row[2], row[3]
-        if not (isfinite(gx) and isfinite(gy) and isfinite(gz)):
-            raise ValueError(f"gyro sample must be finite, got ({gx}, {gy}, {gz})")
-        (w1, x1, y1, z1), bias = prop
+        nonlocal q, bias, x, p
         bx, by, bz = bias
-        rx, ry, rz = (gx - bx) * dt, (gy - by) * dt, (gz - bz) * dt
-        angle = sqrt(rx * rx + ry * ry + rz * rz)
-        if angle < SMALL_ROTATION:
-            k = 0.5 - angle * angle / 48.0
-        else:
-            if not angle < inf:
-                raise ValueError(f"rotation angle is not finite, got {angle}")
-            k = sin(0.5 * angle) / angle
-        w2, x2, y2, z2 = cos(0.5 * angle), rx * k, ry * k, rz * k
-        qw = w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2
-        qx = w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2
-        qy = w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2
-        qz = w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2
-        n = sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
-        if n == 0.0:
-            raise ValueError("cannot normalize a zero quaternion")
-        inv = 1.0 / n
-        if qw < 0.0:
-            inv = -inv
-        qw, qx, qy, qz = qw * inv, qx * inv, qy * inv, qz * inv
-
-        # quat_to_euler of the propagated q: the angles every innovation
-        # is taken against
-        xx, yy, zz = qx * qx, qy * qy, qz * qz
-        wx, wy, wz = qw * qx, qw * qy, qw * qz
-        xy, xz, yz = qx * qy, qx * qz, qy * qz
-        sin_pitch = 2.0 * (wy - xz)
-        if sin_pitch > 1.0:
-            sin_pitch = 1.0
-        elif sin_pitch < -1.0:
-            sin_pitch = -1.0
-        est_pitch = asin(sin_pitch)
-        if half_pi - abs(est_pitch) < GIMBAL_LOCK_TOL:
-            cos_term = 2.0 * (xz + wy)
-            if est_pitch < 0.0:
-                cos_term = -cos_term
-            est_roll = 0.0
-            est_yaw = wrap_yaw(atan2(2.0 * (wz - xy), cos_term))
-        else:
-            est_roll = wrap_pi(atan2(2.0 * (wx + yz), 1.0 - 2.0 * (xx + yy)))
-            est_yaw = wrap_yaw(atan2(2.0 * (xy + wz), 1.0 - 2.0 * (yy + zz)))
+        qw, qx, qy, qz = q = _propagated(*q, row[1], row[2], row[3], bx, by, bz, dt)
+        # the angles every innovation is taken against
+        est_roll, est_pitch, est_yaw = _euler_angles(qw, qx, qy, qz)
 
         # time_update, with G from the bottom row of the DCM of q
-        c20, c21, c22 = 2.0 * (xz - wy), 2.0 * (yz + wx), 1.0 - 2.0 * (xx + yy)
+        c20 = 2.0 * (qx * qz - qw * qy)
+        c21 = 2.0 * (qy * qz + qw * qx)
+        c22 = 1.0 - 2.0 * (qx * qx + qy * qy)
         sin_pitch = -c20
         cos_pitch = hypot(c21, c22)
         if cos_pitch < 1e-6:
@@ -422,31 +381,66 @@ def _dlkf_step(cfg, q0, bias_seed, on_epoch):
             inv = 1.0 / n
             if qw < 0.0:
                 inv = -inv
-            qw, qx, qy, qz = qw * inv, qx * inv, qy * inv, qz * inv
-            bias = (bx + x3, by + x4, bz + x5)
+            qw, qx, qy, qz = q = qw * inv, qx * inv, qy * inv, qz * inv
+            bx, by, bz = bias = (bx + x3, by + x4, bz + x5)
             x = _ZERO_X
+            roll, pitch, yaw = _euler_angles(qw, qx, qy, qz)
         else:
             x = (x0, x1, x2, x3, x4, x5)
-        prop = _new(PropagatorState, (_new(Quaternion, (qw, qx, qy, qz)), bias))
+            roll, pitch, yaw = est_roll, est_pitch, est_yaw  # q is the propagated q
         if on_epoch is not None:
             on_epoch(row[0], _packed(x, p))
-        return prop
+        return roll, pitch, yaw, qw, qx, qy, qz, bx, by, bz
 
     return step
 
 
-_NO_MAG = (0.0, 0.0, 0.0)
-
-
 def _cf_step(cfg, q0, bias_seed, on_epoch):
-    # the bias is the PI integral, so it starts at zero, not at the seed
-    prop = PropagatorState(q0, (0.0, 0.0, 0.0))
+    # cf_update fused onto local floats, in its operand order: the error
+    # rate from the accel and (on a mag epoch) the mag directions, its
+    # integral into the bias, and the gyro step with the proportional
+    # term. The bias is the PI integral, so it starts at zero, not at
+    # the seed. PipelineConfig has checked the gains.
+    kp, ki = cfg.cf_kp, cfg.cf_ki
+    q, bias = q0, (0.0, 0.0, 0.0)
+    sqrt, hypot, inf = math.sqrt, math.hypot, math.inf
 
     def step(row, dt, mag_due):
-        nonlocal prop
-        prop = cf_update(prop, row[1:4], row[4:7], row[7:10] if mag_due else _NO_MAG,
-                         dt, cfg.cf_kp, cfg.cf_ki)
-        return prop
+        nonlocal q, bias
+        # cij is row i, column j of C_b^n
+        c00, c01, c02, c10, c11, c12, c20, c21, c22 = _dcm_entries(*q)
+        ex = ey = ez = 0.0
+        ax, ay, az = row[4], row[5], row[6]
+        an = sqrt(ax * ax + ay * ay + az * az)
+        if 0.0 < an < inf:
+            ax, ay, az = ax / an, ay / an, az / an
+            ex = c21 * az - c22 * ay
+            ey = c22 * ax - c20 * az
+            ez = c20 * ay - c21 * ax
+        if mag_due:
+            mx, my, mz = row[7], row[8], row[9]
+            mn = sqrt(mx * mx + my * my + mz * mz)
+            if 0.0 < mn < inf:
+                mx, my, mz = mx / mn, my / mn, mz / mn
+                h0 = c00 * mx + c01 * my + c02 * mz
+                h1 = c10 * mx + c11 * my + c12 * mz
+                h2 = c20 * mx + c21 * my + c22 * mz
+                r0 = hypot(h0, h1)
+                px = c00 * r0 + c20 * h2
+                py = c01 * r0 + c21 * h2
+                pz = c02 * r0 + c22 * h2
+                ex += my * pz - mz * py
+                ey += mz * px - mx * pz
+                ez += mx * py - my * px
+        bx, by, bz = bias
+        bx -= ki * ex * dt
+        by -= ki * ey * dt
+        bz -= ki * ez * dt
+        bias = bx, by, bz
+        qw, qx, qy, qz = q = _propagated(*q, row[1], row[2], row[3], bx - kp * ex,
+                                         by - kp * ey, bz - kp * ez, dt)
+        roll, pitch, yaw = _euler_angles(qw, qx, qy, qz)
+        return roll, pitch, yaw, qw, qx, qy, qz, bx, by, bz
 
     return step
 
@@ -454,12 +448,13 @@ def _cf_step(cfg, q0, bias_seed, on_epoch):
 def _gyro_only_step(cfg, q0, bias_seed, on_epoch):
     # pure dead reckoning: no bias compensation, establishes the drift
     # the filters must remove
-    prop = PropagatorState(q0, (0.0, 0.0, 0.0))
+    q = q0
 
     def step(row, dt, mag_due):
-        nonlocal prop
-        prop = propagate(prop, row[1:4], dt)
-        return prop
+        nonlocal q
+        qw, qx, qy, qz = q = _propagated(*q, row[1], row[2], row[3], 0.0, 0.0, 0.0, dt)
+        roll, pitch, yaw = _euler_angles(qw, qx, qy, qz)
+        return roll, pitch, yaw, qw, qx, qy, qz, 0.0, 0.0, 0.0
 
     return step
 

@@ -4,10 +4,12 @@
 `composed_dlkf_step` below is the same epoch written as calls to the
 public layers: `propagate`, `quat_to_euler`, `time_update`,
 `accel_roll_pitch` and `accel_update`, `mag_yaw` and `mag_update`, then
-`apply_correction`. It was the library's own form of the epoch before
-the fusion and stays here as its reference. On any log the two must
-give the same estimate bytes, the same x and P bytes at every epoch
-(signed zeros included), and the same error for a bad sample.
+`apply_correction`; its estimate row is `quat_to_euler` of the
+corrected attitude, that attitude and the bias. It was the library's
+own form of the epoch before the fusion and stays here as its
+reference. On any log the two must give the same estimate bytes, the
+same x and P bytes at every epoch (signed zeros included), and the same
+error for a bad sample.
 """
 
 import math
@@ -55,20 +57,20 @@ def composed_dlkf_step(cfg, q0, bias_seed, on_epoch):
         prop, fs = apply_correction(prop, fs, est)
         if on_epoch is not None:
             on_epoch(row[0], fs)
-        return prop
+        return (*quat_to_euler(prop.q), *prop.q, *prop.bias)
 
     return step
 
 
 def run_with(make_step, log, cfg):
     """(estimate bytes, per-epoch (t, x, P) bytes, error message or None)
-    of a dlkf run with the given step factory."""
+    of a run of `cfg.algorithm` with the given step factory."""
     epochs = []
 
     def record(t, fs):
         epochs.append(np.array((t, *fs._x, *fs._p)).tobytes())
 
-    with patch.dict(pipeline._STEPS, {"dlkf": make_step}):
+    with patch.dict(pipeline._STEPS, {cfg.algorithm: make_step}):
         try:
             table = run_pipeline(log, cfg, on_epoch=record).table.tobytes()
         except ValueError as exc:
@@ -99,9 +101,9 @@ GYRO, ACCEL, MAG = slice(1, 4), slice(4, 7), slice(7, 10)
 @st.composite
 def faulty_logs(draw):
     """A short simulated log at combined roll and pitch: a static 0.2 s
-    start, then manoeuvres, with gaps (some longer than tau_g), NaN and
-    zero sensor rows, and accel rows scaled to gamma^2 > 1 or out of the
-    norm gate."""
+    start, then manoeuvres, with gaps (some longer than tau_g), NaN,
+    infinite and zero sensor rows, and accel rows scaled to gamma^2 > 1
+    or out of the norm gate."""
     traj = TrajectorySpec((Segment(0.2, (0.0, 0.0, 0.0)),
                            *draw(st.lists(segments, max_size=3))),
                           EulerAngles(draw(st.floats(-3.1, 3.1)), draw(pitches),
@@ -116,7 +118,7 @@ def faulty_logs(draw):
         table[i:, 0] += gap
     for i, field, value in draw(st.lists(
             st.tuples(rows, st.sampled_from([ACCEL, ACCEL, MAG, MAG, GYRO]),
-                      st.sampled_from([math.nan, 0.0, -0.0])), max_size=3)):
+                      st.sampled_from([math.nan, math.inf, 0.0, -0.0])), max_size=3)):
         table[i, field] = value
     for i, factor in draw(st.lists(st.tuples(rows, st.sampled_from([1.02, 1.2])),
                                    max_size=4)):

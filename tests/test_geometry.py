@@ -127,6 +127,22 @@ class TestEulerConversions:
             assert -math.pi / 2.0 <= e.pitch <= math.pi / 2.0
             assert 0.0 <= e.yaw < 2.0 * math.pi
 
+    @pytest.mark.parametrize("q", [(0.0, -1.0, -0.0, 0.0),    # roll's atan2 is -pi
+                                   (SQ2, 0.0, 0.0, -SQ2),       # yaw's atan2 is below 0
+                                   (1.0, 0.0, 0.0, -1e-17)])    # and wraps to 2 pi
+    def test_angles_are_wrapped_at_the_range_edges(self, q):
+        w, x, y, z = q
+        e = quat_to_euler(Quaternion(*q))
+        assert e.roll == wrap_pi(math.atan2(2.0 * (w * x + y * z),
+                                            1.0 - 2.0 * (x * x + y * y)))
+        assert e.yaw == wrap_yaw(math.atan2(2.0 * (x * y + w * z),
+                                            1.0 - 2.0 * (y * y + z * z)))
+        assert -math.pi < e.roll <= math.pi and 0.0 <= e.yaw < 2.0 * math.pi
+
+    def test_nan_quaternion_rejected(self):
+        with pytest.raises(ValueError, match="yaw must be finite"):
+            quat_to_euler(Quaternion(math.nan, 0.0, 0.0, 0.0))
+
     @pytest.mark.parametrize("pitch_sign", [1.0, -1.0])
     def test_gimbal_lock_convention(self, pitch_sign):
         # roll collapses to zero at the pole; the rotation itself survives

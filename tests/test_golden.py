@@ -80,7 +80,6 @@ from ahrskit import complementary, dlkf, fasteuler, geometry, pipeline, propagat
 from ahrskit.benchmark import benchmark_records, matched_noise_config, mems_models
 from ahrskit.geometry import quat_to_euler
 from ahrskit.pipeline import PipelineConfig, run_pipeline
-from ahrskit.propagation import PropagatorState
 from ahrskit.simulate import Segment, SensorLog, TrajectorySpec, simulate
 
 RATE = 250.0
@@ -161,15 +160,15 @@ def test_within_tolerance_of_reference(records, algorithm):
     np.testing.assert_allclose(rows[:, 8:11], ref[:, 8:11], rtol=0.0, atol=BIAS_TOL)
 
 
-def test_dlkf_hot_path_calls(records, monkeypatch):
-    """The dlkf epoch calls no general 2x2 factorisation or solver, and
-    converts a quaternion to Euler angles through `quat_to_euler` once
-    per sample: for the driver's estimate, the epoch's own conversion
-    being inline."""
-    cfg = PipelineConfig(algorithm="dlkf", noise=matched_noise_config(RATE))
+@pytest.mark.parametrize("algorithm", sorted(GOLDEN))
+def test_hot_path_calls(records, monkeypatch, algorithm):
+    """No step calls a general 2x2 factorisation or solver, and no run
+    calls `quat_to_euler`: each step converts its own attitude to Euler
+    angles on floats and returns them with the estimate row."""
+    cfg = PipelineConfig(algorithm=algorithm, noise=matched_noise_config(RATE))
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("np.linalg called on the dlkf hot path")
+        raise AssertionError("np.linalg called on the hot path")
 
     monkeypatch.setattr(np.linalg, "solve", forbidden)
     monkeypatch.setattr(np.linalg, "cholesky", forbidden)
@@ -179,19 +178,27 @@ def test_dlkf_hot_path_calls(records, monkeypatch):
         calls.append(q)
         return quat_to_euler(q)
 
-    for module in (pipeline, dlkf):
+    for module in (geometry, pipeline, propagation, complementary, dlkf, fasteuler):
         monkeypatch.setattr(module, "quat_to_euler", counted, raising=False)
-    estimates = run_pipeline(records, cfg)
-    assert len(calls) <= len(estimates)
+    assert run_pipeline(records, cfg)
+    assert calls == []
 
 
-def test_dlkf_python_calls_per_estimate(records):
-    """A dlkf run of the golden log makes at most 12 Python-level calls
-    per estimate, alignment included: the epoch runs inline, and only
-    the step itself, the angle wraps and the driver's `quat_to_euler`
-    are calls. The chain of public layers (`test_dlkf_epoch.py`) makes
-    26. A count, unlike a timing, is not blurred by the host's speed."""
-    cfg = PipelineConfig(algorithm="dlkf", noise=matched_noise_config(RATE))
+# Python-level calls per estimate: the step, the float helpers it shares
+# with the public layers (`_propagated`, `_euler_angles`, `_dcm_entries`),
+# and the angle wraps of the dlkf innovations and correction
+CALLS_PER_ESTIMATE = {"dlkf": 9, "cf": 5, "gyro-only": 5}
+
+
+@pytest.mark.parametrize("algorithm", sorted(CALLS_PER_ESTIMATE))
+def test_python_calls_per_estimate(records, algorithm):
+    """A run of the golden log makes at most `CALLS_PER_ESTIMATE` Python-level
+    calls per estimate, alignment included: each step runs inline on
+    floats and builds no per-sample object. The chain of public layers
+    (`test_dlkf_epoch.py`, `test_fused_steps.py`) makes 26 for dlkf, 10
+    for cf and 8 for gyro-only. A count, unlike a timing, is not blurred
+    by the host's speed."""
+    cfg = PipelineConfig(algorithm=algorithm, noise=matched_noise_config(RATE))
     calls = 0
 
     def count(frame, event, arg):
@@ -203,13 +210,14 @@ def test_dlkf_python_calls_per_estimate(records):
         estimates = run_pipeline(records, cfg)
     finally:
         sys.setprofile(None)
-    assert calls <= 12 * len(estimates)
+    assert calls <= CALLS_PER_ESTIMATE[algorithm] * len(estimates)
 
 
 def test_dlkf_epoch_builds_no_6x6_array(records, monkeypatch):
-    """The filter layers run on packed floats: through `ahrskit.dlkf.np`
-    they build no identity, outer or matrix product, and no array of more
-    than four entries."""
+    """The dlkf epoch runs on packed floats: through the `np` of
+    `ahrskit.pipeline`, where the fused epoch is, and of `ahrskit.dlkf`,
+    whose `FilterState` it starts from, a run builds no identity, outer
+    or matrix product, and no array of more than four entries."""
     cfg = PipelineConfig(algorithm="dlkf", noise=matched_noise_config(RATE))
 
     def at_most_2x2(make):
@@ -228,7 +236,8 @@ def test_dlkf_epoch_builds_no_6x6_array(records, monkeypatch):
                 raise AssertionError(f"np.{name} called on the dlkf hot path")
             return getattr(np, name)
 
-    monkeypatch.setattr(dlkf, "np", SmallArraysOnly())
+    for module in (pipeline, dlkf):
+        monkeypatch.setattr(module, "np", SmallArraysOnly())
     assert run_pipeline(records, cfg)
 
 
@@ -301,11 +310,11 @@ def mag_due_flags(monkeypatch, records, cfg):
     seen = []
 
     def recording_step(cfg, q0, bias_seed, on_epoch):
-        prop = PropagatorState(q0, bias_seed)
+        estimate = (*quat_to_euler(q0), *q0, *bias_seed)
 
         def step(rec, dt, mag_due):
             seen.append(mag_due)
-            return prop
+            return estimate
 
         return step
 

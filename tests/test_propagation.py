@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ahrskit import geometry
-from ahrskit.geometry import Quaternion, quat_to_euler
+from ahrskit.geometry import Quaternion, quat_multiply, quat_to_euler, rotvec_to_quat
 from ahrskit.propagation import PropagatorState, propagate
 
 # identity attitude, zero gyro bias
@@ -17,17 +16,19 @@ def test_zero_rate_zero_bias_is_identity():
     assert out.q == state.q
 
 
-def test_one_normalisation_per_step(monkeypatch):
-    calls = []
-    normalized = geometry._normalized
-
-    def counted(*components):
-        calls.append(components)
-        return normalized(*components)
-
-    monkeypatch.setattr(geometry, "_normalized", counted)
-    propagate(START, (0.3, -0.2, 0.1), 0.004)
-    assert len(calls) == 1
+def test_one_normalisation_per_step():
+    # the step is bit for bit quat_multiply(q, rotvec_to_quat(increment)):
+    # the product's normalisation is the only one, as rotvec_to_quat
+    # leaves its quaternion unnormalised
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        q = Quaternion(*rng.normal(size=4)).normalized()
+        gyro, bias = rng.normal(scale=2.0, size=3), tuple(rng.normal(scale=0.1, size=3))
+        dt = float(rng.uniform(1e-4, 0.5))
+        out = propagate(PropagatorState(q, bias), gyro, dt)
+        increment = [(float(g) - b) * dt for g, b in zip(gyro, bias)]
+        assert out.q == quat_multiply(q, rotvec_to_quat(increment))
+        assert type(out.q) is Quaternion and out.bias is bias
 
 
 def test_single_step_quarter_yaw():
