@@ -32,9 +32,11 @@ These functions are the filter's per-layer API and the reference form of
 its epoch; a run does not call them. `pipeline._dlkf_step` fuses one
 epoch (propagation, time update, both layers and the feedback
 correction) onto local floats, each expression in the operand order
-written here, with the same checks and messages, and
-`tests/test_dlkf_epoch.py` pins it to the chain of these functions bit
-for bit.
+written here, with the same checks and messages. Its measurement layers
+are `_observe`'s body, written once and applied to each of the epoch's
+observations in turn: roll and pitch, as `accel_update` orders them,
+then yaw. `tests/test_dlkf_epoch.py` pins the epoch to the chain of
+these functions bit for bit.
 """
 
 from __future__ import annotations

@@ -7,6 +7,10 @@ factor gamma^2, both tuned in `NoiseConfig`. The magnetometer gives yaw
 after tilt compensation with the roll/pitch of the same epoch. A gated
 or unusable sensor yields ``None``: skipping a measurement is a normal
 outcome, not an error.
+
+This is the one home of the measurement policy: the initial alignment
+and every epoch of a dlkf run take their measured angles from these two
+functions.
 """
 
 from __future__ import annotations
@@ -32,12 +36,16 @@ def accel_roll_pitch(accel, cfg: NoiseConfig) -> Optional[Tuple[float, float, fl
     nonzero roll it is a small-roll approximation. Roll is exact for any
     pitch away from +-90 deg.
     """
-    ax, ay, az = float(accel[0]), float(accel[1]), float(accel[2])
+    ax, ay, az = accel
     norm = math.sqrt(ax * ax + ay * ay + az * az)
     deviation = abs(norm - cfg.gravity)
     if norm == 0.0 or not deviation <= cfg.accel_gate:
         return None
-    gamma2 = max(1.0, min(cfg.gamma2_max, cfg.lambda_a * deviation))
+    gamma2 = cfg.lambda_a * deviation
+    if not gamma2 < cfg.gamma2_max:
+        gamma2 = cfg.gamma2_max
+    if not gamma2 > 1.0:
+        gamma2 = 1.0
     return math.atan2(-ay, -az), math.atan2(ax, -az), gamma2
 
 

@@ -70,15 +70,18 @@ def align_series(t_est, est, t_truth, truth):
 
     Each truth sample is matched to the nearest estimate, the earlier on
     a tie; pairs further apart than half the median estimate period are
-    dropped (none, with a single estimate). Estimate and truth times
-    must each be finite and strictly increasing, or a ValueError names
-    the first estimate or truth row that is not. Returns (t, est_matched,
-    truth_matched).
+    dropped (none, with a single estimate). Each series must have one
+    row per time, and estimate and truth times must each be finite and
+    strictly increasing, or a ValueError names the series or the first
+    row that is not. Returns (t, est_matched, truth_matched).
     """
     t_est = np.asarray(t_est, dtype=float)
     est = np.asarray(est, dtype=float)
     t_truth = np.asarray(t_truth, dtype=float)
     truth = np.asarray(truth, dtype=float)
+    for name, times, rows in (("estimate", t_est, est), ("truth", t_truth, truth)):
+        if len(rows) != len(times):
+            raise ValueError(f"{name} series has {len(rows)} rows for {len(times)} times")
     if len(t_est) == 0 or len(t_truth) == 0:
         raise ValueError("cannot align empty series")
     _check_times(t_est, "estimate")

@@ -16,13 +16,15 @@ floats, integrates the gyro with `_propagated`, the float form of
 `propagate`, and takes its angles from `_euler_angles`, the float form
 of `quat_to_euler`. They differ in the correction: none for gyro-only,
 the PI feedback of `cf_update` for cf, written out on floats. The dlkf
-step runs the filter time update, converts accel/mag into measured
-angles, runs whichever measurement layers have valid data this epoch,
-then feeds the corrections back, fused onto local floats in the operand
-order of the layers. Each fused step equals its public layers bit for
-bit, with their checks and messages (`tests/test_dlkf_epoch.py`,
+step runs the filter time update, then the epoch in two phases: the
+measured angles come from `fasteuler`, as in the alignment, and become
+the epoch's observations (error state, measured - estimated, variance);
+one scalar-update body applies them in the order roll, pitch, yaw. Then
+it feeds the corrections back, all on local floats in the operand order
+of the layers. Each fused step equals its public layers bit for bit,
+with their checks and messages (`tests/test_dlkf_epoch.py`,
 `tests/test_fused_steps.py`). A gated accelerometer or an off-epoch
-magnetometer simply skips its layer; the covariance flows on.
+magnetometer simply adds no observation; the covariance flows on.
 """
 
 from __future__ import annotations
@@ -198,8 +200,11 @@ def run_pipeline(log: SensorLog, cfg: PipelineConfig,
 def _dlkf_step(cfg, q0, bias_seed, on_epoch):
     # One epoch of the public layers on local floats: the gyro step and
     # the Euler conversion through the float forms that propagate and
-    # quat_to_euler wrap, then time_update, accel_roll_pitch and
-    # accel_update, mag_yaw and mag_update, and apply_correction fused
+    # quat_to_euler wrap, and time_update fused inline. Then two phases:
+    # accel_roll_pitch and mag_yaw give the measured angles, which become
+    # the epoch's observations, and one scalar-update body, that of
+    # `_observe`, applies them in the order of the layers: roll and pitch
+    # (accel_update), then yaw (mag_update). Last, apply_correction fused
     # inline. Each expression keeps its layer's operand order, so the
     # estimates are bit for bit those of the layer chain, and each
     # layer's checks raise its own message. q, the bias, x and the packed
@@ -207,12 +212,11 @@ def _dlkf_step(cfg, q0, bias_seed, on_epoch):
     noise = cfg.noise
     Q0, Q1, Q2, Q3, Q4, Q5 = noise.Q
     r0, r1 = noise.Ra_nominal
-    rm, tau_g, gravity, gate = noise.Rm, noise.tau_g, noise.gravity, noise.accel_gate
-    lambda_a, gamma2_max = noise.lambda_a, noise.gamma2_max
+    rm, tau_g = noise.Rm, noise.tau_g
     q, bias = q0, bias_seed
     x, p = _ZERO_X, FilterState.initial()._p
     # bound once: a closure variable reads faster than a module attribute
-    sqrt, sin, cos, atan2, hypot = math.sqrt, math.sin, math.cos, math.atan2, math.hypot
+    sqrt, sin, cos, hypot = math.sqrt, math.sin, math.cos, math.hypot
     isfinite = math.isfinite
 
     def step(row, dt, mag_due):
@@ -274,91 +278,51 @@ def _dlkf_step(cfg, q0, bias_seed, on_epoch):
                 map(isfinite, (*x, *p, qw, qx, qy, qz, dt))):
             raise ValueError("time_update inputs must be finite")
 
-        # accel_roll_pitch: the norm gate and gamma^2
-        ax, ay, az = row[4], row[5], row[6]
-        norm = sqrt(ax * ax + ay * ay + az * az)
-        deviation = abs(norm - gravity)
-        accel = norm != 0.0 and deviation <= gate
-        if accel:
-            gamma2 = lambda_a * deviation
-            if not gamma2 < gamma2_max:
-                gamma2 = gamma2_max
-            if not gamma2 > 1.0:
-                gamma2 = 1.0
-            roll_m, pitch_m = atan2(-ay, -az), atan2(ax, -az)
-
-            # accel_update: a scalar update on roll, then one on pitch
+        # the observations: (error state, measured - estimated, variance)
+        obs = []
+        meas = accel_roll_pitch(row[4:7], noise)
+        if meas is not None:
+            roll_m, pitch_m, gamma2 = meas
             ra0, ra1 = gamma2 * r0, gamma2 * r1
-            if not (0.0 < ra0 and 0.0 < ra1 and isfinite(ra0) and isfinite(ra1)):
+            # gamma^2 >= 1 and Ra_nominal > 0: only an overflow fails here
+            if not (isfinite(ra0) and isfinite(ra1)):
                 raise ValueError(f"ra must be two finite variances > 0, got {(ra0, ra1)!r}")
-            innov = wrap_pi(roll_m - est_roll - x0)
-            h0, h1, h2, h3, h4, h5 = p00, p01, p02, p03, p04, p05
-            s = h0 + ra0
-            if not s > 0.0:
-                raise ValueError(f"innovation variance must be > 0, got {s}")
-            k0, k1, k2, k3, k4, k5 = h0 / s, h1 / s, h2 / s, h3 / s, h4 / s, h5 / s
-            x0, x1, x2 = x0 + k0 * innov, x1 + k1 * innov, x2 + k2 * innov
-            x3, x4, x5 = x3 + k3 * innov, x4 + k4 * innov, x5 + k5 * innov
-            p00, p01, p02 = p00 - k0 * h0, p01 - k0 * h1, p02 - k0 * h2
-            p03, p04, p05 = p03 - k0 * h3, p04 - k0 * h4, p05 - k0 * h5
-            p11, p12, p13 = p11 - k1 * h1, p12 - k1 * h2, p13 - k1 * h3
-            p14, p15 = p14 - k1 * h4, p15 - k1 * h5
-            p22, p23, p24, p25 = p22 - k2 * h2, p23 - k2 * h3, p24 - k2 * h4, p25 - k2 * h5
-            p33, p34, p35 = p33 - k3 * h3, p34 - k3 * h4, p35 - k3 * h5
-            p44, p45, p55 = p44 - k4 * h4, p45 - k4 * h5, p55 - k5 * h5
-
-            innov = wrap_pi(pitch_m - est_pitch - x1)
-            h0, h1, h2, h3, h4, h5 = p01, p11, p12, p13, p14, p15
-            s = h1 + ra1
-            if not s > 0.0:
-                raise ValueError(f"innovation variance must be > 0, got {s}")
-            k0, k1, k2, k3, k4, k5 = h0 / s, h1 / s, h2 / s, h3 / s, h4 / s, h5 / s
-            x0, x1, x2 = x0 + k0 * innov, x1 + k1 * innov, x2 + k2 * innov
-            x3, x4, x5 = x3 + k3 * innov, x4 + k4 * innov, x5 + k5 * innov
-            p00, p01, p02 = p00 - k0 * h0, p01 - k0 * h1, p02 - k0 * h2
-            p03, p04, p05 = p03 - k0 * h3, p04 - k0 * h4, p05 - k0 * h5
-            p11, p12, p13 = p11 - k1 * h1, p12 - k1 * h2, p13 - k1 * h3
-            p14, p15 = p14 - k1 * h4, p15 - k1 * h5
-            p22, p23, p24, p25 = p22 - k2 * h2, p23 - k2 * h3, p24 - k2 * h4, p25 - k2 * h5
-            p33, p34, p35 = p33 - k3 * h3, p34 - k3 * h4, p35 - k3 * h5
-            p44, p45, p55 = p44 - k4 * h4, p45 - k4 * h5, p55 - k5 * h5
-
+            obs += (0, roll_m - est_roll, ra0), (1, pitch_m - est_pitch, ra1)
         if mag_due:
-            # mag_yaw, tilt-compensated with the accel angles only while
-            # the accel is fully trusted; a gated or de-weighted sample
-            # would leak its linear-acceleration error into heading
-            if accel and gamma2 <= 1.0:
-                tilt_roll, tilt_pitch = roll_m, pitch_m
+            # tilt-compensate with the accel angles only while the accel
+            # is fully trusted; a gated or de-weighted sample would leak
+            # its linear-acceleration error into heading
+            if meas is not None and gamma2 <= 1.0:
+                yaw_m = mag_yaw(row[7:10], roll_m, pitch_m)
             else:
-                tilt_roll, tilt_pitch = est_roll, est_pitch
-            mx, my, mz = row[7], row[8], row[9]
-            norm = sqrt(mx * mx + my * my + mz * mz)
-            if norm != 0.0 and isfinite(norm):
-                mx, my, mz = mx / norm, my / norm, mz / norm
-                sr, cr = sin(tilt_roll), cos(tilt_roll)
-                sp, cp = sin(tilt_pitch), cos(tilt_pitch)
-                hx = mx * cp + my * sp * sr + mz * sp * cr
-                hy = my * cr - mz * sr
-                yaw_m = wrap_yaw(atan2(-hy, hx))
+                yaw_m = mag_yaw(row[7:10], est_roll, est_pitch)
+            if yaw_m is not None:
+                obs.append((2, yaw_m - est_yaw, rm))
 
-                # mag_update: a scalar update on yaw
-                if not (0.0 < rm and isfinite(rm)):
-                    raise ValueError(f"Rm must be finite and > 0, got {rm!r}")
-                innov = wrap_pi(yaw_m - est_yaw - x2)
+        # the updates: `_observe` on each observation in turn
+        for i, z, r in obs:
+            if i == 0:  # h is column i of P
+                h0, h1, h2, h3, h4, h5 = p00, p01, p02, p03, p04, p05
+                innov, s = z - x0, h0 + r
+            elif i == 1:
+                h0, h1, h2, h3, h4, h5 = p01, p11, p12, p13, p14, p15
+                innov, s = z - x1, h1 + r
+            else:
                 h0, h1, h2, h3, h4, h5 = p02, p12, p22, p23, p24, p25
-                s = h2 + rm
-                if not s > 0.0:
-                    raise ValueError(f"innovation variance must be > 0, got {s}")
-                k0, k1, k2, k3, k4, k5 = h0 / s, h1 / s, h2 / s, h3 / s, h4 / s, h5 / s
-                x0, x1, x2 = x0 + k0 * innov, x1 + k1 * innov, x2 + k2 * innov
-                x3, x4, x5 = x3 + k3 * innov, x4 + k4 * innov, x5 + k5 * innov
-                p00, p01, p02 = p00 - k0 * h0, p01 - k0 * h1, p02 - k0 * h2
-                p03, p04, p05 = p03 - k0 * h3, p04 - k0 * h4, p05 - k0 * h5
-                p11, p12, p13 = p11 - k1 * h1, p12 - k1 * h2, p13 - k1 * h3
-                p14, p15 = p14 - k1 * h4, p15 - k1 * h5
-                p22, p23, p24, p25 = p22 - k2 * h2, p23 - k2 * h3, p24 - k2 * h4, p25 - k2 * h5
-                p33, p34, p35 = p33 - k3 * h3, p34 - k3 * h4, p35 - k3 * h5
-                p44, p45, p55 = p44 - k4 * h4, p45 - k4 * h5, p55 - k5 * h5
+                innov, s = z - x2, h2 + r
+            innov = wrap_pi(innov)
+            if not s > 0.0:
+                raise ValueError(f"innovation variance must be > 0, got {s}")
+            k0, k1, k2, k3, k4, k5 = h0 / s, h1 / s, h2 / s, h3 / s, h4 / s, h5 / s
+            x0, x1, x2 = x0 + k0 * innov, x1 + k1 * innov, x2 + k2 * innov
+            x3, x4, x5 = x3 + k3 * innov, x4 + k4 * innov, x5 + k5 * innov
+            p00, p01, p02 = p00 - k0 * h0, p01 - k0 * h1, p02 - k0 * h2
+            p03, p04, p05 = p03 - k0 * h3, p04 - k0 * h4, p05 - k0 * h5
+            p11, p12, p13 = p11 - k1 * h1, p12 - k1 * h2, p13 - k1 * h3
+            p14, p15 = p14 - k1 * h4, p15 - k1 * h5
+            p22, p23, p24, p25 = p22 - k2 * h2, p23 - k2 * h3, p24 - k2 * h4, p25 - k2 * h5
+            p33, p34, p35 = p33 - k3 * h3, p34 - k3 * h4, p35 - k3 * h5
+            p44, p45, p55 = p44 - k4 * h4, p45 - k4 * h5, p55 - k5 * h5
 
         p = (p00, p01, p02, p03, p04, p05, p11, p12, p13, p14, p15,
              p22, p23, p24, p25, p33, p34, p35, p44, p45, p55)

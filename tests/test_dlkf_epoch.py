@@ -182,7 +182,9 @@ def test_error_on_a_covariance_that_overflows_within_one_step():
     # reads the bias estimate, so the attitude stands still; from finite
     # inputs the time update overflows P, the roll update turns it NaN,
     # and the pitch update finds its innovation variance NaN. Without a
-    # mag sample no yaw update could report it instead.
+    # mag sample no yaw update could report it instead. The fused epoch
+    # runs roll, pitch and yaw through one update body, so this case
+    # reaches the `s > 0` check that all three share.
     table = static_records(duration=1.0, noisy=False, seed=0,
                            attitude=EulerAngles(0.3, 0.2, 1.0)).table.copy()
     cfg = PipelineConfig(noise=matched_noise_config(250.0), align_duration_s=0.2)

@@ -179,6 +179,18 @@ class TestAlign:
                                              r"finite \(previous t=0\.4\)$"):
             evaluate(t, np.zeros((10, 3)), t_truth, truth)
 
+    @pytest.mark.parametrize("est_rows, truth_rows, message", [
+        (12, 10, "estimate series has 12 rows for 10 times"),
+        (8, 10, "estimate series has 8 rows for 10 times"),
+        (10, 9, "truth series has 9 rows for 10 times"),
+    ])
+    def test_rows_must_match_times(self, est_rows, truth_rows, message):
+        # 12 estimate rows paired their first 10 and dropped the rest
+        # silently; 8 estimate rows or 9 truth rows raised an IndexError
+        t = np.arange(10) * 0.1
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            align_series(t, np.zeros((est_rows, 3)), t, np.zeros((truth_rows, 3)))
+
 
 class TestReports:
     def test_report_contains_machine_keys(self):
