@@ -123,8 +123,9 @@ def quat_to_euler(q: Quaternion) -> EulerAngles:
 
 def _euler_angles(w: float, x: float, y: float, z: float):
     """`quat_to_euler` on four floats, as a tuple of three floats: the
-    one place the formula is written, so a per-sample step that holds
-    the components builds no Quaternion or EulerAngles."""
+    one place the formula and its branches are written, so a per-sample
+    step that holds the components builds no Quaternion or EulerAngles.
+    `_euler_columns` is its form over whole columns."""
     sin_pitch = 2.0 * (w * y - x * z)
     if sin_pitch > 1.0:
         sin_pitch = 1.0
@@ -147,6 +148,38 @@ def _euler_angles(w: float, x: float, y: float, z: float):
         roll = wrap_pi(roll)
     if not 0.0 <= yaw < TWO_PI:
         yaw = wrap_yaw(yaw)
+    return roll, pitch, yaw
+
+
+def _euler_columns(w: np.ndarray, x: np.ndarray, y: np.ndarray, z: np.ndarray):
+    """`_euler_angles` of each row of four (N,) quaternion columns, as
+    (N,) roll, pitch and yaw, bit for bit. The arguments are elementwise
+    NumPy in the scalar form's operand order, which is exact IEEE; asin
+    and atan2 are `math`'s, mapped over lists, because NumPy's arcsin
+    and arctan2 round differently. Only the yaw wrap of an angle in
+    [-pi, 0) is written here; every other row (gimbal lock, roll at -pi,
+    anything not finite) goes through `_euler_angles`, so its branches
+    and errors stay in one place."""
+    n = len(w)
+    with np.errstate(invalid="ignore", over="ignore"):  # silent, as on floats
+        sin_pitch = (2.0 * (w * y - x * z)).clip(-1.0, 1.0)
+        roll_args = (2.0 * (w * x + y * z)).tolist(), (1.0 - 2.0 * (x * x + y * y)).tolist()
+        yaw_args = (2.0 * (x * y + w * z)).tolist(), (1.0 - 2.0 * (y * y + z * z)).tolist()
+    pitch = np.fromiter(map(math.asin, sin_pitch.tolist()), float, n)
+    roll = np.fromiter(map(math.atan2, *roll_args), float, n)
+    yaw = np.fromiter(map(math.atan2, *yaw_args), float, n)
+    # wrap_yaw of an atan2 below 0: fmod leaves it as it is, and the sum
+    # can round up to 2*pi
+    yaw[yaw < 0.0] += TWO_PI
+    yaw[yaw >= TWO_PI] = 0.0
+    # each test is false for NaN. A component that is not finite, or one
+    # whose products overflow into a NaN roll or yaw, also leaves
+    # 2 (wy - xz) NaN or clipped to +-1, so the pitch test finds it.
+    edge = ~((0.5 * math.pi - np.abs(pitch) >= GIMBAL_LOCK_TOL)
+             & (-math.pi < roll) & (roll <= math.pi))
+    for i in np.flatnonzero(edge).tolist():
+        roll[i], pitch[i], yaw[i] = _euler_angles(float(w[i]), float(x[i]),
+                                                  float(y[i]), float(z[i]))
     return roll, pitch, yaw
 
 

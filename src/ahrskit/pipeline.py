@@ -3,28 +3,36 @@
 One driver serves every algorithm: it owns the clock, the mag-epoch
 schedule, the per-sample error context and the emitted estimates. It
 reads the rows of a `SensorLog`'s table as Python floats, packs each
-sample's 11 floats (t, Euler angles, quaternion, gyro bias) into one
-`array("d")` and returns the whole run as `Estimates`, one read-only
-(N, 11) table, so no per-sample object outlives its step. Each algorithm
-is a factory in `_STEPS` returning `step(row, dt, mag_due)`, a closure
-over its own estimator state; `row` is the sample's floats in log-CSV
-column order (t, gyro, accel, mag[, truth]), and the step returns the
-estimate row after `t` as ten floats: roll, pitch, yaw, qw..qz, bx..bz.
-So a step builds no Quaternion or PropagatorState, and the driver
-converts no quaternion. Every step keeps its attitude and bias as
-floats, integrates the gyro with `_propagated`, the float form of
-`propagate`, and takes its angles from `_euler_angles`, the float form
-of `quat_to_euler`. They differ in the correction: none for gyro-only,
-the PI feedback of `cf_update` for cf, written out on floats. The dlkf
-step runs the filter time update, then the epoch in two phases: the
-measured angles come from `fasteuler`, as in the alignment, and become
-the epoch's observations (error state, measured - estimated, variance);
-one scalar-update body applies them in the order roll, pitch, yaw. Then
-it feeds the corrections back, all on local floats in the operand order
-of the layers. Each fused step equals its public layers bit for bit,
-with their checks and messages (`tests/test_dlkf_epoch.py`,
-`tests/test_fused_steps.py`). A gated accelerometer or an off-epoch
-magnetometer simply adds no observation; the covariance flows on.
+sample's t, quaternion and gyro bias into one 11-float row of an
+`array("d")`, with zeros for the Euler angles, and returns the whole run
+as `Estimates`, one read-only (N, 11) table, so no per-sample object
+outlives its step. Each algorithm is a factory in `_STEPS` returning
+`step(row, dt, mag_due)`, a closure over its own estimator state; `row`
+is the sample's floats in log-CSV column order (t, gyro, accel, mag[,
+truth]), and the step returns the attitude and bias after `t` as seven
+floats: qw..qz, bx..bz. So a step builds no Quaternion or
+PropagatorState. After the loop the driver fills the Euler columns from
+the quaternion columns in place, `_CHUNK` rows at a time, with
+`_euler_columns`, the column form of `quat_to_euler`, bit for bit the
+per-sample conversion. Every step emits a finite attitude or raises:
+where a dlkf correction turns the attitude NaN, the step raises the
+conversion's own error, so a run stops at the sample where a per-sample
+conversion would, and the fill finds no row to reject. Every step keeps
+its attitude and bias as floats and integrates the gyro with
+`_propagated`, the float form of `propagate`; the dlkf step also takes
+the angles its innovations are taken against from `_euler_angles`, the
+float form of `quat_to_euler`. They differ in the correction: none for
+gyro-only, the PI feedback of `cf_update` for cf, written out on
+floats. The dlkf step runs the filter time update, then the epoch in
+two phases: the measured angles come from `fasteuler`, as in the
+alignment, and become the epoch's observations (error state, measured -
+estimated, variance); one scalar-update body applies them in the order
+roll, pitch, yaw. Then it feeds the corrections back, all on local
+floats in the operand order of the layers. Each fused step equals its
+public layers bit for bit, with their checks and messages
+(`tests/test_dlkf_epoch.py`, `tests/test_fused_steps.py`). A gated
+accelerometer or an off-epoch magnetometer simply adds no observation;
+the covariance flows on.
 """
 
 from __future__ import annotations
@@ -43,7 +51,7 @@ from .fasteuler import accel_roll_pitch, mag_yaw
 from .geometry import (EulerAngles, Quaternion, _dcm_entries, _euler_angles, _new,
                        euler_to_quat, wrap_pi, wrap_yaw)
 from .propagation import _propagated
-from .simulate import SensorLog, _check_times, _column, _Table
+from .simulate import SensorLog, _check_times, _column, _fill_euler, _Table
 
 class AlignmentError(ValueError):
     """Raised when the initial-alignment window is unusable."""
@@ -83,7 +91,9 @@ class AttitudeEstimate(NamedTuple):
     gyro_bias: Tuple[float, float, float]
 
 
-_ROW = struct.Struct("11d")  # one estimate: t, roll..yaw, qw..qz, bgx..bgz
+# one estimate: t, then roll..yaw as zero bytes (+0.0) that the run
+# fills after its loop, then qw..qz, bgx..bgz
+_ROW = struct.Struct("d24x7d")
 
 
 class Estimates(_Table):
@@ -194,21 +204,24 @@ def run_pipeline(log: SensorLog, cfg: PipelineConfig,
             t_prev = t
     except ValueError as exc:
         raise ValueError(f"sample {i} (t={row[0]}): {exc}") from exc
-    return Estimates(np.frombuffer(table).reshape(-1, 11))
+    table = np.frombuffer(table).reshape(-1, 11)
+    _fill_euler(table[:, 1:4], table[:, 4:8])
+    return Estimates(table)
 
 
 def _dlkf_step(cfg, q0, bias_seed, on_epoch):
     # One epoch of the public layers on local floats: the gyro step and
-    # the Euler conversion through the float forms that propagate and
-    # quat_to_euler wrap, and time_update fused inline. Then two phases:
-    # accel_roll_pitch and mag_yaw give the measured angles, which become
-    # the epoch's observations, and one scalar-update body, that of
-    # `_observe`, applies them in the order of the layers: roll and pitch
-    # (accel_update), then yaw (mag_update). Last, apply_correction fused
-    # inline. Each expression keeps its layer's operand order, so the
-    # estimates are bit for bit those of the layer chain, and each
-    # layer's checks raise its own message. q, the bias, x and the packed
-    # P are the state between epochs.
+    # the Euler conversion of the propagated attitude through the float
+    # forms that propagate and quat_to_euler wrap, and time_update fused
+    # inline. Then two phases: accel_roll_pitch and mag_yaw give the
+    # measured angles, which become the epoch's observations, and one
+    # scalar-update body, that of `_observe`, applies them in the order
+    # of the layers: roll and pitch (accel_update), then yaw
+    # (mag_update). Last, apply_correction fused inline. Each expression
+    # keeps its layer's operand order, so the estimates are bit for bit
+    # those of the layer chain, and each layer's checks raise its own
+    # message. q, the bias, x and the packed P are the state between
+    # epochs.
     noise = cfg.noise
     Q0, Q1, Q2, Q3, Q4, Q5 = noise.Q
     r0, r1 = noise.Ra_nominal
@@ -340,21 +353,23 @@ def _dlkf_step(cfg, q0, bias_seed, on_epoch):
             qy = cr * sp * cy + sr * cp * sy
             qz = cr * cp * sy - sr * sp * cy
             n = sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
-            if n == 0.0:
-                raise ValueError("cannot normalize a zero quaternion")
+            if not n > 0.0:
+                if n == 0.0:
+                    raise ValueError("cannot normalize a zero quaternion")
+                # a NaN correction (an overflowed P's gain of inf/inf)
+                # stops the run here, with the error its angles raise
+                raise ValueError("yaw must be finite, got nan")
             inv = 1.0 / n
             if qw < 0.0:
                 inv = -inv
             qw, qx, qy, qz = q = qw * inv, qx * inv, qy * inv, qz * inv
             bx, by, bz = bias = (bx + x3, by + x4, bz + x5)
             x = _ZERO_X
-            roll, pitch, yaw = _euler_angles(qw, qx, qy, qz)
         else:
             x = (x0, x1, x2, x3, x4, x5)
-            roll, pitch, yaw = est_roll, est_pitch, est_yaw  # q is the propagated q
         if on_epoch is not None:
             on_epoch(row[0], _packed(x, p))
-        return roll, pitch, yaw, qw, qx, qy, qz, bx, by, bz
+        return qw, qx, qy, qz, bx, by, bz
 
     return step
 
@@ -403,8 +418,7 @@ def _cf_step(cfg, q0, bias_seed, on_epoch):
         bias = bx, by, bz
         qw, qx, qy, qz = q = _propagated(*q, row[1], row[2], row[3], bx - kp * ex,
                                          by - kp * ey, bz - kp * ez, dt)
-        roll, pitch, yaw = _euler_angles(qw, qx, qy, qz)
-        return roll, pitch, yaw, qw, qx, qy, qz, bx, by, bz
+        return qw, qx, qy, qz, bx, by, bz
 
     return step
 
@@ -417,8 +431,7 @@ def _gyro_only_step(cfg, q0, bias_seed, on_epoch):
     def step(row, dt, mag_due):
         nonlocal q
         qw, qx, qy, qz = q = _propagated(*q, row[1], row[2], row[3], 0.0, 0.0, 0.0, dt)
-        roll, pitch, yaw = _euler_angles(qw, qx, qy, qz)
-        return roll, pitch, yaw, qw, qx, qy, qz, 0.0, 0.0, 0.0
+        return qw, qx, qy, qz, 0.0, 0.0, 0.0
 
     return step
 

@@ -8,12 +8,14 @@ accelerometer noise on the specific force, and white noise on a rotated
 unit magnetic field. Output is bit-reproducible for a given seed.
 
 Only the recursions run per sample, on Python floats: the attitude, one
-`quat_multiply` per step, with its truth angles (NumPy's arcsin and
-arctan2 round differently from `math`'s), and the Markov drift, folded
-in one gyro column at a time. The DCM entries and sensor columns are
-computed over the whole log at once with elementwise NumPy arithmetic,
-no BLAS product, so they are bit for bit the plain float arithmetic of
-one sample at a time.
+`quat_multiply` per step, and the Markov drift, folded in one gyro
+column at a time. The truth angles, the DCM entries and the sensor
+columns are computed from the collected attitudes over the whole log
+with elementwise NumPy arithmetic, no BLAS product, so they are bit for
+bit the plain float arithmetic of one sample at a time; the truth
+angles take `math`'s asin and atan2 mapped over the columns
+(`geometry._euler_columns`), since NumPy's arcsin and arctan2 round
+differently.
 
 The log is one (N, 13) table, the table of the returned `SensorLog` (a
 `_Table`, as a run's `Estimates` is), written in place: time, the
@@ -36,8 +38,8 @@ from typing import Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .geometry import (EulerAngles, _dcm_entries, _new, euler_to_quat,
-                       quat_multiply, quat_to_euler, rotvec_to_quat)
+from .geometry import (EulerAngles, _dcm_entries, _euler_columns, _new, euler_to_quat,
+                       quat_multiply, rotvec_to_quat)
 
 
 class Segment(NamedTuple):
@@ -150,6 +152,15 @@ class SensorRecord(NamedTuple):
 
 
 _CHUNK = 1024  # table rows converted to Python floats at a time
+
+
+def _fill_euler(angles: np.ndarray, quats: np.ndarray) -> None:
+    """Write `quat_to_euler` of each row of the (N, 4) `quats` into the
+    (N, 3) `angles` in place, `_CHUNK` rows at a time, so the conversion
+    builds no (N,) temporary."""
+    for start in range(0, len(quats), _CHUNK):
+        rows = slice(start, start + _CHUNK)
+        angles[rows] = np.column_stack(_euler_columns(*quats[rows].T))
 
 
 def _check_times(t: np.ndarray, row: str = "sample") -> None:
@@ -276,9 +287,9 @@ def simulate(traj: TrajectorySpec, gyro_model: GyroModel, accel_model: AccelMode
     table = np.empty((n_total, 13))  # the log, written in place column by column
     table[:, 0] = np.arange(1, n_total + 1) * dt
     gyro, accel, mag = table[:, 1:4], table[:, 4:7], table[:, 7:10]
-    # per sample, on floats: the attitude with its truth angles
+    # per sample, on floats: the attitude
     q = euler_to_quat(traj.initial_attitude)
-    quats, truth = array("d"), array("d")
+    quats = array("d")
     for seg, n_steps, stop in zip(traj.segments, steps_per_seg, accumulate(steps_per_seg)):
         gyro[stop - n_steps:stop] = seg.rate
         accel[stop - n_steps:stop] = seg.accel
@@ -286,9 +297,8 @@ def simulate(traj: TrajectorySpec, gyro_model: GyroModel, accel_model: AccelMode
         for _ in range(n_steps):
             q = quat_multiply(q, step_quat)
             quats.extend(q)
-            truth.extend(quat_to_euler(q))
-    table[:, 10:13] = np.frombuffer(truth).reshape(n_total, 3)
-    del truth
+    quats = np.frombuffer(quats).reshape(n_total, 4)
+    _fill_euler(table[:, 10:13], quats)
 
     # gyro: ((omega + bias) + drift) + white noise, where sample k of the
     # Markov drift carries the state before its update
@@ -306,7 +316,7 @@ def simulate(traj: TrajectorySpec, gyro_model: GyroModel, accel_model: AccelMode
     gyro += rng.normal(0.0, gyro_model.sigma_white * math.sqrt(rate), (n_total, 3))
 
     # accel and mag from the DCM of every sample at once
-    c = _dcm_entries(*np.frombuffer(quats).reshape(n_total, 4).T)  # nine (N,) columns
+    c = _dcm_entries(*quats.T)  # nine (N,) columns
     del quats
     g = -accel_model.gravity
     for j in range(3):  # lin_acc + (-g * c) is bit for bit (-g * c) + lin_acc

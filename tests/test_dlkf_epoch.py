@@ -4,10 +4,11 @@
 `composed_dlkf_step` below is the same epoch written as calls to the
 public layers: `propagate`, `quat_to_euler`, `time_update`,
 `accel_roll_pitch` and `accel_update`, `mag_yaw` and `mag_update`, then
-`apply_correction`; its estimate row is `quat_to_euler` of the
-corrected attitude, that attitude and the bias. It was the library's
-own form of the epoch before the fusion and stays here as its
-reference. On any log the two must give the same estimate bytes, the
+`apply_correction`; it converts the corrected attitude with
+`quat_to_euler` before the hook, so a run of it stops at the first
+attitude whose angles fail, and returns that attitude and the bias. It
+was the library's own form of the epoch before the fusion and stays
+here as its reference. On any log the two must give the same estimate bytes, the
 same x and P bytes at every epoch (signed zeros included), and the same
 error for a bad sample.
 """
@@ -55,9 +56,10 @@ def composed_dlkf_step(cfg, q0, bias_seed, on_epoch):
             if yaw_meas is not None:
                 fs = mag_update(fs, yaw_meas - est.yaw, cfg.noise.Rm)
         prop, fs = apply_correction(prop, fs, est)
+        quat_to_euler(prop.q)
         if on_epoch is not None:
             on_epoch(row[0], fs)
-        return (*quat_to_euler(prop.q), *prop.q, *prop.bias)
+        return (*prop.q, *prop.bias)
 
     return step
 
@@ -193,6 +195,25 @@ def test_error_on_a_covariance_that_overflows_within_one_step():
     table[-1, MAG] = math.nan
     _, _, error = assert_fused_matches_composed(SensorLog(table), cfg)
     assert error == "sample 249 (t=1e+300): innovation variance must be > 0, got nan"
+
+
+def test_error_on_a_correction_that_turns_the_attitude_nan():
+    # a process noise near the largest float on roll alone: with the
+    # accel gated at sample 100, P's roll variance grows to about
+    # 1.7e308, and the time update of sample 101 overflows it to inf.
+    # The roll gain inf/inf turns the roll error NaN, while the pitch
+    # update finds a finite variance, so the corrected attitude is NaN.
+    # The run stops at that sample, before its hook, also when it is
+    # the last, as when each step converted its own attitude.
+    base = matched_noise_config(250.0)
+    cfg = PipelineConfig(noise=replace(base, Q=(1.7e308, *base.Q[1:])),
+                         align_duration_s=0.0)
+    for n_samples in (250, 102):
+        table = static_table()[:n_samples]
+        table[100, ACCEL] = math.nan
+        _, epochs, error = assert_fused_matches_composed(SensorLog(table), cfg)
+        assert len(epochs) == 100
+        assert error == "sample 101 (t=0.40800000000000003): yaw must be finite, got nan"
 
 
 def test_signed_zeros_of_an_uncorrected_epoch_reach_on_epoch():

@@ -1,10 +1,12 @@
 """The fused cf and gyro-only steps against the public layers they fuse.
 
 `pipeline._cf_step` and `pipeline._gyro_only_step` run a step inline on
-local floats and return the estimate row. The composed steps below are
-the same steps written as calls to the public layers, `cf_update` and
-`propagate`, with the row taken from `quat_to_euler` of the new
-attitude; they were the library's own form of these steps before the
+local floats and return the new attitude and bias; the driver converts
+the attitudes to Euler angles after its loop. The composed steps below
+are the same steps written as calls to the public layers, `cf_update`
+and `propagate`, and convert each new attitude with `quat_to_euler` at
+its sample, so a run of theirs stops at the first attitude whose angles
+fail. They were the library's own form of these steps before the
 fusion and stay here as the reference. On any log the two must give the
 same estimate bytes and the same error for a bad sample.
 """
@@ -35,7 +37,8 @@ def composed_cf_step(cfg, q0, bias_seed, on_epoch):
         nonlocal prop
         prop = cf_update(prop, row[1:4], row[4:7], row[7:10] if mag_due else NO_MAG,
                          dt, cfg.cf_kp, cfg.cf_ki)
-        return (*quat_to_euler(prop.q), *prop.q, *prop.bias)
+        quat_to_euler(prop.q)
+        return (*prop.q, *prop.bias)
 
     return step
 
@@ -46,7 +49,8 @@ def composed_gyro_only_step(cfg, q0, bias_seed, on_epoch):
     def step(row, dt, mag_due):
         nonlocal prop
         prop = propagate(prop, row[1:4], dt)
-        return (*quat_to_euler(prop.q), *prop.q, *prop.bias)
+        quat_to_euler(prop.q)
+        return (*prop.q, *prop.bias)
 
     return step
 

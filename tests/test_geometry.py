@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 
-from ahrskit.geometry import (EulerAngles, Quaternion, euler_to_quat,
-                              quat_multiply, quat_to_dcm, quat_to_euler,
+from ahrskit.geometry import (GIMBAL_LOCK_TOL, EulerAngles, Quaternion, _euler_columns,
+                              euler_to_quat, quat_multiply, quat_to_dcm, quat_to_euler,
                               rotvec_to_quat, wrap_pi, wrap_yaw)
 
 SQ2 = math.sqrt(2.0) / 2.0
@@ -153,6 +155,62 @@ class TestEulerConversions:
         assert out.pitch == pytest.approx(pitch_sign * math.pi / 2.0, abs=1e-9)
         np.testing.assert_allclose(quat_to_dcm(euler_to_quat(out)),
                                    quat_to_dcm(q), atol=1e-9)
+
+
+def normalised(v):
+    n = math.sqrt(sum(c * c for c in v))
+    return tuple(c / n for c in v)
+
+
+HALF_PI = 0.5 * math.pi
+any_unit = st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(
+    lambda v: sum(c * c for c in v) > 1e-6).map(normalised)
+# pitches inside, at and just outside the gimbal-lock tolerance
+near_gimbal_lock = st.builds(
+    lambda roll, sign, gap, yaw: tuple(euler_to_quat(
+        EulerAngles(roll, sign * (HALF_PI - gap), yaw))),
+    st.floats(-3.1, 3.1), st.sampled_from([1.0, -1.0]),
+    st.sampled_from([0.0, 1e-7, 0.9 * GIMBAL_LOCK_TOL, GIMBAL_LOCK_TOL,
+                     1.1 * GIMBAL_LOCK_TOL, 1e-5]), st.floats(0.0, 6.28))
+# one component +-1 and three signed zeros: roll's atan2(-0.0, -1.0) is -pi
+signed_axes = st.tuples(st.sampled_from([1.0, -1.0]), *[st.sampled_from([0.0, -0.0])] * 3,
+                        ).flatmap(st.permutations).map(tuple)
+# yaw's atan2 is a tiny negative angle, and adding 2 pi rounds to 2 pi
+tiny_negative_yaw = st.builds(lambda x, y, z: (1.0, x, y, z), st.sampled_from([0.0, -0.0]),
+                              st.sampled_from([0.0, -0.0]), st.floats(-1e-16, -5e-324))
+
+
+@st.composite
+def quaternion_columns(draw):
+    """Four (N,) columns of unit quaternions, one row now and then NaN."""
+    rows = draw(st.lists(st.one_of(any_unit, any_unit, near_gimbal_lock, signed_axes,
+                                   tiny_negative_yaw), min_size=1, max_size=40))
+    if draw(st.integers(0, 9)) == 0:
+        rows[draw(st.integers(0, len(rows) - 1))] = (0.5, math.nan, 0.5, 0.5)
+    return np.array(rows).T.copy()
+
+
+@settings(deadline=None, max_examples=300)
+@given(quaternion_columns())
+@example(np.array([[1.0, 0.0, 0.0, -1e-17], [0.0, -1.0, -0.0, 0.0],
+                   [-0.0, 0.0, -0.0, 1.0], [SQ2, 0.0, SQ2, 0.0]]).T.copy())
+@example(np.array([[1.0, 0.0, 0.0, 0.0], [math.nan, 0.0, 0.0, 0.0]]).T.copy())
+# not finite, and no error: roll 3 pi / 4, pitch NaN, yaw pi / 2
+@example(np.array([[0.5, math.inf, 0.5, 0.0]]).T.copy())
+def test_euler_columns_match_quat_to_euler_bit_for_bit(columns):
+    rows = columns.T.tolist()
+    try:
+        expected = np.array([quat_to_euler(Quaternion(*q)) for q in rows])
+    except ValueError as exc:
+        event("error")
+        with pytest.raises(ValueError) as raised:
+            _euler_columns(*columns)
+        assert str(raised.value) == str(exc)
+        return
+    locked = HALF_PI - np.abs(expected[:, 1]) < GIMBAL_LOCK_TOL
+    event(f"gimbal lock: {bool(locked.any())}")
+    event(f"yaw 2 pi -> 0: {bool(((expected[:, 2] == 0.0) & (columns[3] < 0.0)).any())}")
+    assert np.column_stack(_euler_columns(*columns)).tobytes() == expected.tobytes()
 
 
 class TestDcm:
