@@ -7,9 +7,7 @@ complementary-filter baseline, a synthetic sensor simulator, and an
 RMSE evaluation harness.
 """
 
-from .complementary import cf_update
-from .dlkf import (FilterState, NoiseConfig, accel_update, apply_correction,
-                   mag_update, time_update)
+from .dlkf import FilterState, NoiseConfig, accel_update, mag_update
 from .fasteuler import accel_roll_pitch, mag_yaw
 from .geometry import (EulerAngles, Quaternion, euler_to_quat, quat_multiply,
                        quat_to_dcm, quat_to_euler, rotvec_to_quat, wrap_pi,
@@ -17,7 +15,6 @@ from .geometry import (EulerAngles, Quaternion, euler_to_quat, quat_multiply,
 from .metrics import RunResult, align_series, evaluate, improvement, rmse
 from .pipeline import (AlignmentError, AttitudeEstimate, Estimates,
                        PipelineConfig, initial_alignment, run_pipeline)
-from .propagation import PropagatorState, propagate
 from .simulate import (AccelModel, GyroModel, MagModel, Segment, SensorLog,
                        SensorRecord, TrajectorySpec, simulate)
 
@@ -26,11 +23,10 @@ __version__ = "0.1.0"
 __all__ = [
     "AccelModel", "AlignmentError", "AttitudeEstimate", "Estimates",
     "EulerAngles", "FilterState", "GyroModel", "MagModel", "NoiseConfig",
-    "PipelineConfig", "PropagatorState", "Quaternion", "RunResult", "Segment",
-    "SensorLog", "SensorRecord", "TrajectorySpec",
-    "accel_roll_pitch", "accel_update", "align_series", "apply_correction",
-    "cf_update", "euler_to_quat", "evaluate", "improvement",
-    "initial_alignment", "mag_update", "mag_yaw", "propagate",
+    "PipelineConfig", "Quaternion", "RunResult", "Segment", "SensorLog",
+    "SensorRecord", "TrajectorySpec",
+    "accel_roll_pitch", "accel_update", "align_series", "euler_to_quat",
+    "evaluate", "improvement", "initial_alignment", "mag_update", "mag_yaw",
     "quat_multiply", "quat_to_dcm", "quat_to_euler", "rmse", "rotvec_to_quat",
-    "run_pipeline", "simulate", "time_update", "wrap_pi", "wrap_yaw",
+    "run_pipeline", "simulate", "wrap_pi", "wrap_yaw",
 ]

@@ -28,15 +28,16 @@ Measurements follow the convention ``z = measured - estimated``, in any
 range, so the converged state is the correction to add to the estimate.
 All functions are pure: they return new states and never mutate inputs.
 
-These functions are the filter's per-layer API and the reference form of
-its epoch; a run does not call them. `pipeline._dlkf_step` fuses one
-epoch (propagation, time update, both layers and the feedback
-correction) onto local floats, each expression in the operand order
-written here, with the same checks and messages. Its measurement layers
-are `_observe`'s body, written once and applied to each of the epoch's
-observations in turn: roll and pitch, as `accel_update` orders them,
-then yaw. `tests/test_dlkf_epoch.py` pins the epoch to the chain of
-these functions bit for bit.
+This module holds the filter's state, its tuning and its measurement
+layers. A run does not call the layers: `pipeline._dlkf_step` runs the
+whole epoch (propagation, time update, both layers and the feedback
+correction) on local floats, its updates being `_observe`'s body,
+written once and applied to each of the epoch's observations in turn:
+roll and pitch, as `accel_update` orders them, then yaw. That step's
+comment derives the time update. `accel_update` and `mag_update` stay as
+the layers the two-layer equivalence is stated and tested on, and
+`tests/test_dlkf_epoch.py` pins the fused epoch to a chain of them bit
+for bit.
 """
 
 from __future__ import annotations
@@ -49,9 +50,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .geometry import (EulerAngles, Quaternion, _dcm_entries, _new, euler_to_quat,
-                       wrap_pi, wrap_yaw)
-from .propagation import PropagatorState
+from .geometry import wrap_pi
 
 N_STATES = 6
 
@@ -177,81 +176,6 @@ class NoiseConfig:
                 raise ValueError(f"{name} must be finite and {op} {low:g}, got {v!r}")
 
 
-def time_update(fs: FilterState, q: Quaternion, dt: float,
-                cfg: NoiseConfig) -> FilterState:
-    """Propagate state and covariance one step at attitude `q`.
-
-    First-order discretization of the error dynamics:
-
-        F = [ I   G   ]    G = -E(roll, pitch) dt,  d = 1 - dt/tau_g
-            [ 0   d I ]
-
-    Attitude errors integrate the residual body-frame bias mapped to
-    Euler-angle rates; the bias states decay with the Markov time
-    constant. The attitude-error states are Euler-angle errors (that is
-    what the measurements observe), so the bias drives them through the
-    body-rate to Euler-rate map E(roll, pitch), read off the bottom row
-    of the DCM of q, not through the full body-to-navigation rotation:
-    E is independent of yaw, which keeps the bias feedback loop stable
-    at any heading. E is singular at pitch +-90 deg; the pitch cosine is
-    floored at 1e-6 (error-state operation stays far from gimbal lock).
-
-    With P = [[A, B], [B^T, C]] and M = B + G C, F P F^T + diag(Q) is
-    computed by blocks: A' = (A + G B^T) + M G^T, B' = d M, C' = (d C) d,
-    each sum taken in the order of the full matrix product, and each
-    variance of Q added to its diagonal entry.
-    """
-    if not dt > 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    c20, c21, c22 = _dcm_entries(*q)[6:]
-    sin_pitch = -c20
-    cos_pitch = math.hypot(c21, c22)
-    if cos_pitch < 1e-6:
-        cos_pitch = 1e-6
-    sin_roll = c21 / cos_pitch
-    cos_roll = c22 / cos_pitch
-    tan_pitch = sin_pitch / cos_pitch
-    # G's first column is (-dt, 0, 0)
-    g00, g01, g02 = -dt, -sin_roll * tan_pitch * dt, -cos_roll * tan_pitch * dt
-    g11, g12 = -cos_roll * dt, sin_roll * dt
-    g21, g22 = -sin_roll / cos_pitch * dt, -cos_roll / cos_pitch * dt
-    d = 1.0 - dt / cfg.tau_g
-
-    x0, x1, x2, x3, x4, x5 = fs._x
-    (a00, a01, a02, b00, b01, b02, a11, a12, b10, b11, b12,
-     a22, b20, b21, b22, c00, c01, c02, c11, c12, c22) = fs._p
-    m00 = b00 + g00 * c00 + g01 * c01 + g02 * c02
-    m01 = b01 + g00 * c01 + g01 * c11 + g02 * c12
-    m02 = b02 + g00 * c02 + g01 * c12 + g02 * c22
-    m10 = b10 + g11 * c01 + g12 * c02
-    m11 = b11 + g11 * c11 + g12 * c12
-    m12 = b12 + g11 * c12 + g12 * c22
-    m20 = b20 + g21 * c01 + g22 * c02
-    m21 = b21 + g21 * c11 + g22 * c12
-    m22 = b22 + g21 * c12 + g22 * c22
-    x = (x0 + g00 * x3 + g01 * x4 + g02 * x5, x1 + g11 * x4 + g12 * x5,
-         x2 + g21 * x4 + g22 * x5, d * x3, d * x4, d * x5)
-    q0, q1, q2, q3, q4, q5 = cfg.Q
-    p = (a00 + g00 * b00 + g01 * b01 + g02 * b02 + m00 * g00 + m01 * g01 + m02 * g02
-         + q0,
-         a01 + g00 * b10 + g01 * b11 + g02 * b12 + m01 * g11 + m02 * g12,
-         a02 + g00 * b20 + g01 * b21 + g02 * b22 + m01 * g21 + m02 * g22,
-         d * m00, d * m01, d * m02,
-         a11 + g11 * b11 + g12 * b12 + m11 * g11 + m12 * g12 + q1,
-         a12 + g11 * b21 + g12 * b22 + m11 * g21 + m12 * g22,
-         d * m10, d * m11, d * m12,
-         a22 + g21 * b21 + g22 * b22 + m21 * g21 + m22 * g22 + q2,
-         d * m20, d * m21, d * m22,
-         d * c00 * d + q3, d * c01 * d, d * c02 * d,
-         d * c11 * d + q4, d * c12 * d, d * c22 * d + q5)
-    # a non-finite input leaves a non-finite output; only then look at
-    # the inputs, as an overflow is no error of theirs
-    if not math.isfinite(sum(p, sum(x))) and not all(
-            map(math.isfinite, (*fs._x, *fs._p, *q, dt))):
-        raise ValueError("time_update inputs must be finite")
-    return _packed(x, p)
-
-
 def _observe(fs: FilterState, i: int, z: float, r: float) -> FilterState:
     """Scalar update on a direct observation of error state `i`.
 
@@ -322,25 +246,3 @@ def mag_update(fs: FilterState, z2: float, Rm: float) -> FilterState:
     if not ok:
         raise ValueError(f"Rm must be finite and > 0, got {Rm!r}")
     return _observe(fs, 2, z2, Rm)
-
-
-def apply_correction(prop: PropagatorState, fs: FilterState,
-                     est: EulerAngles) -> Tuple[PropagatorState, FilterState]:
-    """Feed the estimated errors back and reset the error state.
-
-    `est` must be the Euler angles of `prop.q`; the caller already has
-    them, since its measurement innovations are taken against them. The
-    attitude-error estimate is added to those angles (the measurements
-    are Euler-angle differences, so this is the consistent feedback);
-    the bias estimate folds into the persistent accumulator that
-    propagate() subtracts. The covariance is kept: only the state
-    expectation moves to zero.
-    """
-    dx = fs._x
-    if not any(dx):
-        return prop, fs
-    q = euler_to_quat((wrap_pi(est.roll + dx[0]), est.pitch + dx[1],
-                       wrap_yaw(est.yaw + dx[2])))
-    bx, by, bz = prop.bias
-    bias = (bx + dx[3], by + dx[4], bz + dx[5])
-    return _new(PropagatorState, (q, bias)), _packed(_ZERO_X, fs._p)

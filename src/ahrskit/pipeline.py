@@ -10,29 +10,22 @@ outlives its step. Each algorithm is a factory in `_STEPS` returning
 `step(row, dt, mag_due)`, a closure over its own estimator state; `row`
 is the sample's floats in log-CSV column order (t, gyro, accel, mag[,
 truth]), and the step returns the attitude and bias after `t` as seven
-floats: qw..qz, bx..bz. So a step builds no Quaternion or
-PropagatorState. After the loop the driver fills the Euler columns from
-the quaternion columns in place, `_CHUNK` rows at a time, with
-`_euler_columns`, the column form of `quat_to_euler`, bit for bit the
-per-sample conversion. Every step emits a finite attitude or raises:
-where a dlkf correction turns the attitude NaN, the step raises the
-conversion's own error, so a run stops at the sample where a per-sample
-conversion would, and the fill finds no row to reject. Every step keeps
-its attitude and bias as floats and integrates the gyro with
-`_propagated`, the float form of `propagate`; the dlkf step also takes
-the angles its innovations are taken against from `_euler_angles`, the
-float form of `quat_to_euler`. They differ in the correction: none for
-gyro-only, the PI feedback of `cf_update` for cf, written out on
-floats. The dlkf step runs the filter time update, then the epoch in
-two phases: the measured angles come from `fasteuler`, as in the
-alignment, and become the epoch's observations (error state, measured -
-estimated, variance); one scalar-update body applies them in the order
-roll, pitch, yaw. Then it feeds the corrections back, all on local
-floats in the operand order of the layers. Each fused step equals its
-public layers bit for bit, with their checks and messages
-(`tests/test_dlkf_epoch.py`, `tests/test_fused_steps.py`). A gated
-accelerometer or an off-epoch magnetometer simply adds no observation;
-the covariance flows on.
+floats: qw..qz, bx..bz. So a step builds no Quaternion. After the loop
+the driver fills the Euler columns from the quaternion columns in
+place, `_CHUNK` rows at a time, with `_euler_columns`, the column form
+of `quat_to_euler`, bit for bit the per-sample conversion. Every step
+emits a finite attitude or raises: where a dlkf correction turns the
+attitude NaN, the step raises the conversion's own error, so a run
+stops at the sample where a per-sample conversion would, and the fill
+finds no row to reject.
+
+Every step keeps its attitude and bias as floats and integrates the
+gyro with `propagation._propagated`. They differ in the correction:
+none for gyro-only, the PI feedback of `complementary._cf_step` for cf,
+and the filter epoch of `_dlkf_step` for dlkf. Each step is the only
+writing of its estimator in the package; `tests/test_dlkf_epoch.py` and
+`tests/test_fused_steps.py` hold each bit for bit equal to a reference
+written as a chain of layers in the tests, with its checks and messages.
 """
 
 from __future__ import annotations
@@ -46,10 +39,11 @@ from typing import Callable, Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from .complementary import _cf_step
 from .dlkf import _ZERO_X, FilterState, NoiseConfig, _packed
 from .fasteuler import accel_roll_pitch, mag_yaw
-from .geometry import (EulerAngles, Quaternion, _dcm_entries, _euler_angles, _new,
-                       euler_to_quat, wrap_pi, wrap_yaw)
+from .geometry import (EulerAngles, Quaternion, _euler_angles, _new, euler_to_quat,
+                       wrap_pi, wrap_yaw)
 from .propagation import _propagated
 from .simulate import SensorLog, _check_times, _column, _fill_euler, _Table
 
@@ -210,18 +204,41 @@ def run_pipeline(log: SensorLog, cfg: PipelineConfig,
 
 
 def _dlkf_step(cfg, q0, bias_seed, on_epoch):
-    # One epoch of the public layers on local floats: the gyro step and
-    # the Euler conversion of the propagated attitude through the float
-    # forms that propagate and quat_to_euler wrap, and time_update fused
-    # inline. Then two phases: accel_roll_pitch and mag_yaw give the
-    # measured angles, which become the epoch's observations, and one
-    # scalar-update body, that of `_observe`, applies them in the order
-    # of the layers: roll and pitch (accel_update), then yaw
-    # (mag_update). Last, apply_correction fused inline. Each expression
-    # keeps its layer's operand order, so the estimates are bit for bit
-    # those of the layer chain, and each layer's checks raise its own
-    # message. q, the bias, x and the packed P are the state between
-    # epochs.
+    # One filter epoch on local floats: the gyro step through
+    # _propagated, the angles the innovations are taken against through
+    # _euler_angles, the time update, the measurement layers, and the
+    # feedback correction. q, the bias, x and the packed P are the state
+    # between epochs.
+    #
+    # The time update is the first-order discretisation of the error
+    # dynamics:
+    #
+    #     F = [ I   G   ]    G = -E(roll, pitch) dt,  d = 1 - dt/tau_g
+    #         [ 0   d I ]
+    #
+    # The attitude errors integrate the residual body-frame bias mapped to
+    # Euler-angle rates; the bias states decay with the Markov time
+    # constant. The attitude-error states are Euler-angle errors (that is
+    # what the measurements observe), so the bias drives them through the
+    # body-rate to Euler-rate map E(roll, pitch), read off the bottom row
+    # of the DCM of q, not through the full body-to-navigation rotation: E
+    # is independent of yaw, which keeps the bias feedback loop stable at
+    # any heading. E is singular at pitch +-90 deg; the pitch cosine is
+    # floored at 1e-6 (error-state operation stays far from gimbal lock).
+    # With P = [[A, B], [B^T, C]] and M = B + G C, F P F^T + diag(Q) is
+    # computed by blocks: A' = (A + G B^T) + M G^T, B' = d M, C' = (d C) d,
+    # each sum taken in the order of the full matrix product, and each
+    # variance of Q added to its diagonal entry.
+    #
+    # Then two phases: accel_roll_pitch and mag_yaw give the measured
+    # angles, which become the epoch's observations (error state,
+    # measured - estimated, variance), and one scalar-update body, that
+    # of `dlkf._observe`, applies them in the order roll, pitch, yaw. A
+    # gated accelerometer or an off-epoch magnetometer adds no
+    # observation; the covariance flows on. Last, the error state folds
+    # into the Euler angles (the measurements are Euler-angle
+    # differences, so this is the consistent feedback) and the bias
+    # accumulator, and resets to zero; the covariance is kept.
     noise = cfg.noise
     Q0, Q1, Q2, Q3, Q4, Q5 = noise.Q
     r0, r1 = noise.Ra_nominal
@@ -239,7 +256,7 @@ def _dlkf_step(cfg, q0, bias_seed, on_epoch):
         # the angles every innovation is taken against
         est_roll, est_pitch, est_yaw = _euler_angles(qw, qx, qy, qz)
 
-        # time_update, with G from the bottom row of the DCM of q
+        # the time update, with G from the bottom row of the DCM of q
         c20 = 2.0 * (qx * qz - qw * qy)
         c21 = 2.0 * (qy * qz + qw * qx)
         c22 = 1.0 - 2.0 * (qx * qx + qy * qy)
@@ -339,8 +356,8 @@ def _dlkf_step(cfg, q0, bias_seed, on_epoch):
 
         p = (p00, p01, p02, p03, p04, p05, p11, p12, p13, p14, p15,
              p22, p23, p24, p25, p33, p34, p35, p44, p45, p55)
-        # apply_correction: the error state folds into the Euler angles
-        # and the bias accumulator, then resets to zero
+        # the feedback: the error state folds into the Euler angles and
+        # the bias accumulator, then resets to zero
         if x0 or x1 or x2 or x3 or x4 or x5:
             roll = wrap_pi(est_roll + x0)
             pitch = est_pitch + x1
@@ -369,55 +386,6 @@ def _dlkf_step(cfg, q0, bias_seed, on_epoch):
             x = (x0, x1, x2, x3, x4, x5)
         if on_epoch is not None:
             on_epoch(row[0], _packed(x, p))
-        return qw, qx, qy, qz, bx, by, bz
-
-    return step
-
-
-def _cf_step(cfg, q0, bias_seed, on_epoch):
-    # cf_update fused onto local floats, in its operand order: the error
-    # rate from the accel and (on a mag epoch) the mag directions, its
-    # integral into the bias, and the gyro step with the proportional
-    # term. The bias is the PI integral, so it starts at zero, not at
-    # the seed. PipelineConfig has checked the gains.
-    kp, ki = cfg.cf_kp, cfg.cf_ki
-    q, bias = q0, (0.0, 0.0, 0.0)
-    sqrt, hypot, inf = math.sqrt, math.hypot, math.inf
-
-    def step(row, dt, mag_due):
-        nonlocal q, bias
-        # cij is row i, column j of C_b^n
-        c00, c01, c02, c10, c11, c12, c20, c21, c22 = _dcm_entries(*q)
-        ex = ey = ez = 0.0
-        ax, ay, az = row[4], row[5], row[6]
-        an = sqrt(ax * ax + ay * ay + az * az)
-        if 0.0 < an < inf:
-            ax, ay, az = ax / an, ay / an, az / an
-            ex = c21 * az - c22 * ay
-            ey = c22 * ax - c20 * az
-            ez = c20 * ay - c21 * ax
-        if mag_due:
-            mx, my, mz = row[7], row[8], row[9]
-            mn = sqrt(mx * mx + my * my + mz * mz)
-            if 0.0 < mn < inf:
-                mx, my, mz = mx / mn, my / mn, mz / mn
-                h0 = c00 * mx + c01 * my + c02 * mz
-                h1 = c10 * mx + c11 * my + c12 * mz
-                h2 = c20 * mx + c21 * my + c22 * mz
-                r0 = hypot(h0, h1)
-                px = c00 * r0 + c20 * h2
-                py = c01 * r0 + c21 * h2
-                pz = c02 * r0 + c22 * h2
-                ex += my * pz - mz * py
-                ey += mz * px - mx * pz
-                ez += mx * py - my * px
-        bx, by, bz = bias
-        bx -= ki * ex * dt
-        by -= ki * ey * dt
-        bz -= ki * ez * dt
-        bias = bx, by, bz
-        qw, qx, qy, qz = q = _propagated(*q, row[1], row[2], row[3], bx - kp * ex,
-                                         by - kp * ey, bz - kp * ez, dt)
         return qw, qx, qy, qz, bx, by, bz
 
     return step

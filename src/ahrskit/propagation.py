@@ -7,41 +7,21 @@ accurate to O(dt^2) otherwise; no coning correction is applied.
 
 `_propagated` writes the step once on floats: `rotvec_to_quat` of the
 bias-corrected increment, then `quat_multiply`, with its normalisation.
-`propagate` wraps it, and every estimator's per-sample step calls it on
-the components it holds, so no step builds a Quaternion.
+Every estimator's per-sample step calls it on the components it holds,
+so no step builds a Quaternion.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Tuple
 
-from .geometry import SMALL_ROTATION, Quaternion, _new
-
-
-class PropagatorState(NamedTuple):
-    """Attitude and accumulated gyro bias (rad/s), the bias as three
-    Python floats so that a step does no NumPy scalar arithmetic."""
-
-    q: Quaternion
-    bias: Tuple[float, float, float]
-
-
-def propagate(state: PropagatorState, gyro, dt: float) -> PropagatorState:
-    """Advance the attitude by one gyro sample over dt seconds.
-
-    The bias estimate is subtracted from the measured rate before
-    integration; the bias itself is left unchanged (the filter owns it).
-    """
-    q = _propagated(*state.q, float(gyro[0]), float(gyro[1]), float(gyro[2]),
-                    *state.bias, dt)
-    return _new(PropagatorState, (_new(Quaternion, q), state.bias))
+from .geometry import SMALL_ROTATION
 
 
 def _propagated(w1, x1, y1, z1, gx, gy, gz, bx, by, bz, dt):
-    """`propagate` on floats: the attitude (w1, x1, y1, z1) advanced by
-    the rate (gx, gy, gz) less the bias (bx, by, bz) over dt, as four
-    floats; bit for bit `quat_multiply(q, rotvec_to_quat(increment))`."""
+    """The attitude (w1, x1, y1, z1) advanced by the rate (gx, gy, gz)
+    less the bias (bx, by, bz) over dt, as four floats; bit for bit
+    `quat_multiply(q, rotvec_to_quat(increment))`."""
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
     if not (math.isfinite(gx) and math.isfinite(gy) and math.isfinite(gz)):

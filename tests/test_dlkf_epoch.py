@@ -1,16 +1,17 @@
-"""The fused dlkf epoch against the chain of public layers it fuses.
+"""The fused dlkf epoch against the chain of layers it fuses.
 
 `pipeline._dlkf_step` runs a whole epoch inline on local floats.
-`composed_dlkf_step` below is the same epoch written as calls to the
-public layers: `propagate`, `quat_to_euler`, `time_update`,
-`accel_roll_pitch` and `accel_update`, `mag_yaw` and `mag_update`, then
-`apply_correction`; it converts the corrected attitude with
-`quat_to_euler` before the hook, so a run of it stops at the first
-attitude whose angles fail, and returns that attitude and the bias. It
-was the library's own form of the epoch before the fusion and stays
-here as its reference. On any log the two must give the same estimate bytes, the
-same x and P bytes at every epoch (signed zeros included), and the same
-error for a bad sample.
+`composed_dlkf_step` below is the same epoch written as calls to
+layers: the gyro step of `test_propagation.propagate`, `quat_to_euler`,
+`test_dlkf.time_update`, `accel_roll_pitch` and `accel_update`,
+`mag_yaw` and `mag_update`, then `test_dlkf.apply_correction`; it
+converts the corrected attitude with `quat_to_euler` before the hook,
+so a run of it stops at the first attitude whose angles fail, and
+returns that attitude and the bias. It was the library's own form of
+the epoch before the fusion and stays here as its reference. On any log
+the two must give the same estimate bytes, the same x and P bytes at
+every epoch (signed zeros included), and the same error for a bad
+sample.
 """
 
 import math
@@ -23,25 +24,26 @@ from hypothesis import strategies as st
 
 from ahrskit import pipeline
 from ahrskit.benchmark import matched_noise_config, mems_models, static_records
-from ahrskit.dlkf import FilterState, accel_update, apply_correction, mag_update, time_update
+from ahrskit.dlkf import FilterState, accel_update, mag_update
 from ahrskit.fasteuler import accel_roll_pitch, mag_yaw
 from ahrskit.geometry import EulerAngles, quat_to_euler
 from ahrskit.pipeline import PipelineConfig, run_pipeline
-from ahrskit.propagation import PropagatorState, propagate
 from ahrskit.simulate import Segment, SensorLog, TrajectorySpec, simulate
+from test_dlkf import apply_correction, time_update
+from test_propagation import propagate
 
 
 def composed_dlkf_step(cfg, q0, bias_seed, on_epoch):
-    prop = PropagatorState(q0, bias_seed)
+    q, bias = q0, bias_seed
     fs = FilterState.initial()
     r0, r1 = cfg.noise.Ra_nominal
 
     def step(row, dt, mag_due):
-        nonlocal prop, fs
-        prop = propagate(prop, row[1:4], dt)
-        est = quat_to_euler(prop.q)
+        nonlocal q, bias, fs
+        q = propagate(q, row[1:4], dt, bias)
+        est = quat_to_euler(q)
 
-        fs = time_update(fs, prop.q, dt, cfg.noise)
+        fs = time_update(fs, q, dt, cfg.noise)
         meas = accel_roll_pitch(row[4:7], cfg.noise)
         if meas is not None:
             roll, pitch, gamma2 = meas
@@ -55,11 +57,11 @@ def composed_dlkf_step(cfg, q0, bias_seed, on_epoch):
             yaw_meas = mag_yaw(row[7:10], tilt[0], tilt[1])
             if yaw_meas is not None:
                 fs = mag_update(fs, yaw_meas - est.yaw, cfg.noise.Rm)
-        prop, fs = apply_correction(prop, fs, est)
-        quat_to_euler(prop.q)
+        q, bias, fs = apply_correction(q, bias, fs, est)
+        quat_to_euler(q)
         if on_epoch is not None:
             on_epoch(row[0], fs)
-        return (*prop.q, *prop.bias)
+        return (*q, *bias)
 
     return step
 
@@ -130,10 +132,16 @@ def faulty_logs(draw):
 
 @settings(deadline=None, max_examples=150)
 @given(faulty_logs(), st.sampled_from([0.0, 5.0, 50.0]), st.sampled_from([0.5, 100.0]),
-       st.sampled_from([1.0, 10.0, 60.0, 1000.0]), st.sampled_from([0.0, 0.1]))
+       st.sampled_from([1.0, 10.0, 60.0, 1000.0]), st.sampled_from([0.0, 0.1]),
+       st.lists(st.floats(0.5, 2.0), min_size=8, max_size=8, unique=True))
 def test_fused_epoch_matches_layer_chain_bit_for_bit(log, lambda_a, tau_g, mag_rate,
-                                                     align_s):
-    noise = replace(matched_noise_config(250.0), lambda_a=lambda_a, tau_g=tau_g)
+                                                     align_s, factors):
+    # six distinct Q variances and two distinct Ra_nominal variances, so
+    # that a variance applied to the wrong state changes the result
+    matched = matched_noise_config(250.0)
+    noise = replace(matched, lambda_a=lambda_a, tau_g=tau_g,
+                    Q=[v * f for v, f in zip(matched.Q, factors)],
+                    Ra_nominal=[v * f for v, f in zip(matched.Ra_nominal, factors[6:])])
     cfg = PipelineConfig(noise=noise, mag_rate_hz=mag_rate, align_duration_s=align_s)
     table, epochs, error = assert_fused_matches_composed(log, cfg)
     event(f"error: {error and error.split(': ', 1)[-1].split(',')[0]}")

@@ -1,4 +1,6 @@
-"""The dlkf layers against textbook formulas, on random inputs.
+"""The dlkf layers against textbook formulas, on random inputs: the
+measurement layers of `ahrskit.dlkf`, and the time update's reference
+writing in `test_dlkf`, which the fused epoch matches bit for bit.
 
 Each oracle writes its update the long way: the transition matrix built
 from np.eye, the gain from np.linalg.solve, the Joseph products in full.
@@ -18,9 +20,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ahrskit.dlkf import (FilterState, NoiseConfig, accel_update, mag_update,
-                          time_update)
+from ahrskit.dlkf import FilterState, NoiseConfig, accel_update, mag_update
 from ahrskit.geometry import EulerAngles, euler_to_quat, wrap_pi
+from test_dlkf import time_update
 
 RTOL = 1e-12
 SUBNORMAL_FLOOR = 4 * 5e-324

@@ -1,14 +1,15 @@
-"""The fused cf and gyro-only steps against the public layers they fuse.
+"""The fused cf and gyro-only steps against the layers they fuse.
 
-`pipeline._cf_step` and `pipeline._gyro_only_step` run a step inline on
-local floats and return the new attitude and bias; the driver converts
-the attitudes to Euler angles after its loop. The composed steps below
-are the same steps written as calls to the public layers, `cf_update`
-and `propagate`, and convert each new attitude with `quat_to_euler` at
-its sample, so a run of theirs stops at the first attitude whose angles
-fail. They were the library's own form of these steps before the
-fusion and stay here as the reference. On any log the two must give the
-same estimate bytes and the same error for a bad sample.
+`complementary._cf_step` and `pipeline._gyro_only_step` run a step
+inline on local floats and return the new attitude and bias; the driver
+converts the attitudes to Euler angles after its loop. The composed
+steps below are the same steps written as calls to the reference
+layers, `test_complementary.cf_update` and `test_propagation.propagate`,
+and convert each new attitude with `quat_to_euler` at its sample, so a
+run of theirs stops at the first attitude whose angles fail. They were
+the library's own form of these steps before the fusion and stay here
+as the reference. On any log the two must give the same estimate bytes
+and the same error for a bad sample.
 """
 
 import math
@@ -20,37 +21,37 @@ from hypothesis import strategies as st
 
 from ahrskit import pipeline
 from ahrskit.benchmark import matched_noise_config, static_records
-from ahrskit.complementary import cf_update
 from ahrskit.geometry import EulerAngles, quat_to_euler
 from ahrskit.pipeline import PipelineConfig
-from ahrskit.propagation import PropagatorState, propagate
 from ahrskit.simulate import SensorLog
+from test_complementary import cf_update
 from test_dlkf_epoch import GYRO, HALF_PI, faulty_logs, run_with
+from test_propagation import propagate
 
 NO_MAG = (0.0, 0.0, 0.0)
 
 
 def composed_cf_step(cfg, q0, bias_seed, on_epoch):
-    prop = PropagatorState(q0, (0.0, 0.0, 0.0))
+    q, bias = q0, (0.0, 0.0, 0.0)
 
     def step(row, dt, mag_due):
-        nonlocal prop
-        prop = cf_update(prop, row[1:4], row[4:7], row[7:10] if mag_due else NO_MAG,
-                         dt, cfg.cf_kp, cfg.cf_ki)
-        quat_to_euler(prop.q)
-        return (*prop.q, *prop.bias)
+        nonlocal q, bias
+        q, bias = cf_update(q, bias, row[1:4], row[4:7], row[7:10] if mag_due else NO_MAG,
+                            dt, cfg.cf_kp, cfg.cf_ki)
+        quat_to_euler(q)
+        return (*q, *bias)
 
     return step
 
 
 def composed_gyro_only_step(cfg, q0, bias_seed, on_epoch):
-    prop = PropagatorState(q0, (0.0, 0.0, 0.0))
+    q = q0
 
     def step(row, dt, mag_due):
-        nonlocal prop
-        prop = propagate(prop, row[1:4], dt)
-        quat_to_euler(prop.q)
-        return (*prop.q, *prop.bias)
+        nonlocal q
+        q = propagate(q, row[1:4], dt)
+        quat_to_euler(q)
+        return (*q, 0.0, 0.0, 0.0)
 
     return step
 

@@ -17,7 +17,7 @@ filter was moved onto the shared gyro integrator; the same tolerances
 apply to all three algorithms.
 
 The cf digest was re-pinned when the complementary filter began to
-integrate through `propagate`: the corrected rate is now summed as
+integrate through the shared gyro step: the corrected rate is now summed as
 g - (b - kp*err) rather than (g + kp*err) + integral, which moves the
 last bits (at most 2.2e-16 on the quaternion of this log).
 
@@ -27,7 +27,7 @@ normalising its result, leaving the one normalisation per gyro step to
 itself changes in its last bits. Against the reference series: dlkf
 1.5e-14 rad and 6.1e-15 rad/s, cf and gyro-only 3.6e-15 rad.
 
-The cf digest was re-pinned again when `cf_update` moved its error
+The cf digest was re-pinned again when the cf step moved its error
 terms from NumPy vectors onto Python floats: the norms and the two
 matrix-vector products sum in another order than NumPy's dot products,
 so the last bits move (2.2e-16 on the quaternion, 2.0e-18 rad/s on the
@@ -309,8 +309,9 @@ def test_cf_hot_path_calls(records, monkeypatch):
 
     monkeypatch.setattr(np, "cross", forbidden)
     monkeypatch.setattr(np.linalg, "norm", forbidden)
-    # `cf_update` writes the DCM out from `_dcm_entries`; no cf module may
-    # bind `quat_to_dcm`, and a call through `geometry` fails the run
+    # `complementary._cf_step` writes the DCM out from `_dcm_entries`; no
+    # module of the cf run may bind `quat_to_dcm`, and a call through
+    # `geometry` fails the run
     assert not any(hasattr(m, "quat_to_dcm") for m in (complementary, pipeline, propagation))
     monkeypatch.setattr(geometry, "quat_to_dcm", forbidden)
     assert run_pipeline(records, cfg)

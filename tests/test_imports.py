@@ -4,15 +4,18 @@ every name one of its functions binds, is read.
 No linter ships with the toolchain, so this stands in for the two checks
 a removal most often leaves behind: an import, and a local alias, that
 nothing reads any more. `__init__.py` is left out of the import check:
-its imports are the package's re-exports.
+its imports are the package's re-exports. A last test checks that every
+module the benchmark's tracer imports by name still exists.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ahrskit"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "ahrskit"
 MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
 
 
@@ -119,3 +122,15 @@ def test_no_unused_import(path):
 @pytest.mark.parametrize("path", MODULES + [PACKAGE / "__init__.py"], ids=lambda path: path.name)
 def test_no_unused_local(path):
     assert unused_locals(path.read_text(encoding="utf-8")) == []
+
+
+def test_benchmark_traced_modules_import():
+    """Every module the benchmark's tracer patches imports: the tracer
+    imports each by name, so a removed module would fail the benchmark
+    run. `SITES` is read from the tracer's source, not imported."""
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text(encoding="utf-8"))
+    sites, = [ast.literal_eval(node.value) for node in tree.body
+              if isinstance(node, ast.Assign)
+              and any(getattr(t, "id", None) == "SITES" for t in node.targets)]
+    for site in sites:
+        importlib.import_module(site)
