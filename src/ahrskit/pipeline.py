@@ -1,31 +1,31 @@
 """End-to-end fusion loop: alignment, per-sample estimation, emission.
 
 One driver serves every algorithm: it owns the clock, the mag-epoch
-schedule, the per-sample error context and the emitted estimates. It
-reads the rows of a `SensorLog`'s table as Python floats, packs each
-sample's t, quaternion and gyro bias into one 11-float row of an
-`array("d")`, with zeros for the Euler angles, and returns the whole run
-as `Estimates`, one read-only (N, 11) table, so no per-sample object
-outlives its step. Each algorithm is a factory in `_STEPS` returning
-`step(row, dt, mag_due)`, a closure over its own estimator state; `row`
-is the sample's floats in log-CSV column order (t, gyro, accel, mag[,
-truth]), and the step returns the attitude and bias after `t` as seven
-floats: qw..qz, bx..bz. So a step builds no Quaternion. After the loop
-the driver fills the Euler columns from the quaternion columns in
-place, `_CHUNK` rows at a time, with `_euler_columns`, the column form
-of `quat_to_euler`, bit for bit the per-sample conversion. Every step
-emits a finite attitude or raises: where a dlkf correction turns the
-attitude NaN, the step raises the conversion's own error, so a run
-stops at the sample where a per-sample conversion would, and the fill
-finds no row to reject.
+schedule, the per-sample error context and the emitted estimates, and
+returns the whole run as `Estimates`, one read-only (N, 11) table, so no
+per-sample object outlives its step. dlkf and cf have a factory in
+`_STEPS` returning `step(row, dt, mag_due)`, a closure over its own
+estimator state; `row` is the sample's floats in log-CSV column order
+(t, gyro, accel, mag[, truth]), and the step returns the attitude and
+bias after `t` as seven floats: qw..qz, bx..bz. `run_pipeline`'s per-row
+loop packs them with t into one 11-float row of an `array("d")`, with
+zeros for the Euler angles. Both steps integrate the gyro with
+`propagation._propagated` and differ in the correction: the PI feedback
+of `complementary._cf_step`, and the filter epoch of `_dlkf_step`.
+Gyro-only corrects nothing, so its increments depend on the log alone:
+its entry is None, and `_dead_reckoning` takes them by the column and
+runs only the quaternion chain per row, into the table's q columns.
 
-Every step keeps its attitude and bias as floats and integrates the
-gyro with `propagation._propagated`. They differ in the correction:
-none for gyro-only, the PI feedback of `complementary._cf_step` for cf,
-and the filter epoch of `_dlkf_step` for dlkf. Each step is the only
-writing of its estimator in the package; `tests/test_dlkf_epoch.py` and
-`tests/test_fused_steps.py` hold each bit for bit equal to a reference
-written as a chain of layers in the tests, with its checks and messages.
+After the run, `run_pipeline` fills the Euler columns from the quaternion
+columns in place, `_CHUNK` rows at a time, with `_euler_columns`, bit
+for bit the per-sample `quat_to_euler`. Every run emits a finite
+attitude or raises: where a dlkf correction turns the attitude NaN, the
+step raises the conversion's own error, so a run stops at the sample
+where a per-sample conversion would, and the fill finds no row to
+reject. Each estimator has one writing in the package;
+`tests/test_dlkf_epoch.py` and `tests/test_fused_steps.py` hold each bit
+for bit equal to a reference written as a chain of layers in the tests,
+run through the per-row loop, with its checks and messages.
 """
 
 from __future__ import annotations
@@ -44,8 +44,9 @@ from .dlkf import _ZERO_X, FilterState, NoiseConfig, _packed
 from .fasteuler import accel_roll_pitch, mag_yaw
 from .geometry import (EulerAngles, Quaternion, _euler_angles, _new, euler_to_quat,
                        wrap_pi, wrap_yaw)
-from .propagation import _propagated
-from .simulate import SensorLog, _check_times, _column, _fill_euler, _Table
+from .propagation import _chain, _increments, _propagated
+from .simulate import (_CHUNK, SensorLog, _check_times, _column, _fill_euler,
+                       _Table)
 
 class AlignmentError(ValueError):
     """Raised when the initial-alignment window is unusable."""
@@ -179,28 +180,59 @@ def run_pipeline(log: SensorLog, cfg: PipelineConfig,
     rest = log[n_align:]
     if not rest:
         raise ValueError("no records left after the alignment window")
-    t_prev = float(log.t[n_align - 1])
 
-    step = _STEPS[cfg.algorithm](cfg, q0, bias_seed, on_epoch)
-    mag_period = 1.0 / cfg.mag_rate_hz
-    next_mag = float(rest.t[0])
-    table = array("d")
-    emit, pack = table.frombytes, _ROW.pack
-    try:
-        for i, row in enumerate(rest.rows(), n_align):
-            t = row[0]
-            dt = t - t_prev
-            mag_due = t >= next_mag
-            if mag_due:
-                # one period per step, or one jump over the epochs a gap missed
-                next_mag += ((t - next_mag) // mag_period + 1.0) * mag_period
-            emit(pack(t, *step(row, dt, mag_due)))
-            t_prev = t
-    except ValueError as exc:
-        raise ValueError(f"sample {i} (t={row[0]}): {exc}") from exc
-    table = np.frombuffer(table).reshape(-1, 11)
+    make_step = _STEPS[cfg.algorithm]
+    if make_step is None:
+        table = _dead_reckoning(rest, log.t[n_align - 1:], q0, n_align)
+    else:
+        step = make_step(cfg, q0, bias_seed, on_epoch)
+        t_prev = float(log.t[n_align - 1])
+        mag_period = 1.0 / cfg.mag_rate_hz
+        next_mag = float(rest.t[0])
+        table = array("d")
+        emit, pack = table.frombytes, _ROW.pack
+        try:
+            for i, row in enumerate(rest.rows(), n_align):
+                t = row[0]
+                dt = t - t_prev
+                mag_due = t >= next_mag
+                if mag_due:
+                    # one period per step, or one jump over the epochs a gap missed
+                    next_mag += ((t - next_mag) // mag_period + 1.0) * mag_period
+                emit(pack(t, *step(row, dt, mag_due)))
+                t_prev = t
+        except ValueError as exc:
+            raise _sample_error(i, t, exc) from exc
+        table = np.frombuffer(table).reshape(-1, 11)
     _fill_euler(table[:, 1:4], table[:, 4:8])
     return Estimates(table)
+
+
+def _sample_error(i: int, t: float, exc: ValueError) -> ValueError:
+    return ValueError(f"sample {i} (t={t}): {exc}")
+
+
+def _dead_reckoning(rest, times, q, n_align):
+    # gyro-only, the drift the filters must remove: the increments by the
+    # column, _CHUNK rows at a time, then the chain. `times` start at the
+    # last aligned sample, so the gyro row j runs over times[j : j + 2].
+    # A bad row ends its chunk's increments, and `_propagated` raises there.
+    table = np.zeros((len(rest), 11))
+    table[:, 0] = rest.t
+    for start in range(0, len(rest), _CHUNK):
+        t, gyro = times[start:start + _CHUNK + 1], rest.gyro[start:start + _CHUNK]
+        increments = _increments(gyro, t)
+        quats = array("d")
+        q = _chain(q, zip(*increments), quats)
+        n = len(increments[0])
+        table[start:start + n, 4:8] = np.frombuffer(quats).reshape(n, 4)
+        if n < len(gyro):
+            t_prev, t_bad = t[n:n + 2].tolist()
+            try:
+                _propagated(*q, *gyro[n].tolist(), 0.0, 0.0, 0.0, t_bad - t_prev)
+            except ValueError as exc:
+                raise _sample_error(n_align + start + n, t_bad, exc) from exc
+    return table
 
 
 def _dlkf_step(cfg, q0, bias_seed, on_epoch):
@@ -391,17 +423,5 @@ def _dlkf_step(cfg, q0, bias_seed, on_epoch):
     return step
 
 
-def _gyro_only_step(cfg, q0, bias_seed, on_epoch):
-    # pure dead reckoning: no bias compensation, establishes the drift
-    # the filters must remove
-    q = q0
-
-    def step(row, dt, mag_due):
-        nonlocal q
-        qw, qx, qy, qz = q = _propagated(*q, row[1], row[2], row[3], 0.0, 0.0, 0.0, dt)
-        return qw, qx, qy, qz, 0.0, 0.0, 0.0
-
-    return step
-
-
-_STEPS = {"dlkf": _dlkf_step, "cf": _cf_step, "gyro-only": _gyro_only_step}
+# None: no per-row step, the run goes by the column in `_dead_reckoning`
+_STEPS = {"dlkf": _dlkf_step, "cf": _cf_step, "gyro-only": None}

@@ -7,15 +7,15 @@ constant-plus-first-order-Markov gyro bias with white noise, white
 accelerometer noise on the specific force, and white noise on a rotated
 unit magnetic field. Output is bit-reproducible for a given seed.
 
-Only the recursions run per sample, on Python floats: the attitude, one
-`quat_multiply` per step, and the Markov drift, folded in one gyro
-column at a time. The truth angles, the DCM entries and the sensor
-columns are computed from the collected attitudes over the whole log
-with elementwise NumPy arithmetic, no BLAS product, so they are bit for
-bit the plain float arithmetic of one sample at a time; the truth
-angles take `math`'s asin and atan2 mapped over the columns
-(`geometry._euler_columns`), since NumPy's arcsin and arctan2 round
-differently.
+Only the recursions run per sample, on Python floats: the attitude,
+`propagation._chain` over each segment's increment repeated, and the
+Markov drift, folded in one gyro column at a time. The truth angles,
+the DCM entries and the sensor columns are computed from the collected
+attitudes over the whole log with elementwise NumPy arithmetic, no BLAS
+product, so they are bit for bit the plain float arithmetic of one
+sample at a time; the truth angles take `math`'s asin and atan2 mapped
+over the columns (`geometry._euler_columns`), since NumPy's arcsin and
+arctan2 round differently.
 
 The log is one (N, 13) table, the table of the returned `SensorLog` (a
 `_Table`, as a run's `Estimates` is), written in place: time, the
@@ -39,7 +39,8 @@ from typing import Iterator, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .geometry import (EulerAngles, _dcm_entries, _euler_columns, _new, euler_to_quat,
-                       quat_multiply, rotvec_to_quat)
+                       rotvec_to_quat)
+from .propagation import _chain
 
 
 class Segment(NamedTuple):
@@ -287,16 +288,13 @@ def simulate(traj: TrajectorySpec, gyro_model: GyroModel, accel_model: AccelMode
     table = np.empty((n_total, 13))  # the log, written in place column by column
     table[:, 0] = np.arange(1, n_total + 1) * dt
     gyro, accel, mag = table[:, 1:4], table[:, 4:7], table[:, 7:10]
-    # per sample, on floats: the attitude
+    # per sample, on floats: the attitude, each segment's increment repeated
     q = euler_to_quat(traj.initial_attitude)
     quats = array("d")
     for seg, n_steps, stop in zip(traj.segments, steps_per_seg, accumulate(steps_per_seg)):
         gyro[stop - n_steps:stop] = seg.rate
         accel[stop - n_steps:stop] = seg.accel
-        step_quat = rotvec_to_quat([r * dt for r in seg.rate])
-        for _ in range(n_steps):
-            q = quat_multiply(q, step_quat)
-            quats.extend(q)
+        q = _chain(q, repeat(rotvec_to_quat([r * dt for r in seg.rate]), n_steps), quats)
     quats = np.frombuffer(quats).reshape(n_total, 4)
     _fill_euler(table[:, 10:13], quats)
 

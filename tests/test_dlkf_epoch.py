@@ -68,7 +68,9 @@ def composed_dlkf_step(cfg, q0, bias_seed, on_epoch):
 
 def run_with(make_step, log, cfg):
     """(estimate bytes, per-epoch (t, x, P) bytes, error message or None)
-    of a run of `cfg.algorithm` with the given step factory."""
+    of a run of `cfg.algorithm` with `make_step` as its entry in
+    `pipeline._STEPS`: a step factory runs `run_pipeline`'s per-row loop, and
+    None, gyro-only's own entry, runs it by the column."""
     epochs = []
 
     def record(t, fs):

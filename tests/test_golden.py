@@ -189,20 +189,26 @@ def test_hot_path_calls(records, monkeypatch, algorithm):
 # `_euler_angles` of the innovations' attitude), the dlkf epoch's
 # measured angles from `fasteuler` (`accel_roll_pitch` every sample,
 # `mag_yaw` on a mag epoch), and the angle wraps of its innovations and
-# correction. The Euler angles of the rows are converted by the column
-# after the loop, a few calls per `_CHUNK` rows. Measured on this log:
-# dlkf 7.69, cf 3.22, gyro-only 2.22; each bound adds about 0.3.
-CALLS_PER_ESTIMATE = {"dlkf": 8, "cf": 3.5, "gyro-only": 2.5}
+# correction. Gyro-only has no per-row step: it takes its increments and
+# chains its products a `_CHUNK` of rows per call, so nearly all of its
+# calls are the alignment's `accel_roll_pitch`, one per aligned sample.
+# The Euler angles of the rows are converted by the column after the
+# loop, a few calls per `_CHUNK` rows. Measured on this log: dlkf 7.69,
+# cf 3.22, gyro-only 0.23; the dlkf and cf bounds add about 0.3, the
+# gyro-only bound 0.07, far below the one call per estimate that any
+# per-row call would add.
+CALLS_PER_ESTIMATE = {"dlkf": 8, "cf": 3.5, "gyro-only": 0.3}
 
 
 @pytest.mark.parametrize("algorithm", sorted(CALLS_PER_ESTIMATE))
 def test_python_calls_per_estimate(records, algorithm):
     """A run of the golden log makes at most `CALLS_PER_ESTIMATE` Python-level
     calls per estimate, alignment included: each step runs inline on
-    floats and builds no per-sample object. The chain of public layers
-    (`test_dlkf_epoch.py`, `test_fused_steps.py`) makes 26 for dlkf, 10
-    for cf and 8 for gyro-only. A count, unlike a timing, is not blurred
-    by the host's speed."""
+    floats, gyro-only by the column, and builds no per-sample object.
+    The chain of public layers (`test_dlkf_epoch.py`,
+    `test_fused_steps.py`) makes 26 for dlkf, 10 for cf and 8 for
+    gyro-only. A count, unlike a timing, is not blurred by the host's
+    speed."""
     cfg = PipelineConfig(algorithm=algorithm, noise=matched_noise_config(RATE))
     calls = 0
 
@@ -267,17 +273,22 @@ class CountedNumPy:
 @pytest.mark.parametrize("algorithm", sorted(GOLDEN))
 def test_hot_path_builds_no_array(records, monkeypatch, algorithm):
     """Every estimator steps on Python floats: a run reaches NumPy through
-    none of the modules below, and through `geometry` only in the column
-    conversion of the Euler angles, once per `_CHUNK` estimates; the
-    driver builds no array per estimate, and every estimate carries its
-    bias as a tuple of three Python floats."""
+    none of the modules below, through `geometry` only in the column
+    conversion of the Euler angles, and through `propagation` only in
+    the gyro-only run's column increments, each once per `_CHUNK`
+    estimates; `run_pipeline` builds no array per estimate, and every
+    estimate carries its bias as a tuple of three Python floats."""
     cfg = PipelineConfig(algorithm=algorithm, noise=matched_noise_config(RATE))
-    for module in (propagation, fasteuler, dlkf, complementary):
+    for module in (fasteuler, dlkf, complementary):
         monkeypatch.setattr(module, "np", NoNumPy(), raising=False)
-    counted = CountedNumPy()
+    counted, counted_propagation = CountedNumPy(), CountedNumPy()
     monkeypatch.setattr(geometry, "np", counted)
+    monkeypatch.setattr(propagation, "np", counted_propagation)
     geometry._euler_columns(*np.array([[1.0], [0.0], [0.0], [0.0]]))
+    propagation._increments(np.zeros((1, 3)), np.arange(2.0))
     reads_per_chunk, counted.reads = counted.reads, 0
+    propagation_reads_per_chunk = counted_propagation.reads if algorithm == "gyro-only" else 0
+    counted_propagation.reads = 0
     built = []
 
     class CountedArrays:
@@ -294,7 +305,9 @@ def test_hot_path_builds_no_array(records, monkeypatch, algorithm):
     monkeypatch.setattr(pipeline, "np", CountedArrays())
     estimates = run_pipeline(records, cfg)
     assert built == []
-    assert counted.reads == reads_per_chunk * -(-len(estimates) // _CHUNK)
+    chunks = -(-len(estimates) // _CHUNK)
+    assert counted.reads == reads_per_chunk * chunks
+    assert counted_propagation.reads == propagation_reads_per_chunk * chunks
     assert all(type(e.gyro_bias) is tuple and len(e.gyro_bias) == 3
                and all(type(b) is float for b in e.gyro_bias) for e in estimates)
 
@@ -330,7 +343,10 @@ def accumulated_mag_schedule(times, period):
 
 
 def mag_due_flags(monkeypatch, records, cfg):
-    """(mag_due, t) per estimated sample, from a step that only records."""
+    """(mag_due, t) per estimated sample, from a step that only records.
+    Patched into `_STEPS`, a step factory runs through `run_pipeline`'s
+    per-row loop, the one that schedules the mag epochs, for any
+    algorithm, gyro-only included."""
     seen = []
 
     def recording_step(cfg, q0, bias_seed, on_epoch):
